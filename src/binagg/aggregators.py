@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
+from .engine import OutcomeTable, build_table, exact_array, issue_bits, masks_array, scan
 from .metric import TieOrder, nn_select, validate_weights
 from .spaces import EvaluationSpace, bit_at
 
@@ -111,6 +114,36 @@ class IiaStage:
             out |= self.issue_bit(j, c) << (m - j)
         return out
 
+    def block_evaluator(self, space: EvaluationSpace, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Stage outputs (uint64 masks) for (B, n) blocks of feasible row indices."""
+        m = space.m
+        if m != self.m:
+            raise ValueError(f"stage decides {self.m} issues, space has {m}")
+        if n != self.n:
+            raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
+        # voter_bits[i][j, r]: feasible row r's vote on issue j+1, at voter i's
+        # column position; the column of issue j+1 starts at j * 2**n so one
+        # flat gather through all truth tables decides every issue
+        bits = issue_bits(space)
+        voter_bits = [bits << (n - 1 - i) for i in range(n)]
+        offsets = (np.arange(m, dtype=np.intp) << n)[:, None]
+        nbytes = max(1, (1 << n) // 8)
+        truth = np.concatenate(
+            [
+                np.unpackbits(np.frombuffer(t.to_bytes(nbytes, "little"), dtype=np.uint8), bitorder="little")[: 1 << n]
+                for t in self.tables
+            ]
+        )
+        place = np.array([1 << (m - j) for j in range(1, m + 1)], dtype=np.uint64)
+
+        def evaluate(rows):
+            columns = offsets + voter_bits[0][:, rows[:, 0]]
+            for i in range(1, n):
+                columns |= voter_bits[i][:, rows[:, i]]
+            return place @ truth[columns]
+
+        return evaluate
+
     @property
     def is_anonymous(self) -> bool:
         """True when every issue's decider depends on vote counts only."""
@@ -177,6 +210,16 @@ class Rule:
     def __call__(self, rows: Sequence[int]) -> int:
         raise NotImplementedError
 
+    def block_evaluator(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Outcome masks for (B, n) blocks of feasible row indices.
+
+        This default calls the rule once per profile; the built-in rules
+        override it with array arithmetic.
+        """
+        X = self.space.feasible
+        m = self.space.m
+        return lambda rows: masks_array([self(tuple(X[r] for r in row)) for row in rows.tolist()], m)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
 
@@ -193,6 +236,12 @@ class Dictator(Rule):
             raise ValueError(f"profile has {len(rows)} voters, dictator is voter {self.voter}")
         return rows[self.voter - 1]
 
+    def block_evaluator(self, n):
+        if self.voter > n:
+            raise ValueError(f"profile has {n} voters, dictator is voter {self.voter}")
+        xs = masks_array(self.space.feasible, self.space.m)
+        return lambda rows: xs[rows[:, self.voter - 1]]
+
 
 class StageRule(Rule):
     """A bare per-issue stage used as the rule itself; may output infeasible."""
@@ -207,6 +256,9 @@ class StageRule(Rule):
 
     def __call__(self, rows):
         return self.stage.apply(rows, self.space.m)
+
+    def block_evaluator(self, n):
+        return self.stage.block_evaluator(self.space, n)
 
 
 class Plurality(Rule):
@@ -227,6 +279,25 @@ class Plurality(Rule):
         if self.tie is None:
             return max(tied)
         return self.tie.best(tied)
+
+    def block_evaluator(self, n):
+        X = self.space.feasible
+        S = len(X)
+        xs = masks_array(X, self.space.m)
+        # priority among tied rows: the greater mask, or the better tie rank
+        if self.tie is None:
+            priority = np.arange(S)
+        else:
+            priority = S - 1 - np.array([self.tie.rank(x) for x in X])
+
+        def evaluate(rows):
+            score = np.broadcast_to(priority, (len(rows), S)).copy()
+            at = np.arange(len(rows))
+            for column in rows.T:
+                score[at, column] += S
+            return xs[np.argmax(score, axis=1)]
+
+        return evaluate
 
 
 class Partition(Rule):
@@ -272,6 +343,43 @@ class Partition(Rule):
                     raise AssertionError(f"both extensions infeasible at issue {j}")
         return prefix
 
+    def _automaton(self) -> list[np.ndarray]:
+        """Per issue j, next prefix state indexed by (state, wanted bit).
+
+        States at issue j are the feasible prefixes of length j in
+        ascending order, so the final states are the feasible indices.
+        """
+        m = self.space.m
+        steps = []
+        previous = [0]
+        for j in range(1, m + 1):
+            level = sorted({x >> (m - j) for x in self.space.feasible})
+            position = {p: k for k, p in enumerate(level)}
+            step = np.empty((len(previous), 2), dtype=np.intp)
+            for k, p in enumerate(previous):
+                for want in (0, 1):
+                    chosen = position.get((p << 1) | want)
+                    step[k, want] = position[(p << 1) | (1 - want)] if chosen is None else chosen
+            steps.append(step)
+            previous = level
+        return steps
+
+    def block_evaluator(self, n):
+        if n != len(self.blocks):
+            raise ValueError(f"rule partitions issues over {len(self.blocks)} voters, profile has {n}")
+        bits = issue_bits(self.space)
+        steps = self._automaton()
+        owners = [v - 1 for v in self._owner]
+        xs = masks_array(self.space.feasible, self.space.m)
+
+        def evaluate(rows):
+            state = np.zeros(len(rows), dtype=np.intp)
+            for j, step in enumerate(steps):
+                state = step[state, bits[j, rows[:, owners[j]]]]
+            return xs[state]
+
+        return evaluate
+
 
 class NearestNeighborRule(Rule):
     """A monotone per-issue stage whose output is snapped back into the space.
@@ -295,18 +403,30 @@ class NearestNeighborRule(Rule):
         self.stage = stage
         self.weights = None if weights is None else validate_weights(weights, space.m)
         self.tie = tie
-        self._table: list[int] | None = None
+        # snapped value of every infeasible stage output seen so far
+        self._snapped: dict[int, int] = {}
 
     def correct(self, point: int) -> int:
         """The correction map alone: identity on the space, snap elsewhere."""
-        if self._table is None:
-            self._table = [
-                nn_select(self.space, p, self.weights, self.tie) for p in range(1 << self.space.m)
-            ]
-        return self._table[point]
+        if point in self.space:
+            return point
+        snapped = self._snapped.get(point)
+        if snapped is None:
+            snapped = self._snapped[point] = nn_select(self.space, point, self.weights, self.tie)
+        return snapped
 
     def __call__(self, rows):
         return self.correct(self.stage.apply(rows, self.space.m))
+
+    def block_evaluator(self, n):
+        stage_outputs = self.stage.block_evaluator(self.space, n)
+        m = self.space.m
+
+        def evaluate(rows):
+            distinct, inverse = np.unique(stage_outputs(rows), return_inverse=True)
+            return masks_array([self.correct(v) for v in distinct.tolist()], m)[inverse]
+
+        return evaluate
 
 
 class WelfareMaximizer(Rule):
@@ -349,6 +469,22 @@ class WelfareMaximizer(Rule):
                 best_key = key
                 best = v
         return best
+
+    def block_evaluator(self, n):
+        X = self.space.feasible
+        S = len(X)
+        xs = masks_array(X, self.space.m)
+        # key (total distance, tie rank or mask) packed as total * S + rank
+        dist = exact_array(self._distances(), headroom=n * S) * S
+        tie_key = np.arange(S) if self.tie is None else np.array([self.tie.rank(x) for x in X])
+
+        def evaluate(rows):
+            key = tie_key + dist[rows[:, 0]]
+            for column in rows.T[1:]:
+                key += dist[column]
+            return xs[np.argmin(key, axis=1)]
+
+        return evaluate
 
 
 class TableRule(Rule):
@@ -566,12 +702,18 @@ def iter_profiles(space: EvaluationSpace, n: int):
         yield pid, ridx, tuple(X[i] for i in ridx)
 
 
-def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Rule outcome for every profile, indexed by canonical profile id."""
+def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFAULT_BUDGET) -> OutcomeTable:
+    """Rule outcome for every profile, indexed by canonical profile id.
+
+    The table stores one narrow code per profile into its list of
+    distinct outcomes; indexing or iterating it yields outcome masks.
+    """
     total = profile_count(space, n)
     if total > budget:
         raise BudgetExceededError(total, budget, f"outcome table over {space.size}^{n} profiles")
-    return [rule(rows) for _, _, rows in iter_profiles(space, n)]
+    if rule.space is not space and rule.space.feasible != space.feasible:
+        raise ValueError(f"{rule!r} is bound to another space")
+    return build_table(space, n, rule.block_evaluator(n))
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +757,31 @@ def check_structural(
     }[property]
     if total > budget or probes > budget:
         raise BudgetExceededError(max(total, probes), budget, f"structural check {property}")
-    out = outcome_table(space, rule, n, budget)
+    table = outcome_table(space, rule, n, budget)
     m = space.m
     X = space.feasible
     S = len(X)
 
+    if property == "monotone":
+        xs = masks_array(X, m)
+        values = masks_array(table.values, m)
+
+        def violated(z, w, x, y):
+            # the voter flipped an issue, society flipped it too, and
+            # ended opposite to where the voter went
+            true, lie, lied = xs[x], xs[y], values[w]
+            return ((true ^ lie) & (values[z] ^ lied) & (lie ^ lied)) != 0
+
+        for pid, i, yi, lied_pid in scan(space, table, n, violated):
+            rows = profile_rows(space, pid, n)
+            y = X[yi]
+            other = rows[:i] + (y,) + rows[i + 1 :]
+            res, res2 = table[pid], table[lied_pid]
+            viol = (rows[i] ^ y) & (res ^ res2) & (y ^ res2)
+            return StructuralReport(property, False, (rows, other), issue=m - viol.bit_length() + 1)
+        return StructuralReport(property, True)
+
+    out = list(table)
     if property == "iia":
         seen: list[dict[int, tuple[int, int]]] = [dict() for _ in range(m)]
         for pid, ridx, rows in iter_profiles(space, n):
@@ -632,26 +794,6 @@ def check_structural(
                     return StructuralReport(
                         property, False, (profile_rows(space, prev[0], n), rows), issue=j
                     )
-        return StructuralReport(property, True)
-
-    if property == "monotone":
-        for pid, ridx, rows in iter_profiles(space, n):
-            res = out[pid]
-            for i in range(n):
-                stride = S ** (n - 1 - i)
-                base = pid - ridx[i] * stride
-                xi = rows[i]
-                for yi, y in enumerate(X):
-                    if y == xi:
-                        continue
-                    res2 = out[base + yi * stride]
-                    # violation: voter flipped the issue, society flipped it
-                    # too, and ended opposite to where the voter went
-                    viol = (xi ^ y) & (res ^ res2) & (y ^ res2)
-                    if viol:
-                        j = m - viol.bit_length() + 1
-                        other = rows[:i] + (y,) + rows[i + 1 :]
-                        return StructuralReport(property, False, (rows, other), issue=j)
         return StructuralReport(property, True)
 
     if property == "anonymous":

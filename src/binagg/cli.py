@@ -69,6 +69,8 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--aggregator", required=True)
     p_check.add_argument("-n", type=int, required=True)
     p_check.add_argument("--property", required=True, choices=("iia", "monotone", "anonymous", "dictatorial"))
+    p_check.add_argument("--weights", help="weights file")
+    p_check.add_argument("--tieorder", help="tie-order file")
     p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -90,8 +92,8 @@ def _cmd_space(args) -> int:
 
 
 def _rule_inputs(args, space: EvaluationSpace):
-    weights = read_weights(args.weights, space.m) if getattr(args, "weights", None) else None
-    tie = read_tie_order(args.tieorder, space) if getattr(args, "tieorder", None) else None
+    weights = read_weights(args.weights, space.m) if args.weights else None
+    tie = read_tie_order(args.tieorder, space) if args.tieorder else None
     return weights, tie
 
 
@@ -120,7 +122,8 @@ def _cmd_hunt(args) -> int:
 
 def _cmd_check(args) -> int:
     space = _resolve_space(args.space)
-    rule = parse_rule(args.aggregator).build(space, args.n)
+    weights, tie = _rule_inputs(args, space)
+    rule = parse_rule(args.aggregator).build(space, args.n, weights, tie)
     report = check_structural(space, rule, args.n, args.property, args.budget)
     print(f"property {report.property}: {'HOLDS' if report.holds else 'FAILS'}")
     if report.witness is not None:

@@ -1,13 +1,13 @@
 """Vectorized exhaustive manipulation hunts over batches of stages.
 
-The generic scanner in :mod:`binagg.manipulation` is the reference; it
-walks profiles one by one and is plenty for a single rule.  Sweeping
-*every* monotone stage of a small space (20^m of them for three voters)
-needs bulk arithmetic instead.  This module reproduces exactly the same
-probe order with numpy gathers: profiles ascending, voters ascending,
-lies ascending, stages enumerated lexicographically over their
-per-issue truth tables.  Witnesses found here must match the reference
-scanner probe for probe, and the test suite cross-checks that.
+The single-rule search in :mod:`binagg.manipulation` hunts one rule at
+a time on the chunked engine of :mod:`binagg.engine`.  Sweeping *every*
+monotone stage of a small space (20^m of them for three voters) adds a
+stage axis instead.  This module reproduces exactly the same probe
+order with numpy gathers: profiles ascending, voters ascending, lies
+ascending, stages enumerated lexicographically over their per-issue
+truth tables.  Witnesses found here must match the single-rule search
+probe for probe, and the test suite cross-checks that.
 
 Only the weighted-Hamming manipulation kind is implemented; the batch
 sweeps exist for Hamming certification sweeps and nothing else.

@@ -8,10 +8,11 @@ and strictly reducing the weighted Hamming distance to the truth
 (hamming).  Every full manipulation is a hamming manipulation under
 every weight vector, and every hamming manipulation is partial.
 
-The search engine scans all (profile, voter, lie) triples in canonical
-order - profiles lexicographic by rows, voters ascending, lies in
-ascending mask order - so the first witness found is a deterministic
-function of the inputs, independent of any internal schedule.
+The search scans all (profile, voter, lie) triples in canonical order -
+profiles lexicographic by rows, voters ascending, lies in ascending
+mask order - through the chunked numpy scan of :mod:`binagg.engine`, so
+the first witness found is a deterministic function of the inputs,
+independent of how the scan is chunked.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .aggregators import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     Rule,
-    iter_profiles,
     outcome_table,
     profile_count,
+    profile_rows,
 )
+from .engine import HitFn, OutcomeTable, exact_array, masks_array, scan
 from .metric import uniform_weights, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
 
@@ -143,42 +145,36 @@ def iter_witnesses(
     required = search_size(space, n)
     if required > budget:
         raise BudgetExceededError(required, budget, f"manipulation search over {space.size}^{n} profiles")
-    out = outcome_table(space, rule, n, budget)
+    table = outcome_table(space, rule, n, budget)
     X = space.feasible
-    S = len(X)
-    strides = [S ** (n - 1 - i) for i in range(n)]
-    m = space.m
+    for pid, i, yi, lied_pid in scan(space, table, n, _hit_fn(space, table, kind, w)):
+        rows = profile_rows(space, pid, n)
+        yield ManipulationWitness(space.m, rows, i + 1, X[yi], table[pid], table[lied_pid], kind, w)
 
-    dist: dict[int, list[int]] = {}
+
+def _hit_fn(space: EvaluationSpace, table: OutcomeTable, kind: str, weights) -> HitFn:
+    """The vectorised predicate of one manipulation kind over outcome codes."""
+    xs = masks_array(space.feasible, space.m)
+    values = masks_array(table.values, space.m)
     if kind == "hamming":
-        for v in set(out):
-            dist[v] = [weighted_hamming(x, v, w, m) for x in X]
+        # dist[k, s]: distance from outcome k to feasible opinion s
+        dist = exact_array(
+            [[weighted_hamming(x, v, weights, space.m) for x in space.feasible] for v in table.values]
+        )
+        return lambda z, w, x, y: dist[w, x] < dist[z, x]
+    if kind == "partial":
 
-    for pid, ridx, rows in iter_profiles(space, n):
-        z = out[pid]
-        for i in range(n):
-            xi = rows[i]
-            stride = strides[i]
-            base = pid - ridx[i] * stride
-            if kind == "hamming":
-                dz = dist[z][ridx[i]]
-            for yi in range(S):
-                y = X[yi]
-                if y == xi:
-                    continue
-                res = out[base + yi * stride]
-                if res == z:
-                    continue
-                if kind == "hamming":
-                    hit = dist[res][ridx[i]] < dz
-                elif kind == "partial":
-                    hit = (z ^ xi) & ~(res ^ xi) != 0
-                else:
-                    hit = (res ^ xi) & (res ^ z) == 0
-                if hit:
-                    yield ManipulationWitness(
-                        m, rows, i + 1, y, z, res, kind, w if kind == "hamming" else None
-                    )
+        def partial(z, w, x, y):
+            true = xs[x]
+            return (values[z] ^ true) & ~(values[w] ^ true) != 0
+
+        return partial
+
+    def full(z, w, x, y):
+        lied = values[w]
+        return (w != z) & ((lied ^ xs[x]) & (lied ^ values[z]) == 0)
+
+    return full
 
 
 def find_witness(

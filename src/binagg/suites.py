@@ -32,7 +32,7 @@ from .aggregators import (
     swm_topk,
 )
 from .fastsweep import all_stage_products_hamming_free, stage_product_count
-from .manipulation import ManipulationWitness, certify, classify_deviation, find_witness
+from .manipulation import ManipulationWitness, certify, classify_deviation, find_witness, iter_witnesses
 from .metric import TieOrder, uniform_weights, weighted_hamming
 from .spaces import builtin_space, choose_space, mipe_type, to_bits
 
@@ -360,38 +360,21 @@ def _lemma_harvest():
     m = space.m
     uniform = uniform_weights(m)
 
-    # exhaustive: corrected majority under the worked example's tie order
+    # exhaustive: every hamming witness of the corrected majority under the
+    # worked example's tie order
     stage = IiaStage.majority(3, m)
     tie = fixtures.four_candidate_tie_order()
     rule = NearestNeighborRule(space, stage, uniform, tie)
-    out = outcome_table(space, rule, 3)
-    stage_out = [stage.apply(rows) for _, _, rows in iter_profiles(space, 3)]
-    X = space.feasible
-    S = len(X)
-    dist = {}
-    for v in set(out):
-        dist[v] = [weighted_hamming(x, v) for x in X]
     exhaustive_pairs = set()
     exhaustive_hits = 0
-    strides = [S ** (2 - i) for i in range(3)]
-    for pid, ridx, rows in iter_profiles(space, 3):
-        z = out[pid]
-        for i in range(3):
-            stride = strides[i]
-            base = pid - ridx[i] * stride
-            dz = dist[z][ridx[i]]
-            for yi in range(S):
-                if X[yi] == rows[i]:
-                    continue
-                qid = base + yi * stride
-                w = out[qid]
-                if w == z:
-                    continue
-                if dist[w][ridx[i]] < dz:
-                    exhaustive_hits += 1
-                    exhaustive_pairs.add((stage_out[pid], stage_out[qid]))
+    for w in iter_witnesses(space, rule, 3, "hamming"):
+        exhaustive_hits += 1
+        lied_rows = w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :]
+        exhaustive_pairs.add((stage.apply(w.profile), stage.apply(lied_rows)))
 
     # randomized: stage, tie, weights and deviation all sampled
+    X = space.feasible
+    S = len(X)
     rng = random.Random(fixtures.RANDOM_SWEEP_SEED)
     tabs = monotone_tables(3)
     ties = fixtures.tie_battery(space, extra=tie)

@@ -1,6 +1,11 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import pytest
+
+from binagg.aggregators import check_structural, parse_rule
 from binagg.cli import main
+from binagg.fileio import read_tie_order, read_weights
+from binagg.spaces import builtin_space, to_bits
 
 
 def run(capsys, *argv):
@@ -118,6 +123,30 @@ def test_check_property(capsys):
     assert code == 0
     assert "property iia: FAILS" in out
     assert "witness profiles:" in out
+
+
+@pytest.mark.parametrize("spec", ["nn(majority)", "swm"])
+def test_check_with_weights_and_tieorder(tmp_path, capsys, spec):
+    space = builtin_space("pref3")
+    weights = tmp_path / "w.txt"
+    weights.write_text("3 1 1\n", encoding="utf-8")
+    tie = tmp_path / "t.txt"
+    tie.write_text("".join(to_bits(x, 3) + "\n" for x in reversed(space.feasible)), encoding="utf-8")
+    args = ("check", "--space", "pref3", "--aggregator", spec, "-n", "3", "--property", "iia")
+    code, out, _ = run(capsys, *args, "--weights", str(weights), "--tieorder", str(tie))
+    assert code == 0
+    rule = parse_rule(spec).build(space, 3, read_weights(str(weights), 3), read_tie_order(str(tie), space))
+    report = check_structural(space, rule, 3, "iia")
+    a, b = report.witness
+    assert out.splitlines() == [
+        "property iia: FAILS",
+        "witness profiles:",
+        "  A: " + " ".join(to_bits(r, 3) for r in a),
+        "  B: " + " ".join(to_bits(r, 3) for r in b),
+        f"issue: {report.issue}",
+    ]
+    # the files reach the rule: without them the first witness differs
+    assert run(capsys, *args)[1] != out
 
 
 def test_verify_suite(capsys):

@@ -1,0 +1,116 @@
+"""The numpy probe engine against the pure-Python oracle in tests/oracle.py."""
+
+import time
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from binagg.aggregators import (
+    Dictator,
+    IiaStage,
+    NearestNeighborRule,
+    Partition,
+    Plurality,
+    StageRule,
+    TableRule,
+    WelfareMaximizer,
+    check_structural,
+    monotone_tables,
+    outcome_table,
+)
+from binagg import engine
+from binagg.manipulation import KINDS, find_witness, iter_witnesses
+from binagg.metric import TieOrder
+from binagg.spaces import EvaluationSpace
+
+MAX_PROBES = 12_000
+RULES = ("dictator", "stage", "nn", "plurality", "partition", "swm", "table")
+
+
+@st.composite
+def spaces(draw):
+    """Random explicit spaces with 1-6 issues, or a sparse 64-issue one."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 64)))
+    top = (1 << m) - 1
+    points = st.integers(0, top)
+    if m == 64:
+        # reach past int64: the top issue set, and the all-ones point
+        points = st.one_of(points, st.just(top), st.integers(1 << 63, top))
+    feasible = draw(st.sets(points, min_size=1, max_size=min(top + 1, 8)))
+    return EvaluationSpace(m, feasible)
+
+
+@st.composite
+def cases(draw):
+    space = draw(spaces())
+    S, m = space.size, space.m
+    fitting = [n for n in range(1, 5) if S**n * n * S <= MAX_PROBES]
+    n = draw(st.sampled_from(fitting))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 5)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    kind = draw(st.sampled_from(RULES))
+    if kind == "dictator":
+        rule = Dictator(space, draw(st.integers(1, n)))
+    elif kind in ("stage", "nn"):
+        stage = IiaStage(n, draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m)))
+        rule = StageRule(space, stage) if kind == "stage" else NearestNeighborRule(space, stage, weights, tie)
+    elif kind == "plurality":
+        rule = Plurality(space, tie)
+    elif kind == "partition":
+        owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        rule = Partition(space, [{j + 1 for j in range(m) if owners[j] == v} for v in range(n)])
+    elif kind == "swm":
+        rule = WelfareMaximizer(space, weights, tie)
+    else:
+        # an arbitrary rule whose outputs may leave the space
+        pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6))
+        salt = draw(st.integers(0, 1000))
+
+        def pick(rows):
+            return pool[(sum(r * (i + salt) for i, r in enumerate(rows)) + salt) % len(pool)]
+
+        rule = TableRule(space, pick, "table", always_feasible=False)
+    return space, rule, n, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+def test_engine_matches_oracle(case, block_elements):
+    # small blocks make the scan cross many block boundaries
+    space, rule, n, weights = case
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        assert list(outcome_table(space, rule, n)) == oracle.outcome_list(space, rule, n)
+        for kind in KINDS:
+            got = list(iter_witnesses(space, rule, n, kind, weights))
+            assert got == list(oracle.iter_witnesses(space, rule, n, kind, weights)), kind
+        assert check_structural(space, rule, n, "monotone") == oracle.check_monotone(space, rule, n)
+
+
+def test_outcome_codes_are_narrow(pref4):
+    table = outcome_table(pref4, Plurality(pref4), 3)
+    assert table.codes.dtype == np.uint8
+    assert len(table) == pref4.size**3
+    assert table.values == tuple(sorted(set(table.values)))
+
+
+def test_outcome_codes_widen_past_256_outcomes():
+    space = EvaluationSpace(12, range(0, 4096, 683))
+    index = {x: i for i, x in enumerate(space.feasible)}
+    rule = TableRule(space, lambda rows: sum(index[r] * 6**i for i, r in enumerate(rows)), "distinct", False)
+    table = outcome_table(space, rule, 4)
+    assert table.codes.dtype == np.uint16
+    assert len(table.values) == 6**4
+    assert list(table) == oracle.outcome_list(space, rule, 4)
+
+
+def test_nearest_neighbor_correction_snaps_only_outputs_seen():
+    # 2**40 hypercube points: a correction table over all of them is hopeless
+    m = 40
+    space = EvaluationSpace(m, [0, (1 << 20) - 1, ((1 << 20) - 1) << 20, (1 << m) - 1, 0x5555555555, 0xAAAAAAAAAA])
+    rule = NearestNeighborRule(space, IiaStage.majority(2, m))
+    start = time.perf_counter()
+    find_witness(space, rule, 2, "full")
+    assert time.perf_counter() - start < 0.5
+    assert len(rule._snapped) <= space.size**2
