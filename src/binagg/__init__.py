@@ -43,7 +43,6 @@ from .manipulation import (
     UNCHANGED,
     ManipulationWitness,
     certify,
-    certify_hamming_sweep,
     classify_deviation,
     find_witness,
     issue_partition,

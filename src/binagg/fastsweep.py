@@ -1,109 +1,67 @@
-"""Vectorized exhaustive manipulation hunts over batches of stages.
+"""Hamming sweeps over every monotone stage of a small space.
 
-The single-rule search in :mod:`binagg.manipulation` hunts one rule at
-a time on the chunked engine of :mod:`binagg.engine`.  Sweeping *every*
-monotone stage of a small space (20^m of them for three voters) adds a
-stage axis instead.  This module reproduces exactly the same probe
-order with numpy gathers: profiles ascending, voters ascending, lies
-ascending, stages enumerated lexicographically over their per-issue
-truth tables.  Witnesses found here must match the single-rule search
-probe for probe, and the test suite cross-checks that.
+A sweep hunts every product of monotone per-issue deciders (20^m stages
+for three voters), each corrected into the space by its nearest
+neighbour, and returns the first stage with a weighted-Hamming
+manipulation.  Stages are numbered lexicographically over their
+per-issue truth tables, last issue fastest.
 
-Only the weighted-Hamming manipulation kind is implemented; the batch
-sweeps exist for Hamming certification sweeps and nothing else.
+The stages are screened in blocks of ``engine.block_size(P)`` stages,
+so a block's (stages, profiles) temporaries stay within the engine's
+element budget.  The screen never probes a lie: a voter's *context* (the
+other voters' rows) reaches one outcome per lie, and OR-ing ``1 << code``
+along the lie axis of the engine's per-voter stride view gives the
+context's reachable-outcome mask in O(P) per voter.  A voter with true
+opinion x and truthful outcome z has a profitable lie iff that mask
+meets ``better[x, z]``, the outcomes strictly closer to x than z, so the
+screen flags exactly the manipulable stages.  The first flagged stage's
+witness comes from :func:`binagg.manipulation.find_witness` on that one
+stage, so every witness is the engine scan's canonical first probe.
+
+Distances are exact Python integers, so any positive weights work.
+Outcome masks hold one bit per feasible evaluation in 64 bits, which
+limits sweeps to spaces of at most 64 evaluations.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
 
-from .aggregators import IiaStage, monotone_tables
+from . import engine
+from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
+from .manipulation import find_witness
 from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace
-
-
-def _profile_arrays(space: EvaluationSpace, n: int):
-    """Per-(space, n) gather tables for the vectorized probe lattice."""
-    X = space.feasible
-    S = len(X)
-    m = space.m
-    P = S**n
-    pid = np.arange(P, dtype=np.int64)
-    row_idx = np.empty((P, n), dtype=np.int32)
-    for i in range(n):
-        stride = S ** (n - 1 - i)
-        row_idx[:, i] = (pid // stride) % S
-    Xa = np.array(X, dtype=np.int64)
-    # column value per issue, voter 1 most significant
-    col = np.zeros((m, P), dtype=np.int32)
-    for j in range(1, m + 1):
-        for i in range(n):
-            col[j - 1] += ((Xa[row_idx[:, i]] >> (m - j)) & 1).astype(np.int32) << (n - 1 - i)
-    # profile id after replacing voter i's row by feasible index y
-    repl = np.empty((P, n, S), dtype=np.int32)
-    for i in range(n):
-        stride = S ** (n - 1 - i)
-        base = (pid - row_idx[:, i] * stride).astype(np.int32)
-        repl[:, i, :] = base[:, None] + np.arange(S, dtype=np.int32)[None, :] * stride
-    return Xa, row_idx, col, repl
 
 
 def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
     """Feasible index of the corrected value for every hypercube point."""
     if space.m > 20:
         raise ValueError("correction table is practical for m <= 20 only")
-    table = np.empty(1 << space.m, dtype=np.int32)
+    table = np.empty(1 << space.m, dtype=np.intp)
     for p in range(1 << space.m):
         table[p] = space.index(nn_select(space, p, weights, tie))
     return table
 
 
-def _distance_matrix(space: EvaluationSpace, weights) -> np.ndarray:
+def _better_masks(space: EvaluationSpace, weights) -> np.ndarray:
+    """(S, S) uint64: bit o of [x, z] is set when d(x, o) < d(x, z)."""
     X = space.feasible
-    m = space.m
-    return np.array(
-        [[weighted_hamming(a, b, weights, m) for b in X] for a in X], dtype=np.int32
-    )
+    rows = []
+    for x in X:
+        d = [weighted_hamming(x, o, weights, space.m) for o in X]
+        rows.append([sum(1 << o for o, do in enumerate(d) if do < dz) for dz in d])
+    return np.array(rows, dtype=np.uint64)
 
 
-def _first_hit(hits: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True in C order, or None."""
-    flat = np.flatnonzero(hits.reshape(-1))
-    if flat.size == 0:
-        return None
-    return tuple(int(v) for v in np.unravel_index(flat[0], hits.shape))
-
-
-def stage_hamming_hunt(
-    space: EvaluationSpace,
-    stage: IiaStage,
-    n: int,
-    weights: Sequence[int] | None = None,
-    tie: TieOrder | None = None,
-) -> tuple[int, int, int] | None:
-    """Vectorized hunt for one corrected stage; returns (pid, voter, lie index).
-
-    Mirrors the reference scanner's canonical order exactly.
-    """
-    if stage.n > 5:
-        raise ValueError("vectorized hunts support stage arity <= 5 (table fits an int64 shift)")
-    if weights is not None:
-        weights = validate_weights(weights, space.m)
-    Xa, row_idx, col, repl = _profile_arrays(space, n)
-    nn_idx = _correction_indices(space, weights, tie)
-    D = _distance_matrix(space, weights)
-    m = space.m
-    value = np.zeros(col.shape[1], dtype=np.int32)
-    for j in range(1, m + 1):
-        value += ((stage.tables[j - 1] >> col[j - 1]) & 1).astype(np.int32) << (m - j)
-    outcome = nn_idx[value]  # (P,) feasible indices
-    dz = D[row_idx, outcome[:, None]]  # (P, n)
-    w = outcome[repl]  # (P, n, S)
-    dw = D[row_idx[:, :, None], w]  # (P, n, S)
-    return _first_hit(dw < dz[:, :, None])
+def _stage_tables(sid: int, tabs: tuple[int, ...], m: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(m):
+        sid, t = divmod(sid, len(tabs))
+        digits.append(tabs[t])
+    return tuple(reversed(digits))
 
 
 def all_stage_products_hamming_free(
@@ -111,65 +69,61 @@ def all_stage_products_hamming_free(
     n: int,
     weights: Sequence[int] | None = None,
     tie: TieOrder | None = None,
-    chunk: int | None = None,
 ) -> tuple[int, tuple[int, ...], tuple[int, int, int]] | None:
     """Hamming-hunt every product of monotone per-issue deciders.
 
     Stages run in lexicographic order over per-issue table choices.
     Returns None when every stage is manipulation-free, otherwise the
-    first offending (stage number, stage tables, (pid, voter, lie)).
+    first offending (stage number, stage tables, (pid, voter, lie)),
+    where the probe is that stage's canonically first witness.
     """
+    S, m = space.size, space.m
+    if S > 64:
+        raise ValueError(f"sweeps support at most 64 feasible evaluations (one mask bit each), space has {S}")
     if weights is not None:
-        weights = validate_weights(weights, space.m)
-    m = space.m
+        weights = validate_weights(weights, m)
     tabs = monotone_tables(n)
     T = len(tabs)
     total = T**m
-    Xa, row_idx, col, repl = _profile_arrays(space, n)
+    P = S**n
+    # int64 masks: bit 63 makes them negative, which & and != 0 ignore
+    flat_better = _better_masks(space, weights).view(np.int64).ravel()
     nn_idx = _correction_indices(space, weights, tie)
-    D = _distance_matrix(space, weights)
-    # bit of monotone table t at column c
-    M = np.array([[(t >> c) & 1 for c in range(1 << n)] for t in tabs], dtype=np.int32)
-    per_issue = [M[:, col[j]] for j in range(m)]  # each (T, P)
-
-    P = col.shape[1]
-    S = space.size
-    if chunk is None:
-        # keep the (B, P, n, S) temporaries around a few dozen MB
-        chunk = max(1, 8_000_000 // max(1, P * n * S))
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        value = np.zeros((ids.size, P), dtype=np.int32)
-        rest = ids.copy()
+    rows = engine.row_indices(0, P, S, n)
+    bits = engine.issue_bits(space)
+    # column[j, pid]: issue j's packed column; truth[t, c]: bit c of table t
+    column = sum(bits[:, rows[:, i]] << (n - 1 - i) for i in range(n))
+    truth = np.array([[(t >> c) & 1 for c in range(1 << n)] for t in tabs], dtype=np.intp)
+    per_issue = [truth[:, column[j]] << (m - 1 - j) for j in range(m)]
+    # better[x, z] sits at flat index x * S + z, x being voter i's opinion
+    opinion_offsets = [rows[:, i] * S for i in range(n)]
+    step = engine.block_size(P)
+    for start in range(0, total, step):
+        sids = np.arange(start, min(start + step, total), dtype=np.int64)
+        B = sids.size
+        value = np.zeros((B, P), dtype=np.intp)
+        rest = sids
         for j in range(m - 1, -1, -1):
-            tid = rest % T
-            rest //= T
-            value += per_issue[j][tid] << (m - 1 - j)
-        outcome = nn_idx[value]  # (B, P)
-        dz = D[row_idx[None, :, :], outcome[:, :, None]]  # (B, P, n)
-        w = outcome[np.arange(ids.size)[:, None, None, None], repl[None, :, :, :]]
-        dw = D[row_idx[None, :, :, None], w]  # (B, P, n, S)
-        hit = _first_hit(dw < dz[:, :, :, None])
-        if hit is None:
+            rest, tid = np.divmod(rest, T)
+            value |= per_issue[j][tid]
+        codes = nn_idx[value]
+        flagged = np.zeros(B, dtype=bool)
+        for i in range(n):
+            # in this shape, [b, hi, y, lo] is the outcome when voter i holds y in context (hi, lo)
+            shape = (B, -1, S, S ** (n - 1 - i))
+            reach = np.bitwise_or.reduce(np.left_shift(1, codes.reshape(shape)), axis=2, keepdims=True)
+            closer = flat_better[codes + opinion_offsets[i]].reshape(shape)
+            flagged |= (closer & reach).reshape(B, -1).any(axis=1)
+        if not flagged.any():
             continue
-        b, pid, voter, lie = hit
-        sid = start + b
-        digits = []
-        rest = sid
-        for _ in range(m):
-            digits.append(tabs[rest % T])
-            rest //= T
-        stage_tables = tuple(reversed(digits))
-        return sid, stage_tables, (pid, voter, lie)
+        sid = start + int(np.argmax(flagged))
+        tables = _stage_tables(sid, tabs, m)
+        rule = NearestNeighborRule(space, IiaStage(n, tables), weights, tie)
+        witness = find_witness(space, rule, n, "hamming", weights)
+        pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
+        return sid, tables, (pid, witness.voter - 1, space.index(witness.lie))
     return None
 
 
 def stage_product_count(space: EvaluationSpace, n: int) -> int:
     return len(monotone_tables(n)) ** space.m
-
-
-def iter_stage_products(space: EvaluationSpace, n: int):
-    """All monotone stages in the sweep's lexicographic order."""
-    tabs = monotone_tables(n)
-    for combo in itertools.product(tabs, repeat=space.m):
-        yield IiaStage(n, combo)

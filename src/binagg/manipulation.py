@@ -210,26 +210,6 @@ def certify(
     return Certification(kind, witness is None, witness)
 
 
-def certify_hamming_sweep(
-    space: EvaluationSpace,
-    rule_for_weights,
-    n: int,
-    weight_vectors: Sequence[Sequence[int]],
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[tuple[int, ...], Certification]]:
-    """Hamming certification across several weight vectors.
-
-    ``rule_for_weights`` maps a weight vector to the rule under test, so
-    distance-based rules can be rebuilt per vector.
-    """
-    results = []
-    for wv in weight_vectors:
-        w = validate_weights(wv, space.m)
-        rule = rule_for_weights(w) if callable(rule_for_weights) else rule_for_weights
-        results.append((w, certify(space, rule, n, "hamming", w, budget)))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # proof-diagnostic issue partition
 

@@ -42,11 +42,6 @@ def bit_at(mask: int, issue: int, m: int) -> int:
     return (mask >> (m - issue)) & 1
 
 
-def with_bit(mask: int, issue: int, m: int, value: int) -> int:
-    pos = m - issue
-    return (mask | (1 << pos)) if value else (mask & ~(1 << pos))
-
-
 def hamming(a: int, b: int) -> int:
     """Number of issues on which two evaluations disagree."""
     return (a ^ b).bit_count()

@@ -1,11 +1,14 @@
-"""Pure-Python reference scanners that the numpy probe engine is checked against.
+"""Pure-Python reference scanners that the numpy probe engine and the batch sweep are checked against.
 
 These are the original one-profile-at-a-time loops: they call the rule
 on every profile and walk every (profile, voter, lie) probe in canonical
-order.  They are slow and obviously correct, which is their job.
+order, one stage at a time for sweeps.  They are slow and obviously
+correct, which is their job.
 """
 
-from binagg.aggregators import StructuralReport, iter_profiles
+import itertools
+
+from binagg.aggregators import IiaStage, NearestNeighborRule, StructuralReport, iter_profiles, monotone_tables
 from binagg.manipulation import ManipulationWitness
 from binagg.metric import uniform_weights, weighted_hamming
 
@@ -75,3 +78,25 @@ def check_monotone(space, rule, n):
                     other = rows[:i] + (y,) + rows[i + 1 :]
                     return StructuralReport("monotone", False, (rows, other), issue=j)
     return StructuralReport("monotone", True)
+
+
+def iter_stages(space, n):
+    """Every monotone stage, lexicographic over its per-issue truth tables."""
+    for tables in itertools.product(monotone_tables(n), repeat=space.m):
+        yield IiaStage(n, tables)
+
+
+def first_manipulable_stage(space, n, weights=None, tie=None):
+    """The batch sweep's answer, one corrected stage at a time.
+
+    Returns (stage number, tables, (pid, voter index, lie index)) of the
+    first stage with a hamming witness, or None when every stage is free.
+    """
+    S = space.size
+    for sid, stage in enumerate(iter_stages(space, n)):
+        rule = NearestNeighborRule(space, stage, weights, tie)
+        witness = next(iter_witnesses(space, rule, n, "hamming", weights), None)
+        if witness is not None:
+            pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
+            return sid, stage.tables, (pid, witness.voter - 1, space.index(witness.lie))
+    return None

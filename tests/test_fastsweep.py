@@ -1,14 +1,16 @@
-"""The vectorized hunt must agree with the reference scanner probe for probe."""
+"""The batch sweep must agree with the single-rule search probe for probe."""
 
+import itertools
 import random
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracle
+from binagg import engine
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from binagg.fastsweep import (
-    all_stage_products_hamming_free,
-    iter_stage_products,
-    stage_hamming_hunt,
-    stage_product_count,
-)
+from binagg.fastsweep import all_stage_products_hamming_free, stage_product_count
 from binagg.fixtures import four_candidate_tie_order, tie_battery, weight_battery
 from binagg.manipulation import find_witness
 from binagg.metric import TieOrder
@@ -25,27 +27,90 @@ def _witness_probe(space, witness):
     return pid, witness.voter - 1, space.index(witness.lie)
 
 
-def test_single_stage_hunt_matches_reference_on_found_witness():
+def _hunt(space, stage, weights=None, tie=None):
+    rule = NearestNeighborRule(space, stage, weights, tie)
+    return find_witness(space, rule, stage.n, "hamming", weights)
+
+
+def _assert_agrees_with_find_witness(space, n, weights, tie, found, first):
+    """The stages before the sweep's hit (at most ``first``) are free, and the hit is find_witness's."""
+    stop = first if found is None else min(first, found[0])
+    for stage in itertools.islice(oracle.iter_stages(space, n), stop):
+        assert _hunt(space, stage, weights, tie) is None
+    if found is not None:
+        sid, tables, probe = found
+        witness = _hunt(space, IiaStage(n, tables), weights, tie)
+        assert witness is not None and _witness_probe(space, witness) == probe
+
+
+def test_sweep_witness_matches_find_witness_on_pref4():
     space = builtin_space("pref4")
-    stage = IiaStage.majority(3, 6)
     for tie in (None, four_candidate_tie_order(), TieOrder.descending(space)):
-        rule = NearestNeighborRule(space, stage, tie=tie)
-        ref = find_witness(space, rule, 3, "hamming")
-        vec = stage_hamming_hunt(space, stage, 3, tie=tie)
-        assert ref is not None and vec is not None
-        assert vec == _witness_probe(space, ref)
+        assert _hunt(space, IiaStage.majority(3, 6), tie=tie) is not None
+        found = all_stage_products_hamming_free(space, 3, tie=tie)
+        assert found is not None
+        _assert_agrees_with_find_witness(space, 3, None, tie, found, found[0])
 
 
-def test_single_stage_hunt_matches_reference_on_free_stages():
+def test_sweep_free_verdict_matches_find_witness_on_pref3():
     space = builtin_space("pref3")
     rng = random.Random(13)
     tabs = monotone_tables(3)
-    for _ in range(12):
-        stage = IiaStage(3, tuple(rng.choice(tabs) for _ in range(3)))
-        for wv in weight_battery(3)[:2]:
-            rule = NearestNeighborRule(space, stage, wv)
-            assert find_witness(space, rule, 3, "hamming", wv) is None
-            assert stage_hamming_hunt(space, stage, 3, wv) is None
+    stages = [IiaStage(3, tuple(rng.choice(tabs) for _ in range(3))) for _ in range(12)]
+    for wv in weight_battery(3)[:2]:
+        assert all_stage_products_hamming_free(space, 3, wv) is None
+        for stage in stages:
+            assert _hunt(space, stage, wv) is None
+
+
+@pytest.mark.parametrize("weights", [(2**40, 1, 1), (2**30,) * 3, (2**40, 2**40 + 1, 2**41)])
+def test_sweep_weights_past_int32_are_exact(doctrinal, weights):
+    for tie in (None, TieOrder.descending(doctrinal)):
+        found = all_stage_products_hamming_free(doctrinal, 3, weights, tie)
+        _assert_agrees_with_find_witness(doctrinal, 3, weights, tie, found, 40)
+
+
+def test_sweep_weights_keep_only_their_distance_order(doctrinal):
+    # each huge vector orders every pair of issue sets like the small one
+    for huge, small in (((2**30,) * 3, (1, 1, 1)), ((2**40, 2**40 + 1, 2**41), (2, 3, 4))):
+        for tie in (None, TieOrder.descending(doctrinal)):
+            assert all_stage_products_hamming_free(doctrinal, 3, huge, tie) == all_stage_products_hamming_free(
+                doctrinal, 3, small, tie
+            )
+
+
+def test_sweep_rejects_spaces_past_64_evaluations():
+    with pytest.raises(ValueError, match="at most 64"):
+        all_stage_products_hamming_free(EvaluationSpace(7, range(65)), 1)
+
+
+#: (stage, profile, voter, lie) probes the oracle may walk in one sweep
+MAX_SWEEP_PROBES = 400_000
+
+
+@st.composite
+def sweep_cases(draw):
+    """Explicit spaces with 1-4 issues; witnesses need 3 issues or more."""
+    m = draw(st.integers(1, 4))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    S = space.size
+    fitting = [n for n in (1, 2, 3) if stage_product_count(space, n) * S**n * n * S <= MAX_SWEEP_PROBES]
+    n = draw(st.sampled_from(fitting))
+    weight = st.integers(1, 4) | st.integers(2**31, 2**40)
+    weights = draw(st.none() | st.tuples(*[weight] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    return space, n, weights, tie
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+# the first witness under these weights is not the first under uniform ones
+@example((EvaluationSpace(4, [2, 3, 5, 9, 12, 14]), 1, (3, 2**40, 3, 3), None), 97)
+def test_sweep_matches_oracle(case, block_elements):
+    space, n, weights, tie = case
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        found = all_stage_products_hamming_free(space, n, weights, tie)
+    assert found == oracle.first_manipulable_stage(space, n, weights, tie)
 
 
 def test_batch_sweep_free_verdict_matches_suite_space():
@@ -84,15 +149,19 @@ def test_batch_sweep_finds_first_manipulable_stage():
 
 def test_batch_sweep_chunking_invariant():
     space = EvaluationSpace(4, [4, 9, 12, 14])
-    for chunk in (1, 7, 512, 100_000):
-        assert all_stage_products_hamming_free(space, 3, chunk=chunk)[0] == 8000
+    for block_elements in (1, 97, 7 * 64, engine.BLOCK_ELEMENTS):
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+            assert all_stage_products_hamming_free(space, 3)[0] == 8000
 
 
 def test_stage_iteration_order_is_lexicographic():
     space = builtin_space("pref3")
     tabs = monotone_tables(3)
-    stages = iter_stage_products(space, 3)
+    stages = oracle.iter_stages(space, 3)
     first = next(stages)
     assert first.tables == (tabs[0], tabs[0], tabs[0])
     second = next(stages)
     assert second.tables == (tabs[0], tabs[0], tabs[1])
+    # the sweep numbers its stages in the same order
+    pinned = EvaluationSpace(4, [4, 9, 12, 14])
+    assert next(itertools.islice(oracle.iter_stages(pinned, 3), 8000, None)).tables == (128, 0, 0, 0)

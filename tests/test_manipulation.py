@@ -19,7 +19,6 @@ from binagg.manipulation import (
     UNCHANGED,
     ManipulationWitness,
     certify,
-    certify_hamming_sweep,
     classify_deviation,
     find_witness,
     issue_partition,
@@ -158,17 +157,6 @@ def test_budget_exceeded(pref3):
 def test_unknown_kind(pref3):
     with pytest.raises(ValueError):
         find_witness(pref3, Plurality(pref3), 3, "sneaky")
-
-
-def test_certify_hamming_sweep(pref3):
-    results = certify_hamming_sweep(
-        pref3,
-        lambda w: NearestNeighborRule(pref3, IiaStage.majority(3, 3), w),
-        3,
-        [(1, 1, 1), (2, 1, 1)],
-    )
-    assert len(results) == 2
-    assert all(cert.free for _, cert in results)
 
 
 def test_witness_report_contents():
