@@ -16,6 +16,7 @@ same inputs always produce the same output.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .engine import OutcomeTable, build_table, exact_array, issue_bits, masks_array, scan
-from .metric import TieOrder, nn_select, validate_weights
+from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace, bit_at
 
 DEFAULT_BUDGET = 10**8
@@ -174,8 +175,10 @@ def _quota_table(n: int, t: int) -> int:
     return tab
 
 
+@lru_cache(maxsize=None)
 def _is_monotone_table(tab: int, n: int) -> bool:
-    # flipping any single 0-vote to 1 must never drop the output
+    # flipping any single 0-vote to 1 must never drop the output; memoised
+    # because every IiaStage construction checks each of its tables
     for c in range(1 << n):
         if not (tab >> c) & 1:
             continue
@@ -445,8 +448,6 @@ class WelfareMaximizer(Rule):
 
     def _distances(self) -> list[list[int]]:
         if self._dist is None:
-            from .metric import weighted_hamming
-
             X = self.space.feasible
             self._dist = [
                 [weighted_hamming(a, b, self.weights, self.space.m) for b in X] for a in X
@@ -508,8 +509,6 @@ def _committee_size(space: EvaluationSpace) -> int:
     if len(sizes) != 1:
         raise ValueError("not a fixed-size committee space")
     k = sizes.pop()
-    import math
-
     if len(space.feasible) != math.comb(space.m, k):
         raise ValueError("not a full fixed-size committee space")
     return k

@@ -86,11 +86,6 @@ class TieOrder:
         random.Random(seed).shuffle(order)
         return cls(space, order, name=f"shuffled(seed={seed})")
 
-    @property
-    def rank_map(self) -> dict[int, int]:
-        """Mask-to-rank lookup; treat as read-only."""
-        return self._rank
-
     def rank(self, mask: int) -> int:
         try:
             return self._rank[mask]

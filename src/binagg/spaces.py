@@ -42,11 +42,6 @@ def bit_at(mask: int, issue: int, m: int) -> int:
     return (mask >> (m - issue)) & 1
 
 
-def hamming(a: int, b: int) -> int:
-    """Number of issues on which two evaluations disagree."""
-    return (a ^ b).bit_count()
-
-
 @dataclass(frozen=True)
 class PartialEvaluation:
     """Positions fixed on a subset of issues only.

@@ -33,8 +33,8 @@ from .aggregators import (
 )
 from .fastsweep import all_stage_products_hamming_free, stage_product_count
 from .manipulation import ManipulationWitness, certify, classify_deviation, find_witness, iter_witnesses
-from .metric import TieOrder, uniform_weights, weighted_hamming
-from .spaces import builtin_space, choose_space, mipe_type, to_bits
+from .metric import TieOrder, nn_select, uniform_weights, weighted_hamming
+from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
 
 @dataclass(frozen=True)
@@ -337,17 +337,9 @@ def _suite_thm43() -> list[CheckResult]:
 # harvested correction witnesses: interval emptiness and type inequality
 
 
-def _interval_meets_space(space, v: int, u: int) -> bool:
-    span = v ^ u
-    for x in space.feasible:
-        if (v ^ x) & ~span == 0:
-            return True
-    return False
-
-
 def _lemma_pair_ok(space, v: int, u: int) -> tuple[bool, bool]:
     """(interval empty, types differ) for one stage-output pair."""
-    empty = not _interval_meets_space(space, v, u)
+    empty = not any(is_between(v, x, u) for x in space.feasible)
     if space.is_feasible(v) or space.is_feasible(u):
         return empty, False
     return empty, mipe_type(space, v) != mipe_type(space, u)
@@ -372,26 +364,25 @@ def _lemma_harvest():
         lied_rows = w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :]
         exhaustive_pairs.add((stage.apply(w.profile), stage.apply(lied_rows)))
 
-    # randomized: stage, tie, weights and deviation all sampled
+    # randomized: stage, tie, weights and deviation all sampled; stage
+    # outputs are corrected by nn_select, tabulated once per (tie, weights)
+    # over the hypercube, and a hit is a hamming gain by classify_deviation
     X = space.feasible
     S = len(X)
     rng = random.Random(fixtures.RANDOM_SWEEP_SEED)
     tabs = monotone_tables(3)
     ties = fixtures.tie_battery(space, extra=tie)
-    rank_maps = [t.rank_map for t in ties]
     weight_options = fixtures.weight_battery(m)
-    dist_tables = {}
-    for wv in weight_options:
-        dist_tables[wv] = [[weighted_hamming(p, x, wv, m) for x in X] for p in range(1 << m)]
+    corrected = {
+        (t, wv): [nn_select(space, p, wv, t) for p in range(1 << m)] for t in ties for wv in weight_options
+    }
     random_pairs = set()
     random_hits = 0
     configs = 100_000
     for _ in range(configs):
-        tables = tuple(rng.choice(tabs) for _ in range(m))
-        stage = IiaStage(3, tables)
-        rank = rank_maps[rng.randrange(len(rank_maps))]
+        stage = IiaStage(3, tuple(rng.choice(tabs) for _ in range(m)))
+        t = ties[rng.randrange(len(ties))]
         wv = weight_options[rng.randrange(len(weight_options))]
-        table = dist_tables[wv]
         rows = tuple(X[rng.randrange(S)] for _ in range(3))
         voter = rng.randrange(3)
         lie = X[rng.randrange(S)]
@@ -400,10 +391,9 @@ def _lemma_harvest():
         lied_rows = rows[:voter] + (lie,) + rows[voter + 1 :]
         v = stage.apply(rows)
         u = stage.apply(lied_rows)
-        z = _rank_min_nn(space, v, table, rank)
-        w = _rank_min_nn(space, u, table, rank)
-        xi = rows[voter]
-        if table[w][space.index(xi)] < table[z][space.index(xi)]:
+        nearest = corrected[t, wv]
+        z, w = nearest[v], nearest[u]
+        if z != w and classify_deviation(rows[voter], z, w, wv, m).hamming:
             random_hits += 1
             random_pairs.add((v, u))
     return dict(
@@ -414,21 +404,6 @@ def _lemma_harvest():
         random_hits=random_hits,
         configs=configs,
     )
-
-
-def _rank_min_nn(space, point: int, dist_table, rank) -> int:
-    """Nearest feasible point, ties by the given rank map."""
-    if point in space:
-        return point
-    row = dist_table[point]
-    best = None
-    best_key = None
-    for xi, x in enumerate(space.feasible):
-        key = (row[xi], rank[x])
-        if best_key is None or key < best_key:
-            best_key = key
-            best = x
-    return best
 
 
 def _lemma_checks(which: str) -> list[CheckResult]:

@@ -54,7 +54,13 @@ def test_quota_bounds():
 
 
 def test_stage_rejects_non_monotone():
-    # table 0b01 maps the all-zero column to 1 and everything else to 0
+    # table 0b01 maps the all-zero column to 1 and everything else to 0;
+    # the monotonicity check is memoised, so it must reject on every build,
+    # including after a valid stage of the same arity
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not monotone"):
+            IiaStage(2, [0b0001])
+    IiaStage(2, [0b1000, 0b1110])
     with pytest.raises(ValueError, match="not monotone"):
         IiaStage(2, [0b0001])
 

@@ -1,8 +1,14 @@
 """Every named suite passes and renders deterministically."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from binagg.suites import format_report, run_suite, suite_names
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
 
 
 def test_catalog():
@@ -30,6 +36,10 @@ def test_suite_passes(name):
     report = run_suite(name)
     assert report.passed, format_report(report)
     assert report.checks
+    # `binagg verify --suite` prints the report plus a newline; its digest pins
+    # every rendered count, such as the lemma harvests' hit counts
+    text = format_report(report) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[f"suite.{name}"]
 
 
 def test_reports_byte_identical():
