@@ -15,7 +15,6 @@ same inputs always produce the same output.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import OutcomeTable, build_table, exact_array, issue_bits, masks_array, scan
+from .engine import OutcomeTable, blocks, build_table, exact_array, issue_bits, masks_array, scan, strides
 from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace, bit_at
 
@@ -42,15 +41,6 @@ class BudgetExceededError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # per-issue monotone stages
-
-
-def _column_index(rows: Sequence[int], issue: int, m: int) -> int:
-    """Pack one column of a profile into an int, voter 1 most significant."""
-    n = len(rows)
-    c = 0
-    for i, r in enumerate(rows):
-        c |= ((r >> (m - issue)) & 1) << (n - 1 - i)
-    return c
 
 
 class IiaStage:
@@ -98,9 +88,6 @@ class IiaStage:
     def unanimity(cls, n: int, m: int) -> "IiaStage":
         return cls.quota(n, [n] * m)
 
-    def issue_bit(self, issue: int, column: int) -> int:
-        return (self.tables[issue - 1] >> column) & 1
-
     def apply(self, rows: Sequence[int], m: int | None = None) -> int:
         """Stage output for a profile; may be infeasible."""
         if m is None:
@@ -110,9 +97,13 @@ class IiaStage:
         if len(rows) != self.n:
             raise ValueError(f"stage arity is {self.n}, profile has {len(rows)} rows")
         out = 0
-        for j in range(1, m + 1):
-            c = _column_index(rows, j, m)
-            out |= self.issue_bit(j, c) << (m - j)
+        for j, tab in enumerate(self.tables, start=1):
+            shift = m - j
+            # issue j's column, packed with voter 1 most significant
+            column = 0
+            for r in rows:
+                column = (column << 1) | ((r >> shift) & 1)
+            out |= ((tab >> column) & 1) << shift
         return out
 
     def block_evaluator(self, space: EvaluationSpace, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -694,19 +685,14 @@ def profile_rows(space: EvaluationSpace, pid: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_profiles(space: EvaluationSpace, n: int):
-    """Yields (pid, row indices, rows) over all profiles in canonical order."""
-    X = space.feasible
-    for pid, ridx in enumerate(itertools.product(range(len(X)), repeat=n)):
-        yield pid, ridx, tuple(X[i] for i in ridx)
-
-
 def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFAULT_BUDGET) -> OutcomeTable:
     """Rule outcome for every profile, indexed by canonical profile id.
 
     The table stores one narrow code per profile into its list of
     distinct outcomes; indexing or iterating it yields outcome masks.
     """
+    if n < 1:
+        raise ValueError(f"a profile needs at least one voter, got n={n}")
     total = profile_count(space, n)
     if total > budget:
         raise BudgetExceededError(total, budget, f"outcome table over {space.size}^{n} profiles")
@@ -760,68 +746,63 @@ def check_structural(
     m = space.m
     X = space.feasible
     S = len(X)
+    codes = table.codes
+    xs = masks_array(X, m)
+    values = masks_array(table.values, m)
+    voter_strides = strides(S, n)
 
     if property == "monotone":
-        xs = masks_array(X, m)
-        values = masks_array(table.values, m)
-
         def violated(z, w, x, y):
             # the voter flipped an issue, society flipped it too, and
             # ended opposite to where the voter went
             true, lie, lied = xs[x], xs[y], values[w]
             return ((true ^ lie) & (values[z] ^ lied) & (lie ^ lied)) != 0
 
-        for pid, i, yi, lied_pid in scan(space, table, n, violated):
-            rows = profile_rows(space, pid, n)
-            y = X[yi]
-            other = rows[:i] + (y,) + rows[i + 1 :]
+        for pid, i, _, lied_pid in scan(space, table, n, violated):
+            rows, other = profile_rows(space, pid, n), profile_rows(space, lied_pid, n)
             res, res2 = table[pid], table[lied_pid]
-            viol = (rows[i] ^ y) & (res ^ res2) & (y ^ res2)
+            viol = (rows[i] ^ other[i]) & (res ^ res2) & (other[i] ^ res2)
             return StructuralReport(property, False, (rows, other), issue=m - viol.bit_length() + 1)
         return StructuralReport(property, True)
 
-    out = list(table)
     if property == "iia":
-        seen: list[dict[int, tuple[int, int]]] = [dict() for _ in range(m)]
-        for pid, ridx, rows in iter_profiles(space, n):
-            res = out[pid]
-            for j in range(1, m + 1):
-                col = _column_index(rows, j, m)
-                bit = (res >> (m - j)) & 1
-                prev = seen[j - 1].setdefault(col, (pid, bit))
-                if prev[1] != bit:
-                    return StructuralReport(
-                        property, False, (profile_rows(space, prev[0], n), rows), issue=j
-                    )
+        # the canonically first profile with a given issue-j column gives
+        # each voter the least feasible index sharing its bit on issue j;
+        # first[j, r] is that index for row r
+        bits = issue_bits(space)
+        first = np.where(bits == 1, bits.argmax(axis=1)[:, None], (1 - bits).argmax(axis=1)[:, None])
+        place = masks_array([1 << (m - j) for j in range(1, m + 1)], m)
+        for start, rows in blocks(S, n, n * m):
+            # partners[b, j]: id of the first profile sharing profile b's issue-j column
+            partners = (first[:, rows] @ voter_strides).T
+            moved = (values[codes[partners]] ^ values[codes[start : start + len(rows)]][:, None]) & place
+            hits = np.flatnonzero(moved)
+            if hits.size:
+                b, j = divmod(int(hits[0]), m)
+                pair = (profile_rows(space, int(partners[b, j]), n), profile_rows(space, start + b, n))
+                return StructuralReport(property, False, pair, issue=j + 1)
         return StructuralReport(property, True)
 
     if property == "anonymous":
-        for pid, ridx, rows in iter_profiles(space, n):
-            sorted_rows = tuple(sorted(rows))
-            if sorted_rows == rows:
-                continue
-            spid = 0
-            for i, r in enumerate(sorted_rows):
-                spid += space.index(r) * (S ** (n - 1 - i))
-            if out[pid] != out[spid]:
-                return StructuralReport(property, False, (rows, sorted_rows))
+        for start, rows in blocks(S, n, n):
+            # X is ascending, so sorting row indices sorts the rows
+            sorted_pids = np.sort(rows, axis=1) @ voter_strides
+            hits = np.flatnonzero(codes[start : start + len(rows)] != codes[sorted_pids])
+            if hits.size:
+                rows = profile_rows(space, start + int(hits[0]), n)
+                return StructuralReport(property, False, (rows, tuple(sorted(rows))))
         return StructuralReport(property, True)
 
-    # dictatorial
-    candidates = set(range(n))
-    first_break: dict[int, int] = {}
-    for pid, ridx, rows in iter_profiles(space, n):
-        res = out[pid]
-        for i in list(candidates):
-            if rows[i] != res:
-                candidates.discard(i)
-                first_break.setdefault(i, pid)
-        if not candidates:
+    # dictatorial: first_break[i] is the first profile whose outcome differs from voter i's row
+    first_break = [-1] * n
+    for start, rows in blocks(S, n, n):
+        overruled = xs[rows] != values[codes[start : start + len(rows)]][:, None]
+        for i in np.flatnonzero(overruled.any(axis=0)).tolist():
+            if first_break[i] < 0:
+                first_break[i] = start + int(overruled[:, i].argmax())
+        if min(first_break) >= 0:
             break
-    if candidates:
-        voter = min(candidates) + 1
-        return StructuralReport(property, True, detail=f"dictator is voter {voter}")
-    detail = "; ".join(
-        f"voter {i + 1} overruled at profile {pid}" for i, pid in sorted(first_break.items())
-    )
+    if min(first_break) < 0:
+        return StructuralReport(property, True, detail=f"dictator is voter {first_break.index(-1) + 1}")
+    detail = "; ".join(f"voter {i + 1} overruled at profile {pid}" for i, pid in enumerate(first_break))
     return StructuralReport(property, False, detail=detail)

@@ -65,14 +65,26 @@ def exact_array(rows, headroom: int = 1) -> np.ndarray:
     return a.astype(_unsigned(top) if top < 2**32 else np.int64)
 
 
-def _strides(S: int, n: int) -> np.ndarray:
+def strides(S: int, n: int) -> np.ndarray:
+    """(n,) weight of each voter's row index in a profile id."""
     return np.array([S ** (n - 1 - i) for i in range(n)], dtype=np.int64)
 
 
 def row_indices(start: int, stop: int, S: int, n: int) -> np.ndarray:
     """(B, n) feasible row indices of the profiles with ids start..stop-1."""
     pids = np.arange(start, stop, dtype=np.int64)
-    return (pids[:, None] // _strides(S, n)) % S
+    return (pids[:, None] // strides(S, n)) % S
+
+
+def blocks(S: int, n: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, rows) for each block of ``block_size(width)`` profiles, in id order.
+
+    ``rows`` holds the (B, n) row indices of the profiles with ids start..start+B-1.
+    """
+    total = S**n
+    step = block_size(width)
+    for start in range(0, total, step):
+        yield start, row_indices(start, min(start + step, total), S, n)
 
 
 class OutcomeTable(Sequence):
@@ -106,21 +118,21 @@ def build_table(
     S = space.size
     total = S**n
     # rules hold (n,), (S,) and (m,) temporaries per profile
-    step = block_size(n + S + space.m)
+    width = n + S + space.m
     index: dict[int, int] = {}
     codes = np.empty(total, dtype=np.uint8)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        distinct, inverse = np.unique(block_masks(row_indices(start, stop, S, n)), return_inverse=True)
+    for start, rows in blocks(S, n, width):
+        distinct, inverse = np.unique(block_masks(rows), return_inverse=True)
         lookup = [index.setdefault(v, len(index)) for v in distinct.tolist()]
         if codes.dtype != _unsigned(len(index) - 1):
             codes = codes.astype(_unsigned(len(index) - 1))
-        codes[start:stop] = np.array(lookup, dtype=codes.dtype)[inverse]
+        codes[start : start + len(rows)] = np.array(lookup, dtype=codes.dtype)[inverse]
     # codes were handed out in discovery order; renumber them by value so
     # the table does not depend on where blocks start
     values = sorted(index)
     renumber = np.empty(len(values), dtype=codes.dtype)
     renumber[[index[v] for v in values]] = np.arange(len(values))
+    step = block_size(width)
     for start in range(0, total, step):
         codes[start : start + step] = renumber[codes[start : start + step]]
     return OutcomeTable(tuple(values), codes)
@@ -141,21 +153,18 @@ def scan(space: EvaluationSpace, table: OutcomeTable, n: int, hit: HitFn) -> Ite
     outcome unchanged, and every predicate is false there.
     """
     S = space.size
-    total = S**n
     lies = np.arange(S)
     codes = table.codes
-    strides = _strides(S, n).tolist()
+    voter_strides = strides(S, n).tolist()
     # by_voter[i][hi, y, lo] is the code of profile (hi * S + y) * stride + lo:
     # the profile hi/lo with voter i's row replaced by feasible index y
-    by_voter = [codes.reshape(-1, S, stride) for stride in strides]
-    step = block_size(n * S)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
+    by_voter = [codes.reshape(-1, S, stride) for stride in voter_strides]
+    for start, rows in blocks(S, n, n * S):
+        stop = start + len(rows)
         pids = np.arange(start, stop, dtype=np.int64)
-        lied = np.empty((stop - start, n, S), dtype=codes.dtype)
-        for i, stride in enumerate(strides):
+        lied = np.empty((len(rows), n, S), dtype=codes.dtype)
+        for i, stride in enumerate(voter_strides):
             lied[:, i, :] = by_voter[i][pids // (S * stride), :, pids % stride]
-        rows = row_indices(start, stop, S, n)
         hits = hit(codes[start:stop, None, None], lied, rows[:, :, None], lies)
         if not hits.any():
             continue
@@ -163,4 +172,4 @@ def scan(space: EvaluationSpace, table: OutcomeTable, n: int, hit: HitFn) -> Ite
             b, rest = divmod(flat, n * S)
             voter, lie = divmod(rest, S)
             pid = start + b
-            yield pid, voter, lie, pid + (lie - int(rows[b, voter])) * strides[voter]
+            yield pid, voter, lie, pid + (lie - int(rows[b, voter])) * voter_strides[voter]

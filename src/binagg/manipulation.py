@@ -29,7 +29,7 @@ from .aggregators import (
     profile_rows,
 )
 from .engine import HitFn, OutcomeTable, exact_array, masks_array, scan
-from .metric import uniform_weights, validate_weights, weighted_hamming
+from .metric import uniform_weights, validate_weights, weight_of, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
 
 KINDS = ("partial", "full", "hamming")
@@ -75,7 +75,13 @@ def classify_deviation(x: int, z: int, w: int, weights: Sequence[int] | None = N
     """
     partial = (z ^ x) & ~(w ^ x) != 0
     full = w != z and (w ^ x) & (w ^ z) == 0
-    hamming = weighted_hamming(x, w, weights, m) < weighted_hamming(x, z, weights, m)
+    if weights is None:
+        hamming = weighted_hamming(x, w) < weighted_hamming(x, z)
+    else:
+        # validated once here rather than inside each distance
+        m = len(weights) if m is None else m
+        wv = validate_weights(weights, m)
+        hamming = weight_of(x, w, wv, m) < weight_of(x, z, wv, m)
     return Deviation(partial, full, hamming)
 
 

@@ -35,7 +35,11 @@ def uniform_weights(m: int) -> tuple[int, ...]:
     return (1,) * m
 
 
-def _weighted(diff: int, w: tuple[int, ...], m: int) -> int:
+def weight_of(a: int, b: int, w: tuple[int, ...], m: int) -> int:
+    """``weighted_hamming`` for weights already validated."""
+    diff = a ^ b
+    if diff >= (1 << m) or a < 0 or b < 0:
+        raise ValueError(f"evaluation out of range for m={m}")
     total = 0
     while diff:
         low = diff & -diff
@@ -49,15 +53,11 @@ def weighted_hamming(a: int, b: int, weights: Sequence[int] | None = None, m: in
 
     With no weights this is the plain Hamming distance and m is not needed.
     """
-    diff = a ^ b
     if weights is None:
-        return diff.bit_count()
+        return (a ^ b).bit_count()
     if m is None:
         m = len(weights)
-    w = validate_weights(weights, m)
-    if diff >= (1 << m) or a < 0 or b < 0:
-        raise ValueError(f"evaluation out of range for m={m}")
-    return _weighted(diff, w, m)
+    return weight_of(a, b, validate_weights(weights, m), m)
 
 
 class TieOrder:
@@ -108,8 +108,7 @@ def nn_set(space: EvaluationSpace, point: int, weights: Sequence[int] | None = N
     best = None
     out: list[int] = []
     for x in space.feasible:
-        diff = point ^ x
-        d = diff.bit_count() if w is None else _weighted(diff, w, m)
+        d = (point ^ x).bit_count() if w is None else weight_of(point, x, w, m)
         if best is None or d < best:
             best = d
             out = [x]

@@ -1,16 +1,24 @@
 """Pure-Python reference scanners that the numpy probe engine and the batch sweep are checked against.
 
 These are the original one-profile-at-a-time loops: they call the rule
-on every profile and walk every (profile, voter, lie) probe in canonical
-order, one stage at a time for sweeps.  They are slow and obviously
+on every profile, walk every (profile, voter, lie) probe in canonical
+order, one stage at a time for sweeps, and decide each structural
+property profile by profile.  They are slow and obviously
 correct, which is their job.
 """
 
 import itertools
 
-from binagg.aggregators import IiaStage, NearestNeighborRule, StructuralReport, iter_profiles, monotone_tables
+from binagg.aggregators import IiaStage, NearestNeighborRule, StructuralReport, monotone_tables, profile_rows
 from binagg.manipulation import ManipulationWitness
 from binagg.metric import uniform_weights, weighted_hamming
+
+
+def iter_profiles(space, n):
+    """Yields (pid, row indices, rows) over all profiles in canonical order."""
+    X = space.feasible
+    for pid, ridx in enumerate(itertools.product(range(len(X)), repeat=n)):
+        yield pid, ridx, tuple(X[i] for i in ridx)
 
 
 def outcome_list(space, rule, n):
@@ -54,30 +62,86 @@ def iter_witnesses(space, rule, n, kind, weights=None):
                     yield ManipulationWitness(m, rows, i + 1, y, z, res, kind, w)
 
 
-def check_monotone(space, rule, n):
-    """The monotone verdict of ``check_structural``, by the original loop."""
+def check_structural(space, rule, n, property):
+    """The report of ``check_structural``, by the original loops."""
     out = outcome_list(space, rule, n)
     m = space.m
     X = space.feasible
     S = len(X)
+
+    if property == "monotone":
+        for pid, ridx, rows in iter_profiles(space, n):
+            res = out[pid]
+            for i in range(n):
+                stride = S ** (n - 1 - i)
+                base = pid - ridx[i] * stride
+                xi = rows[i]
+                for yi, y in enumerate(X):
+                    if y == xi:
+                        continue
+                    res2 = out[base + yi * stride]
+                    # violation: voter flipped the issue, society flipped it
+                    # too, and ended opposite to where the voter went
+                    viol = (xi ^ y) & (res ^ res2) & (y ^ res2)
+                    if viol:
+                        j = m - viol.bit_length() + 1
+                        other = rows[:i] + (y,) + rows[i + 1 :]
+                        return StructuralReport(property, False, (rows, other), issue=j)
+        return StructuralReport(property, True)
+
+    if property == "iia":
+        seen = [dict() for _ in range(m)]
+        for pid, ridx, rows in iter_profiles(space, n):
+            res = out[pid]
+            for j in range(1, m + 1):
+                col = _column_index(rows, j, m)
+                bit = (res >> (m - j)) & 1
+                prev = seen[j - 1].setdefault(col, (pid, bit))
+                if prev[1] != bit:
+                    return StructuralReport(
+                        property, False, (profile_rows(space, prev[0], n), rows), issue=j
+                    )
+        return StructuralReport(property, True)
+
+    if property == "anonymous":
+        for pid, ridx, rows in iter_profiles(space, n):
+            sorted_rows = tuple(sorted(rows))
+            if sorted_rows == rows:
+                continue
+            spid = 0
+            for i, r in enumerate(sorted_rows):
+                spid += space.index(r) * (S ** (n - 1 - i))
+            if out[pid] != out[spid]:
+                return StructuralReport(property, False, (rows, sorted_rows))
+        return StructuralReport(property, True)
+
+    # dictatorial
+    candidates = set(range(n))
+    first_break = {}
     for pid, ridx, rows in iter_profiles(space, n):
         res = out[pid]
-        for i in range(n):
-            stride = S ** (n - 1 - i)
-            base = pid - ridx[i] * stride
-            xi = rows[i]
-            for yi, y in enumerate(X):
-                if y == xi:
-                    continue
-                res2 = out[base + yi * stride]
-                # violation: voter flipped the issue, society flipped it
-                # too, and ended opposite to where the voter went
-                viol = (xi ^ y) & (res ^ res2) & (y ^ res2)
-                if viol:
-                    j = m - viol.bit_length() + 1
-                    other = rows[:i] + (y,) + rows[i + 1 :]
-                    return StructuralReport("monotone", False, (rows, other), issue=j)
-    return StructuralReport("monotone", True)
+        for i in list(candidates):
+            if rows[i] != res:
+                candidates.discard(i)
+                first_break.setdefault(i, pid)
+        if not candidates:
+            break
+    if candidates:
+        voter = min(candidates) + 1
+        return StructuralReport(property, True, detail=f"dictator is voter {voter}")
+    detail = "; ".join(
+        f"voter {i + 1} overruled at profile {pid}" for i, pid in sorted(first_break.items())
+    )
+    return StructuralReport(property, False, detail=detail)
+
+
+def _column_index(rows, issue, m):
+    """Pack one column of a profile into an int, voter 1 most significant."""
+    n = len(rows)
+    c = 0
+    for i, r in enumerate(rows):
+        c |= ((r >> (m - issue)) & 1) << (n - 1 - i)
+    return c
 
 
 def iter_stages(space, n):

@@ -19,7 +19,6 @@ from binagg.aggregators import (
     WelfareMaximizer,
     check_structural,
     committee_tie_order,
-    iter_profiles,
     outcome_table,
     swm_topk,
 )
@@ -36,6 +35,7 @@ from binagg.manipulation import certify, classify_deviation, find_witness
 from binagg.metric import TieOrder, nn_select, uniform_weights, weighted_hamming
 from binagg.spaces import bit_at, builtin_space, choose_space, enumerate_mipes
 from binagg.suites import format_report, run_suite
+from oracle import iter_profiles
 
 
 def report(criterion: int, passed: bool, detail: str):

@@ -18,7 +18,6 @@ from binagg.aggregators import (
     check_structural,
     committee_tie_order,
     issuewise_majority,
-    iter_profiles,
     monotone_tables,
     outcome_table,
     parse_rule,
@@ -34,6 +33,7 @@ from binagg.fixtures import (
 )
 from binagg.metric import TieOrder, check_h2, weighted_hamming
 from binagg.spaces import builtin_space, choose_space, from_bits, interval, to_bits
+from oracle import iter_profiles
 
 # ---------------------------------------------------------------------------
 # stages

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import itertools
+
 import pytest
 
 from binagg.aggregators import check_structural, parse_rule
@@ -172,6 +174,10 @@ def test_usage_errors(tmp_path, capsys):
     bad = profile_file(tmp_path, "profile 1 3\n111\n")
     code, _, err = run(capsys, "run", "--space", "pref3", "--aggregator", "majority", "--profile", bad)
     assert code == 1 and ":2:" in err
+    for voters, spec in itertools.product(("0", "-1"), ("swm", "plurality")):
+        for command in (("hunt", "--kind", "full"), ("check", "--property", "dictatorial")):
+            code, _, err = run(capsys, command[0], "--space", "pref3", "--aggregator", spec, "-n", voters, *command[1:])
+            assert code == 1 and err.startswith("error:") and "at least one voter" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -85,7 +85,8 @@ def test_engine_matches_oracle(case, block_elements):
         for kind in KINDS:
             got = list(iter_witnesses(space, rule, n, kind, weights))
             assert got == list(oracle.iter_witnesses(space, rule, n, kind, weights)), kind
-        assert check_structural(space, rule, n, "monotone") == oracle.check_monotone(space, rule, n)
+        for property in ("iia", "monotone", "anonymous", "dictatorial"):
+            assert check_structural(space, rule, n, property) == oracle.check_structural(space, rule, n, property)
 
 
 def test_outcome_codes_are_narrow(pref4):

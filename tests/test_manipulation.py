@@ -70,6 +70,8 @@ def test_unchanged_outcome_is_no_manipulation():
     x, z = from_bits("011"), from_bits("110")
     dev = classify_deviation(x, z, z)
     assert not (dev.partial or dev.full or dev.hamming)
+    with pytest.raises(ValueError, match="positive integer"):
+        classify_deviation(x, z, from_bits("100"), (1, 0, 1))
 
 
 @given(masks6, masks6, masks6, weights6)
