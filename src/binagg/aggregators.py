@@ -23,7 +23,19 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import OutcomeTable, blocks, build_table, exact_array, issue_bits, masks_array, scan, strides
+from .engine import (
+    Lattice,
+    MultisetLattice,
+    OutcomeTable,
+    ProfileLattice,
+    blocks,
+    build_table,
+    exact_array,
+    issue_bits,
+    masks_array,
+    scan,
+    strides,
+)
 from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace, bit_at
 
@@ -204,6 +216,16 @@ class Rule:
     def __call__(self, rows: Sequence[int]) -> int:
         raise NotImplementedError
 
+    @property
+    def anonymous(self) -> bool:
+        """True when the rule ignores the order of voters by construction.
+
+        Searches then walk the multiset lattice.  Rules whose anonymity
+        would have to be tested rather than read off their definition
+        say False.
+        """
+        return False
+
     def block_evaluator(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Outcome masks for (B, n) blocks of feasible row indices.
 
@@ -251,6 +273,10 @@ class StageRule(Rule):
     def __call__(self, rows):
         return self.stage.apply(rows, self.space.m)
 
+    @property
+    def anonymous(self) -> bool:
+        return self.stage.is_anonymous
+
     def block_evaluator(self, n):
         return self.stage.block_evaluator(self.space, n)
 
@@ -265,6 +291,10 @@ class Plurality(Rule):
     def __init__(self, space: EvaluationSpace, tie: TieOrder | None = None):
         super().__init__(space, "plurality")
         self.tie = tie
+
+    @property
+    def anonymous(self) -> bool:
+        return True
 
     def __call__(self, rows):
         counts = Counter(rows)
@@ -412,6 +442,11 @@ class NearestNeighborRule(Rule):
     def __call__(self, rows):
         return self.correct(self.stage.apply(rows, self.space.m))
 
+    @property
+    def anonymous(self) -> bool:
+        # the correction sees the stage output only, never the voters
+        return self.stage.is_anonymous
+
     def block_evaluator(self, n):
         stage_outputs = self.stage.block_evaluator(self.space, n)
         m = self.space.m
@@ -436,6 +471,10 @@ class WelfareMaximizer(Rule):
         self.weights = None if weights is None else validate_weights(weights, space.m)
         self.tie = tie
         self._dist: list[list[int]] | None = None
+
+    @property
+    def anonymous(self) -> bool:
+        return True
 
     def _distances(self) -> list[list[int]]:
         if self._dist is None:
@@ -691,14 +730,35 @@ def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFA
     The table stores one narrow code per profile into its list of
     distinct outcomes; indexing or iterating it yields outcome masks.
     """
+    return lattice_table(space, rule, search_lattice(space, n, False, 1, budget, "outcome table"))
+
+
+def search_lattice(
+    space: EvaluationSpace, n: int, multisets: bool, per_profile: int, budget: int, context: str
+) -> Lattice:
+    """The lattice a search walks, once its probes are charged to the budget.
+
+    That is the multiset lattice when ``multisets`` is set, else every
+    ordered profile; the search makes ``per_profile`` probes per profile.
+    """
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")
-    total = profile_count(space, n)
-    if total > budget:
-        raise BudgetExceededError(total, budget, f"outcome table over {space.size}^{n} profiles")
+    lattice = MultisetLattice(space.size, n) if multisets else ProfileLattice(space.size, n)
+    required = lattice.size * per_profile
+    if required > budget:
+        raise BudgetExceededError(required, budget, f"{context} over {lattice}")
+    return lattice
+
+
+def lattice_table(space: EvaluationSpace, rule: Rule, lattice: Lattice) -> OutcomeTable:
+    """Rule outcome for every profile of the lattice, indexed by its ids.
+
+    Searches build an ordered lattice's table through :func:`outcome_table`
+    instead, the layer ``bench/spans.py`` times and counts.
+    """
     if rule.space is not space and rule.space.feasible != space.feasible:
         raise ValueError(f"{rule!r} is bound to another space")
-    return build_table(space, n, rule.block_evaluator(n))
+    return build_table(space, lattice, rule.block_evaluator(lattice.n))
 
 
 # ---------------------------------------------------------------------------
@@ -729,27 +789,22 @@ def check_structural(
     """Exhaustively decide a structural property over all profiles.
 
     Witnesses are pairs of profiles, the canonically first pair that
-    violates the property under a single left-to-right scan.
+    violates the property under a single left-to-right scan.  The
+    monotone check of an anonymous rule walks the multiset lattice, whose
+    first violation is the canonical first one (see :mod:`binagg.engine`).
     """
     if property not in _PROPERTIES:
         raise ValueError(f"unknown property {property!r}; pick one of {_PROPERTIES}")
-    total = profile_count(space, n)
-    probes = {
-        "iia": total * space.m,
-        "monotone": total * n * space.size,
-        "anonymous": total,
-        "dictatorial": total * n,
-    }[property]
-    if total > budget or probes > budget:
-        raise BudgetExceededError(max(total, probes), budget, f"structural check {property}")
-    table = outcome_table(space, rule, n, budget)
+    per_profile = {"iia": space.m, "monotone": n * space.size, "anonymous": 1, "dictatorial": n}[property]
+    multisets = property == "monotone" and rule.anonymous
+    lattice = search_lattice(space, n, multisets, per_profile, budget, f"structural check {property}")
+    table = lattice_table(space, rule, lattice) if multisets else outcome_table(space, rule, n, budget)
     m = space.m
     X = space.feasible
-    S = len(X)
     codes = table.codes
     xs = masks_array(X, m)
     values = masks_array(table.values, m)
-    voter_strides = strides(S, n)
+    voter_strides = strides(space.size, n)
 
     if property == "monotone":
         def violated(z, w, x, y):
@@ -758,8 +813,9 @@ def check_structural(
             true, lie, lied = xs[x], xs[y], values[w]
             return ((true ^ lie) & (values[z] ^ lied) & (lie ^ lied)) != 0
 
-        for pid, i, _, lied_pid in scan(space, table, n, violated):
-            rows, other = profile_rows(space, pid, n), profile_rows(space, lied_pid, n)
+        for pid, i, y, lied_pid in scan(lattice, table, violated):
+            rows = tuple(X[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
+            other = rows[:i] + (X[y],) + rows[i + 1 :]
             res, res2 = table[pid], table[lied_pid]
             viol = (rows[i] ^ other[i]) & (res ^ res2) & (other[i] ^ res2)
             return StructuralReport(property, False, (rows, other), issue=m - viol.bit_length() + 1)
@@ -772,7 +828,7 @@ def check_structural(
         bits = issue_bits(space)
         first = np.where(bits == 1, bits.argmax(axis=1)[:, None], (1 - bits).argmax(axis=1)[:, None])
         place = masks_array([1 << (m - j) for j in range(1, m + 1)], m)
-        for start, rows in blocks(S, n, n * m):
+        for start, rows in blocks(lattice, n * m):
             # partners[b, j]: id of the first profile sharing profile b's issue-j column
             partners = (first[:, rows] @ voter_strides).T
             moved = (values[codes[partners]] ^ values[codes[start : start + len(rows)]][:, None]) & place
@@ -784,7 +840,7 @@ def check_structural(
         return StructuralReport(property, True)
 
     if property == "anonymous":
-        for start, rows in blocks(S, n, n):
+        for start, rows in blocks(lattice, n):
             # X is ascending, so sorting row indices sorts the rows
             sorted_pids = np.sort(rows, axis=1) @ voter_strides
             hits = np.flatnonzero(codes[start : start + len(rows)] != codes[sorted_pids])
@@ -795,7 +851,7 @@ def check_structural(
 
     # dictatorial: first_break[i] is the first profile whose outcome differs from voter i's row
     first_break = [-1] * n
-    for start, rows in blocks(S, n, n):
+    for start, rows in blocks(lattice, n):
         overruled = xs[rows] != values[codes[start : start + len(rows)]][:, None]
         for i in np.flatnonzero(overruled.any(axis=0)).tolist():
             if first_break[i] < 0:

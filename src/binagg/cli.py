@@ -38,6 +38,16 @@ def _resolve_space(arg: str) -> EvaluationSpace:
     raise UsageError(f"{arg!r} is neither a built-in space alias nor an existing file")
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {budget}")
+    return budget
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="binagg", description="aggregation of binary evaluations over constrained spaces")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,7 +72,7 @@ def _build_parser() -> _Parser:
     p_hunt.add_argument("--kind", required=True, choices=("partial", "full", "hamming"))
     p_hunt.add_argument("--weights", help="weights file")
     p_hunt.add_argument("--tieorder", help="tie-order file")
-    p_hunt.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="probe budget")
+    p_hunt.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="probe budget")
 
     p_check = sub.add_parser("check", help="exhaustive structural property check")
     p_check.add_argument("--space", required=True)
@@ -71,7 +81,7 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--property", required=True, choices=("iia", "monotone", "anonymous", "dictatorial"))
     p_check.add_argument("--weights", help="weights file")
     p_check.add_argument("--tieorder", help="tie-order file")
-    p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_check.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True, help="one of: " + ", ".join(suite_names()))

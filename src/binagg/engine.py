@@ -1,4 +1,4 @@
-"""The probe engine: outcome tables and chunked scans over the profile lattice.
+"""The probe engine: outcome tables and chunked scans over a profile lattice.
 
 A profile of n voters over a space of S feasible evaluations is named by
 its canonical id, ``sum(r[i] * S**(n-1-i))`` where ``r[i]`` is voter
@@ -6,16 +6,36 @@ i+1's feasible index, so ascending ids are lexicographic order on rows.
 A *probe* is one (profile, voter, lie) triple.  Probes are ordered by
 profile id, then voter, then lie index: C order over a (P, n, S) array.
 
-The engine never builds that array, nor any (P, n) one.  It walks the
-lattice in blocks of whole profiles, sized from S, n and m so that each
-block's temporaries stay within BLOCK_ELEMENTS elements (a megabyte or
-less), and it reports hits in C order.  The first hit is therefore the canonically first probe, and a
+Two lattices name the profiles a scan walks.  :class:`ProfileLattice`
+holds all S**n ordered profiles.  :class:`MultisetLattice` holds the
+C(S+n-1, n) non-decreasing rows, in lexicographic order: one
+representative per multiset of opinions.  Searches and the monotone
+check of a rule that is anonymous by construction (quota and majority
+stages, ``nn(...)`` of them, plurality, the welfare maximizer) walk the
+multiset lattice.  Its first hit is the canonical first probe of the
+ordered lattice.  Every probe predicate depends only on the multiset,
+the liar's opinion and the lie, so each permutation of a profile with a
+hit has a hit too.  The sorted permutation has the smallest id of them
+all, so the first profile with a hit is sorted.  Sorted rows in
+lexicographic order are exactly the multiset lattice, and on that
+profile both lattices probe the same voters and lies in the same order.
+Budgets count the probes actually scanned: C(S+n-1, n) * n * S on the
+multiset lattice.
+
+The engine never builds a (P, n, S) array, nor any (P, n) one on the
+ordered lattice.  It walks a lattice in blocks of whole profiles, sized
+from S, n and m so that each block's temporaries stay within
+BLOCK_ELEMENTS elements (a megabyte or less), and it reports hits in C
+order.  The first hit is therefore the canonically first probe, and a
 generator over the hits stops as soon as its caller does.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Sequence
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -76,15 +96,122 @@ def row_indices(start: int, stop: int, S: int, n: int) -> np.ndarray:
     return (pids[:, None] // strides(S, n)) % S
 
 
-def blocks(S: int, n: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, rows) for each block of ``block_size(width)`` profiles, in id order.
+class ProfileLattice:
+    """All S**n ordered profiles of n voters, by canonical id."""
+
+    def __init__(self, S: int, n: int):
+        self.S, self.n = S, n
+        self.size = S**n
+
+    def __str__(self) -> str:
+        return f"{self.S}^{self.n} profiles"
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """(B, n) feasible row indices of the profiles with ids start..stop-1."""
+        return row_indices(start, stop, self.S, self.n)
+
+    def lied(self, pid: int, voter: int, lie: int) -> int:
+        """Id of profile pid with the voter's row replaced by feasible index ``lie``."""
+        stride = self.S ** (self.n - 1 - voter)
+        return pid + (lie - pid // stride % self.S) * stride
+
+    def lied_codes(self, codes: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+        """Map a block (start, rows) to its (B, n, S) lied outcome codes."""
+        S, n = self.S, self.n
+        voter_strides = strides(S, n).tolist()
+        # by_voter[i][hi, y, lo] is the code of profile (hi * S + y) * stride + lo:
+        # the profile hi/lo with voter i's row replaced by feasible index y
+        by_voter = [codes.reshape(-1, S, stride) for stride in voter_strides]
+
+        def lied(start, rows):
+            pids = np.arange(start, start + len(rows), dtype=np.int64)
+            out = np.empty((len(rows), n, S), dtype=codes.dtype)
+            for i, stride in enumerate(voter_strides):
+                out[:, i, :] = by_voter[i][pids // (S * stride), :, pids % stride]
+            return out
+
+        return lied
+
+
+class MultisetLattice:
+    """The C(S+n-1, n) profiles whose rows are non-decreasing, in lexicographic order.
+
+    Each stands for every ordering of its multiset of opinions.  The lied
+    profile of (k, voter i, lie y) is ``add[remove[k, i], y]``: ``remove``
+    maps a profile and a position to the (n-1)-multiset left without it,
+    and ``add`` maps an (n-1)-multiset and a lie back to a profile here.
+    """
+
+    def __init__(self, S: int, n: int):
+        self.S, self.n = S, n
+        self.size = math.comb(S + n - 1, n)
+
+    def __str__(self) -> str:
+        return f"{self.size} multisets of {self.n} opinions from {self.S}"
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _multiset_tables(self.S, self.n)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """(B, n) sorted feasible row indices of the multisets with ids start..stop-1."""
+        return self._tables[0][start:stop].astype(np.intp)
+
+    def lied(self, k: int, voter: int, lie: int) -> int:
+        """Id of the multiset k with position ``voter`` replaced by feasible index ``lie``."""
+        _, remove, add = self._tables
+        return int(add[remove[k, voter], lie])
+
+    def lied_codes(self, codes: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+        """Map a block (start, rows) to its (B, n, S) lied outcome codes."""
+        _, remove, add = self._tables
+        return lambda start, rows: codes[add[remove[start : start + len(rows)]]]
+
+
+Lattice = ProfileLattice | MultisetLattice
+
+
+@lru_cache(maxsize=8)
+def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
+    size, smaller = math.comb(S + n - 1, n), math.comb(S + n - 2, n - 1)
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(S), n))
+    rows = np.fromiter(flat, dtype=_unsigned(S - 1), count=size * n).reshape(size, n)
+    # A sorted (n-1)-tuple t ranks after every sorted tuple that agrees with
+    # it before position j and holds some v with t[j-1] <= v < t[j] there;
+    # those number C(S-v+tail-1, tail) for each v, with tail = n-2-j entries
+    # after position j.  below[j, a] sums them over v < a.
+    below = np.zeros((n - 1, S + 1), dtype=np.int64)
+    for j in range(n - 1):
+        tail = n - 2 - j
+        below[j, 1:] = np.cumsum([math.comb(S - v + tail - 1, tail) for v in range(S)])
+    remove = np.empty((size, n), dtype=_unsigned(smaller - 1))
+    for i in range(n):
+        # rank the rows less position i, one position of the rest at a time
+        rank = np.zeros(size, dtype=np.int64)
+        for j in range(n - 1):
+            column = rows[:, j if j < i else j + 1]
+            rank += below[j, column]
+            if j:
+                rank -= below[j, previous]
+            previous = column
+        remove[:, i] = rank
+    # every (n-1)-multiset plus a lie is some multiset k less one of its positions
+    add = np.empty((smaller, S), dtype=_unsigned(size - 1))
+    ids = np.arange(size)
+    for i in range(n):
+        add[remove[:, i], rows[:, i]] = ids
+    return rows, remove, add
+
+
+def blocks(lattice: Lattice, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, rows) for each block of ``block_size(width)`` profiles of the lattice, in id order.
 
     ``rows`` holds the (B, n) row indices of the profiles with ids start..start+B-1.
     """
-    total = S**n
     step = block_size(width)
-    for start in range(0, total, step):
-        yield start, row_indices(start, min(start + step, total), S, n)
+    for start in range(0, lattice.size, step):
+        yield start, lattice.rows(start, min(start + step, lattice.size))
 
 
 class OutcomeTable(Sequence):
@@ -112,16 +239,15 @@ class OutcomeTable(Sequence):
 
 
 def build_table(
-    space: EvaluationSpace, n: int, block_masks: Callable[[np.ndarray], np.ndarray]
+    space: EvaluationSpace, lattice: Lattice, block_masks: Callable[[np.ndarray], np.ndarray]
 ) -> OutcomeTable:
-    """Outcome table from a function mapping (B, n) row indices to B outcome masks."""
-    S = space.size
-    total = S**n
+    """Outcome table over the lattice from a function mapping (B, n) row indices to B outcome masks."""
+    total = lattice.size
     # rules hold (n,), (S,) and (m,) temporaries per profile
-    width = n + S + space.m
+    width = lattice.n + lattice.S + space.m
     index: dict[int, int] = {}
     codes = np.empty(total, dtype=np.uint8)
-    for start, rows in blocks(S, n, width):
+    for start, rows in blocks(lattice, width):
         distinct, inverse = np.unique(block_masks(rows), return_inverse=True)
         lookup = [index.setdefault(v, len(index)) for v in distinct.tolist()]
         if codes.dtype != _unsigned(len(index) - 1):
@@ -144,32 +270,23 @@ def build_table(
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def scan(space: EvaluationSpace, table: OutcomeTable, n: int, hit: HitFn) -> Iterator[tuple[int, int, int, int]]:
-    """Every probe where ``hit`` holds, in canonical order.
+def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[int, int, int, int]]:
+    """Every probe of the lattice where ``hit`` holds, in canonical order.
 
-    Each hit is (pid, voter index, lie index, pid of the lied profile).
+    Each hit is (id, voter index, lie index, id of the lied profile).
 
     A lie equal to the liar's true opinion is probed too: it leaves the
     outcome unchanged, and every predicate is false there.
     """
-    S = space.size
+    S, n = lattice.S, lattice.n
     lies = np.arange(S)
     codes = table.codes
-    voter_strides = strides(S, n).tolist()
-    # by_voter[i][hi, y, lo] is the code of profile (hi * S + y) * stride + lo:
-    # the profile hi/lo with voter i's row replaced by feasible index y
-    by_voter = [codes.reshape(-1, S, stride) for stride in voter_strides]
-    for start, rows in blocks(S, n, n * S):
-        stop = start + len(rows)
-        pids = np.arange(start, stop, dtype=np.int64)
-        lied = np.empty((len(rows), n, S), dtype=codes.dtype)
-        for i, stride in enumerate(voter_strides):
-            lied[:, i, :] = by_voter[i][pids // (S * stride), :, pids % stride]
-        hits = hit(codes[start:stop, None, None], lied, rows[:, :, None], lies)
+    lied_codes = lattice.lied_codes(codes)
+    for start, rows in blocks(lattice, n * S):
+        hits = hit(codes[start : start + len(rows), None, None], lied_codes(start, rows), rows[:, :, None], lies)
         if not hits.any():
             continue
         for flat in np.flatnonzero(hits).tolist():
             b, rest = divmod(flat, n * S)
             voter, lie = divmod(rest, S)
-            pid = start + b
-            yield pid, voter, lie, pid + (lie - int(rows[b, voter])) * voter_strides[voter]
+            yield start + b, voter, lie, lattice.lied(start + b, voter, lie)

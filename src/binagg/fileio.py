@@ -53,6 +53,8 @@ def read_space(path: str) -> EvaluationSpace:
         raise ParseError(path, lineno, "missing generator name")
     kind = tokens[1]
     body = lines[1:]
+    if kind in ("explicit", "doctrinal") and len(tokens) > 2:
+        raise ParseError(path, lineno, f"generator {kind!r} takes no arguments, got {' '.join(tokens[2:])!r}")
     try:
         if kind == "explicit":
             if not body:

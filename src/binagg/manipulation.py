@@ -12,7 +12,9 @@ The search scans all (profile, voter, lie) triples in canonical order -
 profiles lexicographic by rows, voters ascending, lies in ascending
 mask order - through the chunked numpy scan of :mod:`binagg.engine`, so
 the first witness found is a deterministic function of the inputs,
-independent of how the scan is chunked.
+independent of how the scan is chunked.  :func:`find_witness` scans an
+anonymous rule on the multiset lattice, whose first hit is that same
+first witness; :func:`iter_witnesses` always walks every ordered profile.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .aggregators import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    Rule,
-    outcome_table,
-    profile_count,
-    profile_rows,
-)
+from .aggregators import DEFAULT_BUDGET, Rule, lattice_table, outcome_table, profile_count, search_lattice
 from .engine import HitFn, OutcomeTable, exact_array, masks_array, scan
 from .metric import uniform_weights, validate_weights, weight_of, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
@@ -126,7 +121,7 @@ class ManipulationWitness:
 
 
 def search_size(space: EvaluationSpace, n: int) -> int:
-    """Number of (profile, voter, lie) probes in one exhaustive scan."""
+    """Number of (profile, voter, lie) probes in one exhaustive scan of every ordered profile."""
     return profile_count(space, n) * n * space.size
 
 
@@ -147,14 +142,16 @@ def iter_witnesses(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[ManipulationWitness]:
     """Every witness of the given kind, in canonical scan order."""
+    return _witnesses(space, rule, n, kind, weights, budget, multisets=False)
+
+
+def _witnesses(space, rule, n, kind, weights, budget, multisets: bool) -> Iterator[ManipulationWitness]:
     w = _validate_kind(kind, weights, space.m)
-    required = search_size(space, n)
-    if required > budget:
-        raise BudgetExceededError(required, budget, f"manipulation search over {space.size}^{n} profiles")
-    table = outcome_table(space, rule, n, budget)
+    lattice = search_lattice(space, n, multisets, n * space.size, budget, "manipulation search")
+    table = lattice_table(space, rule, lattice) if multisets else outcome_table(space, rule, n, budget)
     X = space.feasible
-    for pid, i, yi, lied_pid in scan(space, table, n, _hit_fn(space, table, kind, w)):
-        rows = profile_rows(space, pid, n)
+    for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table, kind, w)):
+        rows = tuple(X[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
         yield ManipulationWitness(space.m, rows, i + 1, X[yi], table[pid], table[lied_pid], kind, w)
 
 
@@ -191,8 +188,12 @@ def find_witness(
     weights: Sequence[int] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ManipulationWitness | None:
-    """Canonically first witness, or None when the rule is kind-free here."""
-    return next(iter_witnesses(space, rule, n, kind, weights, budget), None)
+    """Canonically first witness, or None when the rule is kind-free here.
+
+    An anonymous rule is scanned, and charged to the budget, on the
+    multiset lattice.
+    """
+    return next(_witnesses(space, rule, n, kind, weights, budget, rule.anonymous), None)
 
 
 @dataclass(frozen=True)

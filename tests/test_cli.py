@@ -120,6 +120,14 @@ def test_hunt_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_hunt_budget_counts_multisets_for_anonymous_rules(capsys):
+    # 6**12 * 12 * 6 ordered probes, but only C(17, 12) * 12 * 6 multiset ones
+    code, out, err = run(capsys, "hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "12", "--kind", "partial")
+    assert code == 0 and "manipulation" in out and not err
+    code, _, err = run(capsys, "hunt", "--space", "pref3", "--aggregator", "dictator:1", "-n", "12", "--kind", "partial")
+    assert code == 2 and "6^12 profiles" in err
+
+
 def test_check_property(capsys):
     code, out, _ = run(capsys, "check", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--property", "iia")
     assert code == 0
@@ -178,6 +186,10 @@ def test_usage_errors(tmp_path, capsys):
         for command in (("hunt", "--kind", "full"), ("check", "--property", "dictatorial")):
             code, _, err = run(capsys, command[0], "--space", "pref3", "--aggregator", spec, "-n", voters, *command[1:])
             assert code == 1 and err.startswith("error:") and "at least one voter" in err
+    for budget in ("-5", "0"):
+        for command in (("hunt", "--kind", "full"), ("check", "--property", "monotone")):
+            code, _, err = run(capsys, command[0], "--space", "pref3", "--aggregator", "swm", "-n", "3", *command[1:], "--budget", budget)
+            assert code == 1 and "budget must be at least 1" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

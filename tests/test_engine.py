@@ -1,9 +1,11 @@
 """The numpy probe engine against the pure-Python oracle in tests/oracle.py."""
 
+import itertools
 import time
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -23,7 +25,7 @@ from binagg.aggregators import (
 from binagg import engine
 from binagg.manipulation import KINDS, find_witness, iter_witnesses
 from binagg.metric import TieOrder
-from binagg.spaces import EvaluationSpace
+from binagg.spaces import EvaluationSpace, builtin_space
 
 MAX_PROBES = 12_000
 RULES = ("dictator", "stage", "nn", "plurality", "partition", "swm", "table")
@@ -54,7 +56,10 @@ def cases(draw):
     if kind == "dictator":
         rule = Dictator(space, draw(st.integers(1, n)))
     elif kind in ("stage", "nn"):
-        stage = IiaStage(n, draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m)))
+        # half the stages decide every issue by vote count alone, so their
+        # rules take the multiset lattice
+        tables = draw(st.sampled_from((monotone_tables(n), anonymous_tables(n))))
+        stage = IiaStage(n, draw(st.lists(st.sampled_from(tables), min_size=m, max_size=m)))
         rule = StageRule(space, stage) if kind == "stage" else NearestNeighborRule(space, stage, weights, tie)
     elif kind == "plurality":
         rule = Plurality(space, tie)
@@ -75,18 +80,85 @@ def cases(draw):
     return space, rule, n, weights
 
 
-@settings(max_examples=150, deadline=None)
+def anonymous_tables(n):
+    return [t for t in monotone_tables(n) if IiaStage(n, [t]).is_anonymous]
+
+
+@settings(max_examples=200, deadline=None)
 @given(cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
 def test_engine_matches_oracle(case, block_elements):
-    # small blocks make the scan cross many block boundaries
+    # small blocks make the scan cross many block boundaries; find_witness
+    # and the monotone check of an anonymous rule walk the multiset lattice
     space, rule, n, weights = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         assert list(outcome_table(space, rule, n)) == oracle.outcome_list(space, rule, n)
         for kind in KINDS:
-            got = list(iter_witnesses(space, rule, n, kind, weights))
-            assert got == list(oracle.iter_witnesses(space, rule, n, kind, weights)), kind
+            expected = list(oracle.iter_witnesses(space, rule, n, kind, weights))
+            assert list(iter_witnesses(space, rule, n, kind, weights)) == expected, kind
+            assert find_witness(space, rule, n, kind, weights) == next(iter(expected), None), kind
         for property in ("iia", "monotone", "anonymous", "dictatorial"):
             assert check_structural(space, rule, n, property) == oracle.check_structural(space, rule, n, property)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_anonymous_rules_pass_the_anonymity_check(case):
+    space, rule, n, _ = case
+    if rule.anonymous:
+        assert check_structural(space, rule, n, "anonymous").holds
+
+
+def test_anonymity_is_claimed_by_construction_only(pref3):
+    # anonymity is read off a rule's definition, never tested: max over the
+    # rows ignores voter order, but a TableRule cannot say so
+    projection = [t for t in monotone_tables(3) if t not in anonymous_tables(3)][0]
+    for rule in (
+        Dictator(pref3, 1),
+        Dictator(pref3, 2),
+        Partition(pref3, [{1, 2, 3}, set()]),
+        TableRule(pref3, max, "max"),
+        StageRule(pref3, IiaStage(3, [projection] * 3)),
+        NearestNeighborRule(pref3, IiaStage(3, [projection] * 3)),
+    ):
+        assert rule.anonymous is False, rule
+    for rule in (
+        Plurality(pref3),
+        WelfareMaximizer(pref3),
+        StageRule(pref3, IiaStage.majority(3, 3)),
+        NearestNeighborRule(pref3, IiaStage.quota(2, [1, 2, 3])),
+    ):
+        assert rule.anonymous is True, rule
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
+def test_quota_stages_on_the_multiset_lattice(block_elements):
+    # every quota stage of one and two voters, bare (majority on pref3 leaves
+    # the space) and corrected; n = 1 removes a voter down to the empty multiset
+    space = builtin_space("pref3")
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        for n in (1, 2):
+            for thresholds in itertools.product(range(1, n + 2), repeat=space.m):
+                stage = IiaStage.quota(n, thresholds)
+                for rule in (StageRule(space, stage), NearestNeighborRule(space, stage)):
+                    assert rule.anonymous
+                    for kind in KINDS:
+                        expected = next(oracle.iter_witnesses(space, rule, n, kind), None)
+                        assert find_witness(space, rule, n, kind) == expected, (thresholds, kind)
+                    assert check_structural(space, rule, n, "monotone") == oracle.check_structural(
+                        space, rule, n, "monotone"
+                    )
+
+
+def test_multiset_lattice_tables():
+    for S, n in itertools.product(range(1, 6), range(1, 5)):
+        lattice = engine.MultisetLattice(S, n)
+        multisets = list(itertools.combinations_with_replacement(range(S), n))
+        assert lattice.size == len(multisets)
+        assert [tuple(r) for r in lattice.rows(0, lattice.size).tolist()] == multisets
+        index = {ms: k for k, ms in enumerate(multisets)}
+        for k, ms in enumerate(multisets):
+            for i, y in itertools.product(range(n), range(S)):
+                assert lattice.lied(k, i, y) == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
 
 
 def test_outcome_codes_are_narrow(pref4):

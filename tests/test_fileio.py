@@ -53,6 +53,8 @@ def test_space_file_errors(tmp_path):
         ("space pref 3 a>b b>c\n", 1, "exactly once"),
         ("space choose 4\n", 1, "choose needs"),
         ("space doctrinal\n111\n", 2, "no body"),
+        ("space explicit 5\n110\n", 1, "takes no arguments"),
+        ("space doctrinal extra\n", 1, "takes no arguments"),
     ]
     for i, (text, line, fragment) in enumerate(cases):
         with pytest.raises(ParseError) as exc:

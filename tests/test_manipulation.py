@@ -152,8 +152,13 @@ def test_search_order_is_profile_voter_lie(pref3):
 
 def test_budget_exceeded(pref3):
     with pytest.raises(BudgetExceededError) as exc:
-        find_witness(pref3, Plurality(pref3), 3, "partial", budget=100)
+        find_witness(pref3, Dictator(pref3, 1), 3, "partial", budget=100)
     assert exc.value.required == search_size(pref3, 3) == 216 * 3 * 6
+    # an anonymous rule is charged for the C(8, 3) multisets it scans
+    with pytest.raises(BudgetExceededError) as exc:
+        find_witness(pref3, Plurality(pref3), 3, "partial", budget=100)
+    assert exc.value.required == 56 * 3 * 6
+    assert "56 multisets" in str(exc.value)
 
 
 def test_unknown_kind(pref3):
