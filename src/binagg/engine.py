@@ -32,7 +32,6 @@ generator over the hits stops as soon as its caller does.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
@@ -175,27 +174,48 @@ Lattice = ProfileLattice | MultisetLattice
 def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
     size, smaller = math.comb(S + n - 1, n), math.comb(S + n - 2, n - 1)
-    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(S), n))
-    rows = np.fromiter(flat, dtype=_unsigned(S - 1), count=size * n).reshape(size, n)
+    # The sorted k-tuples that start with a are a followed by the sorted
+    # (k-1)-tuples that start at a or later: the last C(S-a+k-2, k-1) of them.
+    rows = np.arange(S, dtype=_unsigned(S - 1))[:, None]
+    for k in range(2, n + 1):
+        counts = [math.comb(S - a + k - 2, k - 1) for a in range(S)]
+        longer = np.empty((sum(counts), k), dtype=rows.dtype)
+        longer[:, 0] = np.repeat(np.arange(S, dtype=rows.dtype), counts)
+        at = 0
+        for count in counts:
+            longer[at : at + count, 1:] = rows[len(rows) - count :]
+            at += count
+        rows = longer
     # A sorted (n-1)-tuple t ranks after every sorted tuple that agrees with
     # it before position j and holds some v with t[j-1] <= v < t[j] there;
     # those number C(S-v+tail-1, tail) for each v, with tail = n-2-j entries
-    # after position j.  below[j, a] sums them over v < a.
+    # after position j.  below[j, a] sums them over v < a, so the rank of t
+    # sums below[j, t[j]] - below[j, t[j-1]] over j.
+    rank_dtype = _unsigned(smaller - 1)
     below = np.zeros((n - 1, S + 1), dtype=np.int64)
     for j in range(n - 1):
         tail = n - 2 - j
         below[j, 1:] = np.cumsum([math.comb(S - v + tail - 1, tail) for v in range(S)])
-    remove = np.empty((size, n), dtype=_unsigned(smaller - 1))
-    for i in range(n):
-        # rank the rows less position i, one position of the rest at a time
-        rank = np.zeros(size, dtype=np.int64)
-        for j in range(n - 1):
-            column = rows[:, j if j < i else j + 1]
-            rank += below[j, column]
-            if j:
-                rank -= below[j, previous]
-            previous = column
-        remove[:, i] = rank
+    below = below.astype(rank_dtype)
+    # remove[:, i] ranks a row less position i.  Less position i+1 instead, the
+    # rest differs only at position i, which holds r[i] rather than r[i+1],
+    # so only terms i and i+1 of the rank change.  Unsigned sums wrap, and
+    # every final rank is in range.
+    columns = rows.T
+    remove = np.empty((size, n), dtype=rank_dtype)
+    rank = np.zeros(size, dtype=rank_dtype)
+    for j in range(n - 1):
+        rank += below[j, columns[j + 1]]
+        if j:
+            rank -= below[j, columns[j]]
+    remove[:, 0] = rank
+    for i in range(n - 1):
+        rank += below[i, columns[i]]
+        rank -= below[i, columns[i + 1]]
+        if i < n - 2:
+            rank += below[i + 1, columns[i + 1]]
+            rank -= below[i + 1, columns[i]]
+        remove[:, i + 1] = rank
     # every (n-1)-multiset plus a lie is some multiset k less one of its positions
     add = np.empty((smaller, S), dtype=_unsigned(size - 1))
     ids = np.arange(size)

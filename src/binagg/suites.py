@@ -16,7 +16,9 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import fixtures
+import numpy as np
+
+from . import engine, fixtures
 from .aggregators import (
     IiaStage,
     NearestNeighborRule,
@@ -33,7 +35,7 @@ from .aggregators import (
 )
 from .fastsweep import all_stage_products_hamming_free, stage_product_count
 from .manipulation import ManipulationWitness, certify, classify_deviation, find_witness, iter_witnesses
-from .metric import TieOrder, nn_select, uniform_weights, weighted_hamming
+from .metric import TieOrder, nn_select, uniform_weights, weight_of, weighted_hamming
 from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
 
@@ -364,46 +366,82 @@ def _lemma_harvest():
         lied_rows = w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :]
         exhaustive_pairs.add((stage.apply(w.profile), stage.apply(lied_rows)))
 
-    # randomized: stage, tie, weights and deviation all sampled; stage
-    # outputs are corrected by nn_select, tabulated once per (tie, weights)
-    # over the hypercube, and a hit is a hamming gain by classify_deviation
-    X = space.feasible
-    S = len(X)
-    rng = random.Random(fixtures.RANDOM_SWEEP_SEED)
-    tabs = monotone_tables(3)
-    ties = fixtures.tie_battery(space, extra=tie)
-    weight_options = fixtures.weight_battery(m)
-    corrected = {
-        (t, wv): [nn_select(space, p, wv, t) for p in range(1 << m)] for t in ties for wv in weight_options
-    }
-    random_pairs = set()
-    random_hits = 0
+    # randomized: stage, tie, weights and deviation all sampled
     configs = 100_000
-    for _ in range(configs):
-        stage = IiaStage(3, tuple(rng.choice(tabs) for _ in range(m)))
-        t = ties[rng.randrange(len(ties))]
-        wv = weight_options[rng.randrange(len(weight_options))]
-        rows = tuple(X[rng.randrange(S)] for _ in range(3))
-        voter = rng.randrange(3)
-        lie = X[rng.randrange(S)]
-        if lie == rows[voter]:
-            continue
-        lied_rows = rows[:voter] + (lie,) + rows[voter + 1 :]
-        v = stage.apply(rows)
-        u = stage.apply(lied_rows)
-        nearest = corrected[t, wv]
-        z, w = nearest[v], nearest[u]
-        if z != w and classify_deviation(rows[voter], z, w, wv, m).hamming:
-            random_hits += 1
-            random_pairs.add((v, u))
+    random_pairs, random_hits = _random_harvest(configs, random.Random(fixtures.RANDOM_SWEEP_SEED))
     return dict(
         space=space,
         exhaustive_pairs=sorted(exhaustive_pairs),
         exhaustive_hits=exhaustive_hits,
-        random_pairs=sorted(random_pairs),
+        random_pairs=random_pairs,
         random_hits=random_hits,
         configs=configs,
     )
+
+
+def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, int]], int]:
+    """Sorted stage-output pairs and hit count of the randomized correction sweep on pref4.
+
+    Each configuration draws a monotone three-voter stage, a tie order,
+    weights, a profile, a liar and a lie.  Its stage outputs are corrected
+    by ``nn_select`` under the drawn tie order and weights, and a hit is
+    a lie whose corrected outcome is strictly closer, in those weights,
+    to the liar's opinion.  The draws are the calls of a loop over single
+    configurations, in its order; the configurations are then evaluated
+    in blocks of ``engine.block_size`` by array gathers.
+    """
+    space = builtin_space("pref4")
+    m, n = space.m, 3
+    X = np.array(space.feasible, dtype=np.int64)
+    S = len(X)
+    tabs = monotone_tables(n)
+    IiaStage(n, tabs)  # every table a configuration can draw is monotone
+    ties = fixtures.tie_battery(space, extra=fixtures.four_candidate_tie_order())
+    weight_options = fixtures.weight_battery(m)
+    W = len(weight_options)
+    # corrected[t * W + k, p]: the correction of hypercube point p under tie t and weights k
+    corrected = np.array(
+        [[nn_select(space, p, wv, t) for p in range(1 << m)] for t in ties for wv in weight_options], dtype=np.int64
+    )
+    # dist[k, d]: the total weight of the disagreement mask d under weights k
+    dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
+    # truth[t, c]: bit c of table t; position[tabs[t]] == t
+    truth = np.array([[(t >> c) & 1 for c in range(1 << n)] for t in tabs], dtype=np.int64)
+    position = np.zeros(tabs[-1] + 1, dtype=np.intp)
+    position[list(tabs)] = np.arange(len(tabs))
+    bits = engine.issue_bits(space)
+    place = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.int64)
+
+    def outputs(tab, rows):
+        """(B,) stage outputs for (m, B) table positions and (B, n) row indices."""
+        columns = sum(bits[:, rows[:, i]] << (n - 1 - i) for i in range(n))
+        return place @ truth[tab, columns]
+
+    # one configuration's draws: m tables, then tie, weights, n rows, liar and lie
+    draws = ((rng.choice, tabs),) * m + tuple((rng.randrange, k) for k in (len(ties), W) + (S,) * n + (n, S))
+    pairs = set()
+    hits = 0
+    # the (m, B, n) per-issue column bits are a block's largest temporaries
+    step = engine.block_size(m * n)
+    for start in range(0, configs, step):
+        B = min(step, configs - start)
+        drawn = np.array([draw(arg) for _ in range(B) for draw, arg in draws], dtype=np.intp).reshape(B, -1)
+        tab = position[drawn[:, :m].T]
+        tie, weight = drawn[:, m], drawn[:, m + 1]
+        rows = drawn[:, m + 2 : m + 2 + n]
+        voter, lie = drawn[:, -2], drawn[:, -1]
+        config = np.arange(B)
+        truthful = rows[config, voter]
+        lied_rows = rows.copy()
+        lied_rows[config, voter] = lie
+        v, u = outputs(tab, rows), outputs(tab, lied_rows)
+        correction = tie * W + weight
+        z, w = corrected[correction, v], corrected[correction, u]
+        x = X[truthful]
+        hit = (lie != truthful) & (z != w) & (dist[weight, x ^ w] < dist[weight, x ^ z])
+        hits += int(np.count_nonzero(hit))
+        pairs.update(zip(v[hit].tolist(), u[hit].tolist()))
+    return sorted(pairs), hits
 
 
 def _lemma_checks(which: str) -> list[CheckResult]:

@@ -3,15 +3,18 @@
 These are the original one-profile-at-a-time loops: they call the rule
 on every profile, walk every (profile, voter, lie) probe in canonical
 order, one stage at a time for sweeps, and decide each structural
-property profile by profile.  They are slow and obviously
+property profile by profile, and they apply one randomly drawn stage
+at a time in the lemma harvest.  They are slow and obviously
 correct, which is their job.
 """
 
 import itertools
 
+from binagg import fixtures
 from binagg.aggregators import IiaStage, NearestNeighborRule, StructuralReport, monotone_tables, profile_rows
-from binagg.manipulation import ManipulationWitness
-from binagg.metric import uniform_weights, weighted_hamming
+from binagg.manipulation import ManipulationWitness, classify_deviation
+from binagg.metric import nn_select, uniform_weights, weighted_hamming
+from binagg.spaces import builtin_space
 
 
 def iter_profiles(space, n):
@@ -164,3 +167,37 @@ def first_manipulable_stage(space, n, weights=None, tie=None):
             pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
             return sid, stage.tables, (pid, witness.voter - 1, space.index(witness.lie))
     return None
+
+
+def random_harvest(configs, rng):
+    """The randomized lemma harvest's (sorted pairs, hits), one configuration at a time."""
+    space = builtin_space("pref4")
+    m = space.m
+    X = space.feasible
+    S = len(X)
+    tabs = monotone_tables(3)
+    ties = fixtures.tie_battery(space, extra=fixtures.four_candidate_tie_order())
+    weight_options = fixtures.weight_battery(m)
+    corrected = {
+        (t, wv): [nn_select(space, p, wv, t) for p in range(1 << m)] for t in ties for wv in weight_options
+    }
+    random_pairs = set()
+    random_hits = 0
+    for _ in range(configs):
+        stage = IiaStage(3, tuple(rng.choice(tabs) for _ in range(m)))
+        t = ties[rng.randrange(len(ties))]
+        wv = weight_options[rng.randrange(len(weight_options))]
+        rows = tuple(X[rng.randrange(S)] for _ in range(3))
+        voter = rng.randrange(3)
+        lie = X[rng.randrange(S)]
+        if lie == rows[voter]:
+            continue
+        lied_rows = rows[:voter] + (lie,) + rows[voter + 1 :]
+        v = stage.apply(rows)
+        u = stage.apply(lied_rows)
+        nearest = corrected[t, wv]
+        z, w = nearest[v], nearest[u]
+        if z != w and classify_deviation(rows[voter], z, w, wv, m).hamming:
+            random_hits += 1
+            random_pairs.add((v, u))
+    return sorted(random_pairs), random_hits
