@@ -33,8 +33,10 @@ from .engine import (
     exact_array,
     issue_bits,
     masks_array,
+    packed_columns,
     scan,
     strides,
+    truth_bits,
 )
 from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace, bit_at
@@ -125,26 +127,14 @@ class IiaStage:
             raise ValueError(f"stage decides {self.m} issues, space has {m}")
         if n != self.n:
             raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
-        # voter_bits[i][j, r]: feasible row r's vote on issue j+1, at voter i's
-        # column position; the column of issue j+1 starts at j * 2**n so one
-        # flat gather through all truth tables decides every issue
         bits = issue_bits(space)
-        voter_bits = [bits << (n - 1 - i) for i in range(n)]
+        # issue j+1's truth table starts at j * 2**n: one flat gather decides every issue
         offsets = (np.arange(m, dtype=np.intp) << n)[:, None]
-        nbytes = max(1, (1 << n) // 8)
-        truth = np.concatenate(
-            [
-                np.unpackbits(np.frombuffer(t.to_bytes(nbytes, "little"), dtype=np.uint8), bitorder="little")[: 1 << n]
-                for t in self.tables
-            ]
-        )
+        truth = truth_bits(self.tables, n).ravel()
         place = np.array([1 << (m - j) for j in range(1, m + 1)], dtype=np.uint64)
 
         def evaluate(rows):
-            columns = offsets + voter_bits[0][:, rows[:, 0]]
-            for i in range(1, n):
-                columns |= voter_bits[i][:, rows[:, i]]
-            return place @ truth[columns]
+            return place @ truth[offsets + packed_columns(bits, rows)]
 
         return evaluate
 

@@ -70,6 +70,18 @@ def issue_bits(space: EvaluationSpace) -> np.ndarray:
     return ((feasible[None, :] >> shifts[:, None]) & np.uint64(1)).astype(np.intp)
 
 
+def truth_bits(tables: Sequence[int], n: int) -> np.ndarray:
+    """(len(tables), 2**n) uint8 array: [k, c] is bit c of the n-input truth table ``tables[k]``."""
+    nbytes = max(1, (1 << n) // 8)
+    packed = np.frombuffer(b"".join(t.to_bytes(nbytes, "little") for t in tables), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little").reshape(len(tables), -1)[:, : 1 << n]
+
+
+def packed_columns(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, B) truth-table columns of (B, n) row indices under :func:`issue_bits`, voter 1 most significant."""
+    return sum(bits[:, rows[:, i]] << (rows.shape[1] - 1 - i) for i in range(rows.shape[1]))
+
+
 def exact_array(rows, headroom: int = 1) -> np.ndarray:
     """Non-negative integer array that stays exact when entries are summed ``headroom`` times.
 

@@ -406,7 +406,7 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     # dist[k, d]: the total weight of the disagreement mask d under weights k
     dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
     # truth[t, c]: bit c of table t; position[tabs[t]] == t
-    truth = np.array([[(t >> c) & 1 for c in range(1 << n)] for t in tabs], dtype=np.int64)
+    truth = engine.truth_bits(tabs, n)
     position = np.zeros(tabs[-1] + 1, dtype=np.intp)
     position[list(tabs)] = np.arange(len(tabs))
     bits = engine.issue_bits(space)
@@ -414,8 +414,7 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
 
     def outputs(tab, rows):
         """(B,) stage outputs for (m, B) table positions and (B, n) row indices."""
-        columns = sum(bits[:, rows[:, i]] << (n - 1 - i) for i in range(n))
-        return place @ truth[tab, columns]
+        return place @ truth[tab, engine.packed_columns(bits, rows)]
 
     # one configuration's draws: m tables, then tie, weights, n rows, liar and lie
     draws = ((rng.choice, tabs),) * m + tuple((rng.randrange, k) for k in (len(ties), W) + (S,) * n + (n, S))

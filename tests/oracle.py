@@ -153,6 +153,34 @@ def iter_stages(space, n):
         yield IiaStage(n, tables)
 
 
+def permuted_table(table, order):
+    """The truth table that reads voter order[i]'s vote where ``table`` reads voter i's."""
+    n = len(order)
+    out = 0
+    for c in range(1 << n):
+        moved = sum(((c >> (n - 1 - order[i])) & 1) << (n - 1 - i) for i in range(n))
+        out |= ((table >> moved) & 1) << c
+    return out
+
+
+def orbit_leaders(n, m):
+    """Stage numbers that are least among their images under every voter permutation."""
+    tabs = monotone_tables(n)
+    position = {t: k for k, t in enumerate(tabs)}
+    images = [[position[permuted_table(t, order)] for t in tabs] for order in itertools.permutations(range(n))]
+    leaders = set()
+    for sid, digits in enumerate(itertools.product(range(len(tabs)), repeat=m)):
+        numbers = []
+        for image in images:
+            number = 0
+            for d in digits:
+                number = number * len(tabs) + image[d]
+            numbers.append(number)
+        if sid == min(numbers):
+            leaders.add(sid)
+    return leaders
+
+
 def first_manipulable_stage(space, n, weights=None, tie=None):
     """The batch sweep's answer, one corrected stage at a time.
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracle
 from binagg import engine
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from binagg.fastsweep import all_stage_products_hamming_free, stage_product_count
+from binagg.fastsweep import _leader_blocks, all_stage_products_hamming_free, stage_product_count
 from binagg.fixtures import four_candidate_tie_order, tie_battery, weight_battery
 from binagg.manipulation import find_witness
 from binagg.metric import TieOrder
@@ -79,6 +79,51 @@ def test_sweep_weights_keep_only_their_distance_order(doctrinal):
             )
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sweep_rejects_fewer_than_one_voter(doctrinal, n):
+    with pytest.raises(ValueError, match=f"at least one voter, got n={n}"):
+        all_stage_products_hamming_free(doctrinal, n)
+
+
+@pytest.mark.parametrize("block_elements", [1, 97, engine.BLOCK_ELEMENTS])
+@pytest.mark.parametrize(
+    "n, m, leaders", [(1, 3, 27), (2, 3, 140), (3, 2, 125), (3, 3, 1875), (4, 1, 30), (4, 2, 1990)]
+)
+def test_leader_walk_matches_oracle(n, m, leaders, block_elements):
+    tabs = monotone_tables(n)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        blocks = list(_leader_blocks(n, m, 1))
+    sids = [sid for block, _ in blocks for sid in block.tolist()]
+    assert sids == sorted(oracle.orbit_leaders(n, m))
+    assert len(sids) == leaders
+    # each leader comes with its own per-issue table positions
+    for block, digits in blocks:
+        for sid, column in zip(block.tolist(), digits.T.tolist()):
+            assert sum(d * len(tabs) ** (m - 1 - j) for j, d in enumerate(column)) == sid
+
+
+@st.composite
+def permuted_stage_cases(draw):
+    """A corrected stage on a small explicit space and a voter-permuted copy of it."""
+    m = draw(st.integers(1, 4))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    n = draw(st.integers(1, 3))
+    tables = draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m))
+    order = draw(st.permutations(range(n)))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4) | st.integers(2**31, 2**40)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    permuted = IiaStage(n, [oracle.permuted_table(t, order) for t in tables])
+    return space, IiaStage(n, tables), permuted, weights, tie
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_stage_cases())
+def test_voter_permutation_keeps_hamming_verdict(case):
+    """The fact the sweep's orbit-leader skip rests on."""
+    space, stage, permuted, weights, tie = case
+    assert (_hunt(space, stage, weights, tie) is None) == (_hunt(space, permuted, weights, tie) is None)
+
+
 def test_sweep_rejects_spaces_past_64_evaluations():
     with pytest.raises(ValueError, match="at most 64"):
         all_stage_products_hamming_free(EvaluationSpace(7, range(65)), 1)
@@ -106,6 +151,8 @@ def sweep_cases(draw):
 @given(sweep_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
 # the first witness under these weights is not the first under uniform ones
 @example((EvaluationSpace(4, [2, 3, 5, 9, 12, 14]), 1, (3, 2**40, 3, 3), None), 97)
+# the first hit, stage 22, is not alone in its voter-permutation orbit
+@example((builtin_space("doctrinal"), 3, (1, 1, 2), None), engine.BLOCK_ELEMENTS)
 def test_sweep_matches_oracle(case, block_elements):
     space, n, weights, tie = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
