@@ -67,8 +67,7 @@ class IiaStage:
     __slots__ = ("n", "tables")
 
     def __init__(self, n: int, tables: Sequence[int]):
-        if n < 1:
-            raise ValueError("stage arity must be at least 1")
+        _check_arity(n)
         size = 1 << n
         for j, tab in enumerate(tables, start=1):
             if not 0 <= tab < (1 << size):
@@ -88,6 +87,7 @@ class IiaStage:
 
         Thresholds run 1..n+1; n+1 makes the issue constantly 0.
         """
+        _check_arity(n)
         for j, t in enumerate(thresholds, start=1):
             if not 1 <= t <= n + 1:
                 raise ValueError(f"issue {j}: threshold must be in 1..{n + 1}, got {t}")
@@ -141,14 +141,7 @@ class IiaStage:
     @property
     def is_anonymous(self) -> bool:
         """True when every issue's decider depends on vote counts only."""
-        for tab in self.tables:
-            by_count: dict[int, int] = {}
-            for c in range(1 << self.n):
-                k = c.bit_count()
-                bit = (tab >> c) & 1
-                if by_count.setdefault(k, bit) != bit:
-                    return False
-        return True
+        return bool(_anonymous_rows(truth_bits(self.tables, self.n), self.n).all())
 
     def __eq__(self, other):
         return isinstance(other, IiaStage) and (self.n, self.tables) == (other.n, other.tables)
@@ -160,33 +153,72 @@ class IiaStage:
         return f"IiaStage(n={self.n}, m={self.m})"
 
 
+#: largest stage arity: a decider's truth table holds 2**n bits
+MAX_STAGE_ARITY = 20
+
+
+def _check_arity(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"stage arity must be at least 1, got {n}")
+    if n > MAX_STAGE_ARITY:
+        raise ValueError(f"stage arity must be at most {MAX_STAGE_ARITY} (truth tables of 2**n bits), got {n}")
+
+
+def _vote_counts(n: int) -> np.ndarray:
+    """(2**n,) uint8 array: the number of yes votes in each packed column."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
+
+
 def _quota_table(n: int, t: int) -> int:
-    tab = 0
-    for c in range(1 << n):
-        if c.bit_count() >= t:
-            tab |= 1 << c
-    return tab
+    """Truth table of "at least t of n voters say yes"."""
+    packed = np.packbits(_vote_counts(n) >= t, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _monotone_rows(truth: np.ndarray, n: int) -> np.ndarray:
+    """(T,) bool: which rows of a (T, 2**n) truth-bit array are monotone.
+
+    A table is monotone when flipping any single 0-vote to 1 never drops
+    the output: for each voter bit b, every column with bit b clear is at
+    most the column with it set.
+    """
+    ok = np.ones(len(truth), dtype=bool)
+    for b in range(n):
+        halves = truth.reshape(len(truth), -1, 2, 1 << b)
+        ok &= (halves[:, :, 0] <= halves[:, :, 1]).all(axis=(1, 2))
+    return ok
+
+
+def _anonymous_rows(truth: np.ndarray, n: int) -> np.ndarray:
+    """(T,) bool: which rows of a (T, 2**n) truth-bit array depend on vote counts only.
+
+    Column (1 << k) - 1 is the first with k yes votes, so a row must agree
+    there with every column of the same count.
+    """
+    first = (1 << _vote_counts(n).astype(np.intp)) - 1
+    return (truth == truth[:, first]).all(axis=1)
 
 
 @lru_cache(maxsize=None)
 def _is_monotone_table(tab: int, n: int) -> bool:
-    # flipping any single 0-vote to 1 must never drop the output; memoised
-    # because every IiaStage construction checks each of its tables
-    for c in range(1 << n):
-        if not (tab >> c) & 1:
-            continue
-        for b in range(n):
-            if not (c >> b) & 1 and not (tab >> (c | (1 << b))) & 1:
-                return False
-    return True
+    # memoised because every IiaStage construction checks each of its tables
+    return bool(_monotone_rows(truth_bits([tab], n), n)[0])
 
 
 @lru_cache(maxsize=None)
 def monotone_tables(n: int) -> tuple[int, ...]:
-    """Truth tables of all monotone boolean functions of n inputs, ascending."""
+    """Truth tables of all monotone boolean functions of n inputs, ascending.
+
+    There are 2**(2**n) candidate tables, so enumeration stops at arity 4;
+    a single stage takes arities up to ``MAX_STAGE_ARITY``.
+    """
     if n > 4:
         raise ValueError("enumeration is practical for arity <= 4 only")
-    return tuple(tab for tab in range(1 << (1 << n)) if _is_monotone_table(tab, n))
+    tabs = range(1 << (1 << n))
+    return tuple(np.flatnonzero(_monotone_rows(truth_bits(tabs, n), n)).tolist())
 
 
 # ---------------------------------------------------------------------------

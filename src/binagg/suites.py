@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -379,6 +380,86 @@ def _lemma_harvest():
     )
 
 
+def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> Iterator[np.ndarray]:
+    """Blocks of (B, len(bounds)) values: ``rounds`` rounds of ``[rng.randrange(b) for b in bounds]``.
+
+    The values are replayed from bulk 32-bit Mersenne Twister words, by
+    the rule CPython's ``randrange(b)`` and ``choice`` of a length-b
+    sequence both follow (``_randbelow_with_getrandbits``): draw
+    ``getrandbits(k)`` with k = b.bit_length(), which is the top k bits
+    of the next word, until it is below b.  So word w is accepted by
+    bound b exactly when ``w < b << (32 - k)``, and the value is
+    ``w >> (32 - k)``.  ``rng.randbytes(4 * N)`` is
+    ``getrandbits(32 * N)`` in little-endian order, so its 4-byte groups
+    are the next N words in order.
+
+    Consecutive bounds with one acceptance threshold form a run, whose
+    draws are the run's next accepted words.  From each word position a
+    round's end is then a few gathers, and the rounds of a bulk are a
+    walk along those ends.  Words left after the last complete round
+    carry into the next bulk.  Once the generator is exhausted, ``rng``
+    is back at the first unconsumed word: at the state of the
+    per-call loop.  Bounds outside 1..2**32-1 raise ``ValueError``,
+    since a larger bound draws more than one word.
+    """
+    if not bounds or not all(1 <= b < 1 << 32 for b in bounds):
+        raise ValueError(f"bounds must be 1..2**32-1, one word per draw, got {tuple(bounds)}")
+    shifts = [32 - b.bit_length() for b in bounds]
+    runs = [(t, len(list(group))) for t, group in itertools.groupby(b << s for b, s in zip(bounds, shifts))]
+    # each bulk holds at least one round's words, each word about eight temporaries
+    step = len(bounds) * engine.block_size(8 * len(bounds))
+    words = np.empty(0, dtype=np.uint32)
+    # (state before the bulk draw, its word count) of every bulk with unconsumed words;
+    # `spent` words of the first one are consumed
+    held: list[tuple[object, int]] = []
+    spent = 0
+    while rounds:
+        held.append((rng.getstate(), step))
+        words = np.concatenate((words, np.frombuffer(rng.randbytes(4 * step), dtype="<u4")))
+        N = len(words)
+        # per run: accepted[c] is the position of its c-th accepted word, padded
+        # with N; before[p] counts its accepted words before position p <= N,
+        # and position N + 1 stands for "past the end"
+        tables = []
+        end = np.arange(N + 2)
+        for threshold, length in runs:
+            ok = words < threshold
+            accepted = np.concatenate((np.flatnonzero(ok), np.full(length, N)))
+            before = np.zeros(N + 2, dtype=np.intp)
+            np.cumsum(ok, out=before[1 : N + 1])
+            before[N + 1] = before[N]
+            tables.append((accepted, before, length))
+            end = accepted[before[end] + length - 1] + 1
+        # walk the rounds from position 0: a round starting at p ends at end[p] <= N
+        starts = []
+        p = 0
+        for _ in range(rounds):
+            q = end.item(p)
+            if q > N:
+                break
+            starts.append(p)
+            p = q
+        if starts:
+            at = np.array(starts, dtype=np.intp)
+            out = np.empty((len(starts), len(bounds)), dtype=np.intp)
+            d = 0
+            for accepted, before, length in tables:
+                first = before[at]
+                for j in range(length):
+                    out[:, d] = words[accepted[first + j]] >> shifts[d]
+                    d += 1
+                at = accepted[first + length - 1] + 1
+            rounds -= len(starts)
+            yield out
+        words = words[p:]
+        spent += p
+        while held and spent >= held[0][1]:
+            spent -= held.pop(0)[1]
+    if held:
+        rng.setstate(held[0][0])
+        rng.getrandbits(32 * spent)
+
+
 def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, int]], int]:
     """Sorted stage-output pairs and hit count of the randomized correction sweep on pref4.
 
@@ -386,9 +467,13 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     weights, a profile, a liar and a lie.  Its stage outputs are corrected
     by ``nn_select`` under the drawn tie order and weights, and a hit is
     a lie whose corrected outcome is strictly closer, in those weights,
-    to the liar's opinion.  The draws are the calls of a loop over single
-    configurations, in its order; the configurations are then evaluated
-    in blocks of ``engine.block_size`` by array gathers.
+    to the liar's opinion.  The draws are those of a loop over single
+    configurations calling ``rng.choice`` and ``rng.randrange`` in its
+    order; :func:`_bounded_draws` replays them from bulk words with
+    CPython's ``_randbelow`` rejection rule, and ``rng`` ends in that
+    loop's state.  ``tests/oracle.py`` keeps the loop, and the tests pin
+    the replay against it on the running interpreter.  The configurations
+    are evaluated in the replay's blocks by array gathers.
     """
     space = builtin_space("pref4")
     m, n = space.m, 3
@@ -405,10 +490,8 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     )
     # dist[k, d]: the total weight of the disagreement mask d under weights k
     dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
-    # truth[t, c]: bit c of table t; position[tabs[t]] == t
+    # truth[t, c]: bit c of table tabs[t]
     truth = engine.truth_bits(tabs, n)
-    position = np.zeros(tabs[-1] + 1, dtype=np.intp)
-    position[list(tabs)] = np.arange(len(tabs))
     bits = engine.issue_bits(space)
     place = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.int64)
 
@@ -416,20 +499,17 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
         """(B,) stage outputs for (m, B) table positions and (B, n) row indices."""
         return place @ truth[tab, engine.packed_columns(bits, rows)]
 
-    # one configuration's draws: m tables, then tie, weights, n rows, liar and lie
-    draws = ((rng.choice, tabs),) * m + tuple((rng.randrange, k) for k in (len(ties), W) + (S,) * n + (n, S))
+    # one configuration's draws: m tables (``rng.choice(tabs)`` draws a
+    # position below len(tabs)), then tie, weights, n rows, liar and lie
+    bounds = (len(tabs),) * m + (len(ties), W) + (S,) * n + (n, S)
     pairs = set()
     hits = 0
-    # the (m, B, n) per-issue column bits are a block's largest temporaries
-    step = engine.block_size(m * n)
-    for start in range(0, configs, step):
-        B = min(step, configs - start)
-        drawn = np.array([draw(arg) for _ in range(B) for draw, arg in draws], dtype=np.intp).reshape(B, -1)
-        tab = position[drawn[:, :m].T]
+    for drawn in _bounded_draws(rng, bounds, configs):
+        tab = drawn[:, :m].T
         tie, weight = drawn[:, m], drawn[:, m + 1]
         rows = drawn[:, m + 2 : m + 2 + n]
         voter, lie = drawn[:, -2], drawn[:, -1]
-        config = np.arange(B)
+        config = np.arange(len(drawn))
         truthful = rows[config, voter]
         lied_rows = rows.copy()
         lied_rows[config, voter] = lie

@@ -147,6 +147,36 @@ def _column_index(rows, issue, m):
     return c
 
 
+def quota_table(n, t):
+    """Truth table of "at least t of n voters say yes", column by column."""
+    tab = 0
+    for c in range(1 << n):
+        if c.bit_count() >= t:
+            tab |= 1 << c
+    return tab
+
+
+def is_monotone_table(tab, n):
+    """Whether flipping any single 0-vote to 1 never drops the output, bit by bit."""
+    for c in range(1 << n):
+        if not (tab >> c) & 1:
+            continue
+        for b in range(n):
+            if not (c >> b) & 1 and not (tab >> (c | (1 << b))) & 1:
+                return False
+    return True
+
+
+def is_anonymous_table(tab, n):
+    """Whether the decider depends on vote counts only, column by column."""
+    by_count = {}
+    for c in range(1 << n):
+        bit = (tab >> c) & 1
+        if by_count.setdefault(c.bit_count(), bit) != bit:
+            return False
+    return True
+
+
 def iter_stages(space, n):
     """Every monotone stage, lexicographic over its per-issue truth tables."""
     for tables in itertools.product(monotone_tables(n), repeat=space.m):

@@ -1,11 +1,15 @@
 """Stages, the rule zoo, committee shortcuts and structural checks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
+
 from binagg.aggregators import (
+    MAX_STAGE_ARITY,
     BudgetExceededError,
     Dictator,
     IiaStage,
@@ -23,6 +27,8 @@ from binagg.aggregators import (
     parse_rule,
     swm_topk,
 )
+from binagg.aggregators import _anonymous_rows, _is_monotone_table, _quota_table
+from binagg.engine import truth_bits
 from binagg.fixtures import (
     condorcet_rows,
     conjunction_paradox_rows,
@@ -82,6 +88,48 @@ def test_stage_anonymity():
         if (c >> 2) & 1:
             proj |= 1 << c
     assert not IiaStage(3, [proj]).is_anonymous
+    # every issue's decider counts, not just the first
+    proj5 = sum(1 << c for c in range(1 << 5) if c >> 4)
+    assert not IiaStage(5, [_quota_table(5, 3), proj5]).is_anonymous
+    assert IiaStage(5, [_quota_table(5, 3), _quota_table(5, 6)]).is_anonymous
+
+
+def test_stage_tables_match_oracle():
+    def agree(tab, n):
+        assert _is_monotone_table(tab, n) == oracle.is_monotone_table(tab, n)
+        assert _anonymous_rows(truth_bits([tab], n), n)[0] == oracle.is_anonymous_table(tab, n)
+        if oracle.is_monotone_table(tab, n):
+            assert IiaStage(n, [tab]).is_anonymous == oracle.is_anonymous_table(tab, n)
+
+    for n in range(1, 5):
+        for tab in monotone_tables(n):
+            assert oracle.is_monotone_table(tab, n)
+            agree(tab, n)
+        every = range(1 << (1 << n))
+        assert [tab for tab in every if oracle.is_monotone_table(tab, n)] == list(monotone_tables(n))
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for _ in range(40):
+            agree(rng.getrandbits(1 << n), n)
+            # a random map from vote counts to outputs: anonymous, rarely monotone
+            by_count = [rng.getrandbits(1) for _ in range(n + 1)]
+            agree(sum(by_count[c.bit_count()] << c for c in range(1 << n)), n)
+    for n in range(1, 11):
+        for t in range(1, n + 2):
+            tab = _quota_table(n, t)
+            assert tab == oracle.quota_table(n, t)
+            assert _is_monotone_table(tab, n) and IiaStage.quota(n, [t]).is_anonymous
+
+
+def test_stage_arity_limit():
+    IiaStage.majority(MAX_STAGE_ARITY, 1)
+    for n in (MAX_STAGE_ARITY + 1, 100, 10**9):
+        with pytest.raises(ValueError, match=f"at most {MAX_STAGE_ARITY}"):
+            IiaStage.majority(n, 2)
+        with pytest.raises(ValueError, match=f"at most {MAX_STAGE_ARITY}"):
+            IiaStage(n, [0])
+    with pytest.raises(ValueError, match="at least 1"):
+        IiaStage.majority(0, 2)
 
 
 def test_monotone_counts():

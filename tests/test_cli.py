@@ -1,6 +1,10 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,26 @@ def test_usage_errors(tmp_path, capsys):
         for command in (("hunt", "--kind", "full"), ("check", "--property", "monotone")):
             code, _, err = run(capsys, command[0], "--space", "pref3", "--aggregator", "swm", "-n", "3", *command[1:], "--budget", budget)
             assert code == 1 and "budget must be at least 1" in err
+
+
+def cli_process(*argv, timeout):
+    """Run the CLI in its own interpreter, so a hang fails by timeout instead of stalling the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "binagg.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_stage_arity_past_limit_exits_at_once():
+    done = cli_process("hunt", "--space", "pref3", "--aggregator", "majority", "-n", "100", "--kind", "full", timeout=2)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "stage arity must be at most" in done.stderr
+
+
+def test_stage_hunt_at_eighteen_voters():
+    done = cli_process("hunt", "--space", "pref3", "--aggregator", "majority", "-n", "18", "--kind", "full", timeout=5)
+    assert done.returncode == 0, done.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

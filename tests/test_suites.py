@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from binagg import engine, fixtures, suites
@@ -67,15 +68,82 @@ def test_battery_fixtures_deterministic():
     assert [t.ranking for t in tie_battery(space)] == [t.ranking for t in tie_battery(space)]
 
 
+# bound 1 rejects half the words (k = 1, and word >> 31 must be 0), as does
+# every power of two; 2**32 - 1 rejects one word in 2**32
+BOUNDS = st.one_of(st.sampled_from((1, 2, 3, 4, 20, 24, 2**31, 2**32 - 1)), st.integers(1, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64),
+    st.lists(BOUNDS, min_size=1, max_size=6),
+    st.integers(0, 2500),
+    st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)),
+)
+# about 18,000 words: past the first bulk at the default block size
+@example(0, [1, 2**32 - 1, 3, 20, 24, 4], 2000, engine.BLOCK_ELEMENTS)
+def test_bounded_draws_replay_randrange(seed, bounds, rounds, block_elements):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        blocks = list(suites._bounded_draws(ours, bounds, rounds))
+    values = [row for block in blocks for row in block.tolist()]
+    assert values == [[theirs.randrange(b) for b in bounds] for _ in range(rounds)]
+    assert all(block.shape[1] == len(bounds) for block in blocks)
+    assert ours.getstate() == theirs.getstate()
+
+
+def _untempered(word):
+    """The Mersenne Twister state word whose tempered output is ``word``."""
+    y = word ^ (word >> 18)
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def test_bounded_draws_reject_a_word_at_the_threshold():
+    # a generator whose next words are chosen: bound b rejects the word
+    # b << (32 - k) itself and accepts the word just below it
+    bounds = (3, 20, 1, 2**32 - 1)
+    thresholds = [b << (32 - b.bit_length()) for b in bounds]
+    words = [w for t in thresholds for w in (t, t - 1)]
+    key = [_untempered(w) for w in words] + [0x9E3779B9] * (624 - len(words))
+    state = (3, (*key, 0), None)
+    ours, theirs = random.Random(), random.Random()
+    ours.setstate(state)
+    theirs.setstate(state)
+    assert [theirs.getrandbits(32) for _ in words] == words
+    theirs.setstate(state)
+    values = [row for block in suites._bounded_draws(ours, bounds, 1) for row in block.tolist()]
+    assert values == [[theirs.randrange(b) for b in bounds]] == [[2, 19, 0, 2**32 - 2]]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_bounded_draws_edges():
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert list(suites._bounded_draws(rng, (20, 4), 0)) == []
+    assert rng.getstate() == state
+    for bounds in ((0,), (2**32,), (3, 0), ()):
+        with pytest.raises(ValueError, match="bounds"):
+            list(suites._bounded_draws(rng, bounds, 5))
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
 def test_random_harvest_matches_oracle(block_elements):
     # the same draws in the same order: equal pairs and hits, and the
     # generators end in the same state
-    ours = random.Random(fixtures.RANDOM_SWEEP_SEED)
-    theirs = random.Random(fixtures.RANDOM_SWEEP_SEED)
-    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        assert suites._random_harvest(2000, ours) == oracle.random_harvest(2000, theirs)
-    assert ours.getstate() == theirs.getstate()
+    for seed in (fixtures.RANDOM_SWEEP_SEED, 1):
+        ours = random.Random(seed)
+        theirs = random.Random(seed)
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+            assert suites._random_harvest(2000, ours) == oracle.random_harvest(2000, theirs)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_random_harvest_memory_is_chunked():
