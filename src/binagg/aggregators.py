@@ -143,6 +143,13 @@ class IiaStage:
         """True when every issue's decider depends on vote counts only."""
         return bool(_anonymous_rows(truth_bits(self.tables, self.n), self.n).all())
 
+    def influential(self, n: int) -> tuple[int, ...]:
+        """0-based voters whose bit some issue's decider depends on; voter 1 alone when none does."""
+        if n != self.n:
+            raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
+        truth = truth_bits(self.tables, n)
+        return tuple(i for i in range(n) if _reads_voter(truth, n, i)) or (0,)
+
     def __eq__(self, other):
         return isinstance(other, IiaStage) and (self.n, self.tables) == (other.n, other.tables)
 
@@ -190,6 +197,12 @@ def _monotone_rows(truth: np.ndarray, n: int) -> np.ndarray:
         halves = truth.reshape(len(truth), -1, 2, 1 << b)
         ok &= (halves[:, :, 0] <= halves[:, :, 1]).all(axis=(1, 2))
     return ok
+
+
+def _reads_voter(truth: np.ndarray, n: int, i: int) -> bool:
+    """True when some row of a (T, 2**n) truth-bit array changes with voter i's bit (0-based)."""
+    halves = truth.reshape(len(truth), -1, 2, 1 << (n - 1 - i))
+    return bool((halves[:, :, 0] != halves[:, :, 1]).any())
 
 
 def _anonymous_rows(truth: np.ndarray, n: int) -> np.ndarray:
@@ -248,6 +261,16 @@ class Rule:
         """
         return False
 
+    def influential(self, n: int) -> tuple[int, ...]:
+        """0-based positions of the voters whose rows the rule reads, ascending.
+
+        Known by construction, like :attr:`anonymous`: changing any other
+        voter's row never changes the outcome.  Searches of a rule that is
+        not anonymous walk the ordered profiles of these voters only.
+        Rules that cannot say which voters they read say all n.
+        """
+        return tuple(range(n))
+
     def block_evaluator(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Outcome masks for (B, n) blocks of feasible row indices.
 
@@ -274,6 +297,11 @@ class Dictator(Rule):
             raise ValueError(f"profile has {len(rows)} voters, dictator is voter {self.voter}")
         return rows[self.voter - 1]
 
+    def influential(self, n):
+        if self.voter > n:
+            raise ValueError(f"profile has {n} voters, dictator is voter {self.voter}")
+        return (self.voter - 1,)
+
     def block_evaluator(self, n):
         if self.voter > n:
             raise ValueError(f"profile has {n} voters, dictator is voter {self.voter}")
@@ -298,6 +326,9 @@ class StageRule(Rule):
     @property
     def anonymous(self) -> bool:
         return self.stage.is_anonymous
+
+    def influential(self, n):
+        return self.stage.influential(n)
 
     def block_evaluator(self, n):
         return self.stage.block_evaluator(self.space, n)
@@ -410,6 +441,11 @@ class Partition(Rule):
             previous = level
         return steps
 
+    def influential(self, n):
+        if n != len(self.blocks):
+            raise ValueError(f"rule partitions issues over {len(self.blocks)} voters, profile has {n}")
+        return tuple(sorted({v - 1 for v in self._owner}))
+
     def block_evaluator(self, n):
         if n != len(self.blocks):
             raise ValueError(f"rule partitions issues over {len(self.blocks)} voters, profile has {n}")
@@ -468,6 +504,9 @@ class NearestNeighborRule(Rule):
     def anonymous(self) -> bool:
         # the correction sees the stage output only, never the voters
         return self.stage.is_anonymous
+
+    def influential(self, n):
+        return self.stage.influential(n)
 
     def block_evaluator(self, n):
         stage_outputs = self.stage.block_evaluator(self.space, n)
@@ -752,20 +791,31 @@ def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFA
     The table stores one narrow code per profile into its list of
     distinct outcomes; indexing or iterating it yields outcome masks.
     """
-    return lattice_table(space, rule, search_lattice(space, n, False, 1, budget, "outcome table"))
+    return lattice_table(space, rule, search_lattice(space, n, None, 1, budget, "outcome table"))
 
 
 def search_lattice(
-    space: EvaluationSpace, n: int, multisets: bool, per_profile: int, budget: int, context: str
+    space: EvaluationSpace, n: int, rule: Rule | None, per_profile: int, budget: int, context: str
 ) -> Lattice:
     """The lattice a search walks, once its probes are charged to the budget.
 
-    That is the multiset lattice when ``multisets`` is set, else every
-    ordered profile; the search makes ``per_profile`` probes per profile.
+    Without a rule that is every ordered profile.  A search for the first
+    hit of ``rule`` walks the multiset lattice when the rule is anonymous,
+    else the ordered profiles of the voters it reads (see
+    :mod:`binagg.engine`).  The search makes ``per_profile`` probes per
+    profile.  A lattice of S**n ids holds every ordered profile by its
+    canonical id (the multiset lattice reaches that size only when n or
+    S is 1, where it is the ordered one), so searches build its table
+    through :func:`outcome_table`.
     """
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")
-    lattice = MultisetLattice(space.size, n) if multisets else ProfileLattice(space.size, n)
+    if rule is None:
+        lattice = ProfileLattice(space.size, n)
+    elif rule.anonymous:
+        lattice = MultisetLattice(space.size, n)
+    else:
+        lattice = ProfileLattice(space.size, n, rule.influential(n))
     required = lattice.size * per_profile
     if required > budget:
         raise BudgetExceededError(required, budget, f"{context} over {lattice}")
@@ -813,14 +863,18 @@ def check_structural(
     Witnesses are pairs of profiles, the canonically first pair that
     violates the property under a single left-to-right scan.  The
     monotone check of an anonymous rule walks the multiset lattice, whose
-    first violation is the canonical first one (see :mod:`binagg.engine`).
+    first violation is the canonical first one, and so does the monotone
+    check of any other rule on the ordered profiles of the voters it
+    reads (see :mod:`binagg.engine`).
     """
     if property not in _PROPERTIES:
         raise ValueError(f"unknown property {property!r}; pick one of {_PROPERTIES}")
     per_profile = {"iia": space.m, "monotone": n * space.size, "anonymous": 1, "dictatorial": n}[property]
-    multisets = property == "monotone" and rule.anonymous
-    lattice = search_lattice(space, n, multisets, per_profile, budget, f"structural check {property}")
-    table = lattice_table(space, rule, lattice) if multisets else outcome_table(space, rule, n, budget)
+    lattice = search_lattice(
+        space, n, rule if property == "monotone" else None, per_profile, budget, f"structural check {property}"
+    )
+    full = lattice.size == profile_count(space, n)
+    table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
     m = space.m
     X = space.feasible
     codes = table.codes

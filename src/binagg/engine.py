@@ -7,20 +7,35 @@ A *probe* is one (profile, voter, lie) triple.  Probes are ordered by
 profile id, then voter, then lie index: C order over a (P, n, S) array.
 
 Two lattices name the profiles a scan walks.  :class:`ProfileLattice`
-holds all S**n ordered profiles.  :class:`MultisetLattice` holds the
-C(S+n-1, n) non-decreasing rows, in lexicographic order: one
-representative per multiset of opinions.  Searches and the monotone
-check of a rule that is anonymous by construction (quota and majority
-stages, ``nn(...)`` of them, plurality, the welfare maximizer) walk the
-multiset lattice.  Its first hit is the canonical first probe of the
-ordered lattice.  Every probe predicate depends only on the multiset,
-the liar's opinion and the lie, so each permutation of a profile with a
-hit has a hit too.  The sorted permutation has the smallest id of them
-all, so the first profile with a hit is sorted.  Sorted rows in
-lexicographic order are exactly the multiset lattice, and on that
-profile both lattices probe the same voters and lies in the same order.
-Budgets count the probes actually scanned: C(S+n-1, n) * n * S on the
-multiset lattice.
+holds all S**n ordered profiles, or those of some voters with the rest
+pinned.  :class:`MultisetLattice` holds the C(S+n-1, n) non-decreasing
+rows, in lexicographic order: one representative per multiset of
+opinions.  Searches and the monotone check of a rule that is anonymous
+by construction (quota and majority stages, ``nn(...)`` of them,
+plurality, the welfare maximizer) walk the multiset lattice.  Its first
+hit is the canonical first probe of the ordered lattice.  Every probe
+predicate depends only on the multiset, the liar's opinion and the lie,
+so each permutation of a profile with a hit has a hit too.  The sorted
+permutation has the smallest id of them all, so the first profile with a
+hit is sorted.  Sorted rows in lexicographic order are exactly the
+multiset lattice, and on that profile both lattices probe the same
+voters and lies in the same order.  Budgets count the probes actually
+scanned: C(S+n-1, n) * n * S on the multiset lattice.
+
+Searches and the monotone check of any other rule walk the ordered
+lattice over only the voters the rule reads (``Rule.influential``:
+a dictator, the owners of a partition's non-empty blocks, the voters a
+stage's truth tables depend on).  Every other voter is pinned to
+feasible index 0, so the lattice holds S**k profiles for k readers, and
+its first hit is again the canonical first probe of the full ordered
+lattice.  A pinned voter's lie never changes the outcome, so every
+predicate is false there (w == z).  A varying voter's probe sees the
+same outcomes whatever the pinned rows hold.  So zeroing the pinned rows
+of a profile with a hit keeps its hits and lowers its id: the first
+profile with a hit has zero pinned rows.  Among those profiles, full
+lexicographic order is the order of the reduced ids, and voters and
+lies are probed in the same order on both lattices.  Budgets count
+S**k * n * S probes there.
 
 The engine never builds a (P, n, S) array, nor any (P, n) one on the
 ordered lattice.  It walks a lattice in blocks of whole profiles, sized
@@ -108,37 +123,60 @@ def row_indices(start: int, stop: int, S: int, n: int) -> np.ndarray:
 
 
 class ProfileLattice:
-    """All S**n ordered profiles of n voters, by canonical id."""
+    """The ordered profiles of n voters, by canonical id over the voters that vary.
 
-    def __init__(self, S: int, n: int):
+    By default every voter varies and the lattice holds all S**n profiles.
+    Given ``voters`` (0-based, ascending), only those vary and every other
+    voter is pinned to feasible index 0: the S**k profiles are named by
+    their canonical ids over the k varying voters, and a pinned voter's
+    lie leaves the profile where it is.
+    """
+
+    def __init__(self, S: int, n: int, voters: Sequence[int] | None = None):
         self.S, self.n = S, n
-        self.size = S**n
+        self.voters = tuple(range(n)) if voters is None else tuple(sorted(voters))
+        self.size = S ** len(self.voters)
 
     def __str__(self) -> str:
-        return f"{self.S}^{self.n} profiles"
+        k = len(self.voters)
+        if k == self.n:
+            return f"{self.S}^{self.n} profiles"
+        varying = ", ".join(str(i + 1) for i in self.voters)
+        return f"{self.S}^{k} profiles of voter{'s' if k > 1 else ''} {varying}, the rest pinned"
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """(B, n) feasible row indices of the profiles with ids start..stop-1."""
-        return row_indices(start, stop, self.S, self.n)
+        """(B, n) feasible row indices of the profiles with ids start..stop-1, 0 where pinned."""
+        varying = row_indices(start, stop, self.S, len(self.voters))
+        if len(self.voters) == self.n:
+            return varying
+        rows = np.zeros((stop - start, self.n), dtype=varying.dtype)
+        rows[:, self.voters] = varying
+        return rows
 
     def lied(self, pid: int, voter: int, lie: int) -> int:
         """Id of profile pid with the voter's row replaced by feasible index ``lie``."""
-        stride = self.S ** (self.n - 1 - voter)
+        if voter not in self.voters:
+            return pid
+        stride = self.S ** (len(self.voters) - 1 - self.voters.index(voter))
         return pid + (lie - pid // stride % self.S) * stride
 
     def lied_codes(self, codes: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
         """Map a block (start, rows) to its (B, n, S) lied outcome codes."""
         S, n = self.S, self.n
-        voter_strides = strides(S, n).tolist()
-        # by_voter[i][hi, y, lo] is the code of profile (hi * S + y) * stride + lo:
-        # the profile hi/lo with voter i's row replaced by feasible index y
+        voter_strides = strides(S, len(self.voters)).tolist()
+        # by_voter[k][hi, y, lo] is the code of profile (hi * S + y) * stride + lo:
+        # the profile hi/lo with the k-th varying voter's row replaced by feasible index y
         by_voter = [codes.reshape(-1, S, stride) for stride in voter_strides]
+        pinned = [i for i in range(n) if i not in self.voters]
 
         def lied(start, rows):
             pids = np.arange(start, start + len(rows), dtype=np.int64)
             out = np.empty((len(rows), n, S), dtype=codes.dtype)
-            for i, stride in enumerate(voter_strides):
-                out[:, i, :] = by_voter[i][pids // (S * stride), :, pids % stride]
+            for i, stride, grid in zip(self.voters, voter_strides, by_voter):
+                out[:, i, :] = grid[pids // (S * stride), :, pids % stride]
+            if pinned:
+                # a pinned voter's lie leaves the profile where it is
+                out[:, pinned, :] = codes[start : start + len(rows), None, None]
             return out
 
         return lied

@@ -13,7 +13,8 @@ profiles lexicographic by rows, voters ascending, lies in ascending
 mask order - through the chunked numpy scan of :mod:`binagg.engine`, so
 the first witness found is a deterministic function of the inputs,
 independent of how the scan is chunked.  :func:`find_witness` scans an
-anonymous rule on the multiset lattice, whose first hit is that same
+anonymous rule on the multiset lattice, and any other rule on the
+ordered profiles of the voters it reads, whose first hits are that same
 first witness; :func:`iter_witnesses` always walks every ordered profile.
 """
 
@@ -142,13 +143,14 @@ def iter_witnesses(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[ManipulationWitness]:
     """Every witness of the given kind, in canonical scan order."""
-    return _witnesses(space, rule, n, kind, weights, budget, multisets=False)
+    return _witnesses(space, rule, n, kind, weights, budget, first_only=False)
 
 
-def _witnesses(space, rule, n, kind, weights, budget, multisets: bool) -> Iterator[ManipulationWitness]:
+def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Iterator[ManipulationWitness]:
     w = _validate_kind(kind, weights, space.m)
-    lattice = search_lattice(space, n, multisets, n * space.size, budget, "manipulation search")
-    table = lattice_table(space, rule, lattice) if multisets else outcome_table(space, rule, n, budget)
+    lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
+    full = lattice.size == profile_count(space, n)
+    table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
     X = space.feasible
     for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table, kind, w)):
         rows = tuple(X[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
@@ -191,9 +193,10 @@ def find_witness(
     """Canonically first witness, or None when the rule is kind-free here.
 
     An anonymous rule is scanned, and charged to the budget, on the
-    multiset lattice.
+    multiset lattice; any other rule on the ordered profiles of the
+    voters it reads (``Rule.influential``).
     """
-    return next(_witnesses(space, rule, n, kind, weights, budget, rule.anonymous), None)
+    return next(_witnesses(space, rule, n, kind, weights, budget, first_only=True), None)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,12 @@ class PartialEvaluation:
         return f"K:{{{issues}}} bits:{bits}"
 
 
+def _check_issue_count(m: int) -> None:
+    """Reject an issue count outside 1..MAX_ISSUES; generators call it before enumerating."""
+    if not 1 <= m <= MAX_ISSUES:
+        raise ValueError(f"issue count must be in 1..{MAX_ISSUES}, got {m}")
+
+
 class EvaluationSpace:
     """An explicit non-empty set of feasible evaluations on m issues."""
 
@@ -96,8 +102,7 @@ class EvaluationSpace:
         alternatives: tuple[str, ...] | None = None,
         orientation: tuple[tuple[int, int], ...] | None = None,
     ):
-        if not 1 <= m <= MAX_ISSUES:
-            raise ValueError(f"issue count must be in 1..{MAX_ISSUES}, got {m}")
+        _check_issue_count(m)
         masks = sorted(set(feasible))
         if not masks:
             raise ValueError("feasible set must be non-empty")
@@ -213,6 +218,7 @@ def preference_space(
     alts = tuple(alternatives) if alternatives else _default_alternatives(k)
     if len(alts) != k or len(set(alts)) != k:
         raise ValueError("alternative names must be distinct and match k")
+    _check_issue_count(k * (k - 1) // 2)
     name_to_idx = {a: i for i, a in enumerate(alts)}
 
     if orientation is None:
@@ -254,6 +260,7 @@ def choose_space(m: int, k: int) -> EvaluationSpace:
     """All evaluations selecting exactly k of m candidates."""
     if not 0 < k <= m:
         raise ValueError(f"need 0 < k <= m, got k={k}, m={m}")
+    _check_issue_count(m)
     members = [x for x in range(1 << m) if x.bit_count() == k]
     labels = tuple(f"c{j}" for j in range(1, m + 1))
     return EvaluationSpace(m, members, labels, provenance=f"choose({m},{k})")
@@ -268,6 +275,7 @@ def cycle_space(vertices: int) -> EvaluationSpace:
     if vertices < 4 or vertices % 2 != 0:
         raise ValueError(f"cycle length must be even and at least 4, got {vertices}")
     t = vertices // 2
+    _check_issue_count(t)
     members = set()
     for i in range(t + 1):
         members.add(from_bits("1" * i + "0" * (t - i)) if i else 0)

@@ -128,8 +128,14 @@ def test_hunt_budget_counts_multisets_for_anonymous_rules(capsys):
     # 6**12 * 12 * 6 ordered probes, but only C(17, 12) * 12 * 6 multiset ones
     code, out, err = run(capsys, "hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "12", "--kind", "partial")
     assert code == 0 and "manipulation" in out and not err
-    code, _, err = run(capsys, "hunt", "--space", "pref3", "--aggregator", "dictator:1", "-n", "12", "--kind", "partial")
-    assert code == 2 and "6^12 profiles" in err
+    # a dictator is hunted over its own 6 rows, the other voters pinned
+    code, out, err = run(capsys, "hunt", "--space", "pref3", "--aggregator", "dictator:1", "-n", "12", "--kind", "partial")
+    assert code == 0 and out.strip() == "FREE" and not err
+    # one issue per voter: every voter is read, so all 24**6 profiles count
+    code, _, err = run(
+        capsys, "hunt", "--space", "pref4", "--aggregator", "partition:1;2;3;4;5;6", "-n", "6", "--kind", "partial"
+    )
+    assert code == 2 and "24^6 profiles" in err
 
 
 def test_check_property(capsys):
@@ -214,6 +220,23 @@ def test_stage_arity_past_limit_exits_at_once():
 def test_stage_hunt_at_eighteen_voters():
     done = cli_process("hunt", "--space", "pref3", "--aggregator", "majority", "-n", "18", "--kind", "full", timeout=5)
     assert done.returncode == 0, done.stderr
+
+
+def test_partition_hunt_skips_voters_without_issues():
+    # 6**12 * 12 * 6 probes over every ordered profile; voters 4-12 own no issue
+    done = cli_process("hunt", "--space", "pref3", "--aggregator", "partition:1;2;3", "-n", "12", "--kind", "full", timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "FREE\n"
+
+
+@pytest.mark.parametrize("generator", ["choose 200 1", "pref 12"])
+def test_space_past_issue_limit_exits_at_once(tmp_path, generator):
+    # 2**200 candidate masks, or 12! orders over 66 issues: checked before enumerating
+    path = tmp_path / "space.txt"
+    path.write_text(f"space {generator}\n", encoding="utf-8")
+    done = cli_process("space", "info", "--space", str(path), timeout=2)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "issue count must be in 1..64" in done.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

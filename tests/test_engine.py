@@ -149,6 +149,78 @@ def test_quota_stages_on_the_multiset_lattice(block_elements):
                     )
 
 
+#: non-anonymous stages on three voters, each ignoring one voter: issue 1
+#: follows the first voter read, issue 2 needs both, issue 3 follows the second
+STAGES_SKIPPING = {
+    1: IiaStage(3, [0xCC, 0x88, 0xAA]),
+    2: IiaStage(3, [0xF0, 0xA0, 0xAA]),
+    3: IiaStage(3, [0xF0, 0xC0, 0xCC]),
+}
+
+
+def pinned_cases():
+    """Rules that ignore voters at the first, middle and last positions."""
+    pref3, cycle6 = builtin_space("pref3"), builtin_space("cycle6")
+    yield pref3, Partition(pref3, [set(), {1, 2}, set(), {3}]), 4, (1, 3)
+    yield pref3, Partition(pref3, [{1}, {2, 3}, set()]), 3, (0, 1)
+    yield cycle6, Partition(cycle6, [set(), {1}, {2, 3}]), 3, (1, 2)
+    for voter in (1, 2, 3):
+        yield pref3, Dictator(pref3, voter), 3, (voter - 1,)
+    for skipped, stage in STAGES_SKIPPING.items():
+        voters = tuple(i for i in range(3) if i != skipped - 1)
+        yield pref3, StageRule(pref3, stage), 3, voters
+        yield pref3, NearestNeighborRule(pref3, stage), 3, voters
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
+def test_pinned_voters_keep_the_first_witness(block_elements):
+    # find_witness and the monotone check walk only the voters each rule reads
+    found = 0
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        for space, rule, n, voters in pinned_cases():
+            assert not rule.anonymous and rule.influential(n) == voters, rule
+            for kind in KINDS:
+                expected = next(oracle.iter_witnesses(space, rule, n, kind), None)
+                assert find_witness(space, rule, n, kind) == expected, (rule, kind)
+                found += expected is not None
+            assert check_structural(space, rule, n, "monotone") == oracle.check_structural(space, rule, n, "monotone")
+    assert found
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.data())
+def test_voters_outside_influential_never_move_the_outcome(case, data):
+    space, rule, n, _ = case
+    voters = rule.influential(n)
+    assert list(voters) == sorted(set(voters)) and set(voters) <= set(range(n))
+    rows = data.draw(st.lists(st.sampled_from(space.feasible), min_size=n, max_size=n))
+    for i in set(range(n)) - set(voters):
+        other = rows[:i] + [data.draw(st.sampled_from(space.feasible))] + rows[i + 1 :]
+        assert rule(other) == rule(rows), (rule, i)
+
+
+def test_pinned_lattice_tables():
+    for S, n in itertools.product(range(1, 5), range(1, 5)):
+        full = engine.ProfileLattice(S, n)
+        for k in range(1, n + 1):
+            for voters in itertools.combinations(range(n), k):
+                lattice = engine.ProfileLattice(S, n, voters)
+                assert lattice.size == S**k
+                rows = lattice.rows(0, lattice.size)
+                # the profiles of the full lattice whose pinned rows are 0, in id order
+                pinned = [i for i in range(n) if i not in voters]
+                expected = full.rows(0, full.size)
+                expected = expected[(expected[:, pinned] == 0).all(axis=1)]
+                assert rows.tolist() == expected.tolist()
+                pid = {tuple(r): q for q, r in enumerate(rows.tolist())}
+                codes = np.arange(lattice.size, dtype=np.uint16)
+                lied = lattice.lied_codes(codes)(0, rows)
+                for p, row in enumerate(rows.tolist()):
+                    for i, y in itertools.product(range(n), range(S)):
+                        target = pid[tuple(row[:i] + [y] + row[i + 1 :])] if i in voters else p
+                        assert lattice.lied(p, i, y) == lied[p, i, y] == target
+
+
 def test_multiset_lattice_tables():
     for S, n in itertools.product(range(1, 6), range(1, 5)):
         lattice = engine.MultisetLattice(S, n)

@@ -151,9 +151,15 @@ def test_search_order_is_profile_voter_lie(pref3):
 
 
 def test_budget_exceeded(pref3):
+    # a partition with one issue per voter reads every voter
+    with pytest.raises(BudgetExceededError) as exc:
+        find_witness(pref3, Partition(pref3, [{1}, {2}, {3}]), 3, "partial", budget=100)
+    assert exc.value.required == search_size(pref3, 3) == 216 * 3 * 6
+    # a dictator is charged for the 6 profiles of the one voter it reads
     with pytest.raises(BudgetExceededError) as exc:
         find_witness(pref3, Dictator(pref3, 1), 3, "partial", budget=100)
-    assert exc.value.required == search_size(pref3, 3) == 216 * 3 * 6
+    assert exc.value.required == 6 * 3 * 6
+    assert "6^1 profiles of voter 1, the rest pinned" in str(exc.value)
     # an anonymous rule is charged for the C(8, 3) multisets it scans
     with pytest.raises(BudgetExceededError) as exc:
         find_witness(pref3, Plurality(pref3), 3, "partial", budget=100)

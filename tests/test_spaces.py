@@ -165,6 +165,16 @@ def test_space_rejects_out_of_range_masks():
         EvaluationSpace(3, [9])
 
 
+@pytest.mark.parametrize(
+    "build, m",
+    [(lambda: choose_space(70, 1), 70), (lambda: preference_space(12), 66), (lambda: cycle_space(200), 100)],
+)
+def test_generators_check_the_issue_count_before_enumerating(build, m):
+    # refused before enumerating: choose would walk 2**70 masks, pref 12! orders
+    with pytest.raises(ValueError, match=f"issue count must be in 1..64, got {m}"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # order codec
 
