@@ -6,37 +6,37 @@ neighbour, and returns the first stage with a weighted-Hamming
 manipulation.  Stages are numbered lexicographically over their
 per-issue truth tables, last issue fastest.
 
-The screen never probes a lie: a voter's *context* (the other voters'
-rows) reaches one outcome per lie, and OR-ing ``1 << code`` along the
-lie axis of the engine's per-voter stride view gives the context's
-reachable-outcome mask in O(P) per voter.  A voter with true opinion x
-and truthful outcome z has a profitable lie iff that mask meets
-``better[x, z]``, the outcomes strictly closer to x than z, so the
-screen flags exactly the manipulable stages.  The first flagged stage's
-witness comes from :func:`binagg.manipulation.find_witness` on that one
-stage, so every witness is the engine scan's canonical first probe.
+No stage is enumerated.  Fix a voter i and the other voters' rows, a
+*context*.  Monotone deciders cannot invert a vote, so on each issue the
+stage then fixes the output at 0, copies voter i's bit, or fixes it at
+1.  Every lie y therefore yields the stage output F | (y & D) for one
+of 3^m *pivot types* (F, D), and whether some opinion gains by some lie
+depends on the type alone.  One walk over the types, as the profile
+lattice of m issues taking three values, flags the *bad* ones from
+exact distance ranks and the 2^m correction table.
 
-Only one stage per voter-permutation orbit is screened.  Permuting the
-voters permutes the inputs of every per-issue table at once, and the
-corrected rule of the permuted stage is the original one with its
-voters relabelled, so the flagged stages form whole orbits.  The first
-flagged stage is then the least stage number of its orbit, its
-*leader*, and screening the leaders alone, in ascending order, finds
-the same stage and witness: 1,875 of 8,000 stages at n = 3, m = 3.
-Stage numbers are walked in blocks of ``engine.block_size(P)``, each
-keeping the numbers no greater than their images under the other n! - 1
-voter orders, so a block's (stages, profiles) temporaries stay within
-the engine's element budget.
+A stage is manipulable exactly when some (voter, context) shows it a
+bad type.  The stages showing type b at (i, c) form a product over
+issues, so the least of them is sum_j first[i, col_j(c), b_j] * T^(m-1-j),
+where ``first`` is the least position in ``monotone_tables(n)`` of a
+decider behaving like b_j under issue j's context column.  The first
+manipulable stage is the minimum of that sum over voters, contexts and
+bad types.  Contexts are walked in ``engine.blocks`` of the other
+voters' profile lattice, one key per type each, so a block's
+temporaries stay within the engine's element budget.  The witness
+comes from :func:`binagg.manipulation.find_witness` on that one stage,
+so it is the engine scan's canonical first probe.
 
-Distances are exact Python integers, so any positive weights work.
-Outcome masks hold one bit per feasible evaluation in 64 bits, which
-limits sweeps to spaces of at most 64 evaluations.
+Constant and dictator deciders show every type in every context, so
+the verdict does not depend on n: no bad type means every stage is
+free, for any number of voters.  Distances are exact Python integers
+compared through their ranks, so any positive weights work, and sweeps
+take spaces of any number of feasible evaluations.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,52 +57,69 @@ def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -
     return table
 
 
-def _better_masks(space: EvaluationSpace, weights) -> np.ndarray:
-    """(S, S) uint64: bit o of [x, z] is set when d(x, o) < d(x, z)."""
-    X = space.feasible
-    rows = []
-    for x in X:
-        d = [weighted_hamming(x, o, weights, space.m) for o in X]
-        rows.append([sum(1 << o for o, do in enumerate(d) if do < dz) for dz in d])
-    return np.array(rows, dtype=np.uint64)
+def _bad_types(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
+    """(3^m,) bool: can some opinion gain by some lie under each pivot type?
 
-
-def _permuted_positions(n: int) -> np.ndarray:
-    """(n! - 1, T) array: [k, t] is the position in ``monotone_tables(n)`` of table t
-    with its inputs permuted by the k-th voter order other than the identity."""
-    tabs = monotone_tables(n)
-    # column c read as a profile on the one-issue space {0, 1}, whose issue bits are [[0, 1]]
-    votes, cube = engine.row_indices(0, 1 << n, 2, n), np.array([[0, 1]])
-    orders = [list(order) for order in itertools.permutations(range(n))][1:]
-    # columns[k, c]: where the permuted table's column c reads the original table
-    columns = np.array([engine.packed_columns(cube, votes[:, order])[0] for order in orders], dtype=np.intp)
-    permuted = engine.truth_bits(tabs, n)[:, columns.reshape(-1, 1 << n)].astype(np.int64) @ (1 << np.arange(1 << n))
-    return np.searchsorted(tabs, permuted.T)
-
-
-def _leader_blocks(n: int, m: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Ascending (stage numbers, (m, K) table positions) of every orbit leader.
-
-    Stage numbers are walked in blocks of ``engine.block_size(width)``;
-    a leader is a stage number no greater than any of its images under
-    a voter permutation, and blocks without one are skipped.
+    Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
+    entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
+    voter's bit and 2 when it fixes it at 1.
     """
+    S, m = space.size, space.m
+    correct = _correction_indices(space, weights, tie)
+    # rank[x, o]: place of d(x, o) among the distinct distances from x
+    rank = np.empty((S, S), dtype=np.intp)
+    for x, opinion in enumerate(space.feasible):
+        d = [weighted_hamming(opinion, o, weights, m) for o in space.feasible]
+        levels = {v: k for k, v in enumerate(sorted(set(d)))}
+        rank[x] = [levels[v] for v in d]
+    masks = np.array(space.feasible, dtype=np.intp)
+    place = 1 << np.arange(m - 1, -1, -1)
+    opinions = np.arange(S)
+    bad = []
+    for _, types in engine.blocks(engine.ProfileLattice(3, m), S * S):
+        # outcome[b, y]: feasible index of the corrected outcome when the voter says y
+        outcome = correct[((types == 2) @ place)[:, None] | (masks & ((types == 1) @ place)[:, None])]
+        # distance[b, x, y]: rank of that outcome's distance from opinion x
+        distance = rank[opinions[:, None], outcome[:, None, :]]
+        bad.append((distance.min(axis=2) < distance[:, opinions, opinions]).any(axis=1))
+    return np.concatenate(bad)
+
+
+def _first_positions(n: int) -> np.ndarray:
+    """(n, 2**(n-1), 3): [i, c, k] is the least position in ``monotone_tables(n)``
+    of a decider with pivot type k towards voter i where the others' bits pack to c."""
+    truth = engine.truth_bits(monotone_tables(n), n)
+    first = np.empty((n, 1 << (n - 1), 3), dtype=np.int64)
+    for i in range(n):
+        # halves[t, hi, b, lo]: output when voter i votes b and the others pack to (hi, lo)
+        halves = truth.reshape(len(truth), -1, 2, 1 << (n - 1 - i))
+        kind = (halves[:, :, 0] + halves[:, :, 1]).reshape(len(truth), -1)
+        first[i] = (kind[:, :, None] == np.arange(3)).argmax(axis=0)
+    return first
+
+
+def _least_stage(space: EvaluationSpace, n: int, bad: np.ndarray) -> int:
+    """Least stage number that shows some voter, in some context, a type flagged in ``bad``."""
+    S, m = space.size, space.m
     T = len(monotone_tables(n))
-    images = _permuted_positions(n)
-    place = np.array([T ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    total = T**m
-    step = engine.block_size(width)
-    for start in range(0, total, step):
-        sids = np.arange(start, min(start + step, total), dtype=np.int64)
-        digits = np.empty((m, sids.size), dtype=np.intp)
-        rest = sids
-        for j in range(m - 1, -1, -1):
-            rest, digits[j] = np.divmod(rest, T)
-        leader = np.ones(sids.size, dtype=bool)
-        for image in images:
-            leader &= sids <= place @ image[digits]
-        if leader.any():
-            yield sids[leader], digits[:, leader]
+    # keys run up to T^m - 1; past int64, numpy sums Python ints instead
+    place = np.array([T ** (m - 1 - j) for j in range(m)], dtype=np.int64 if T**m <= 2**63 else object)
+    # scaled[i, j, c, k]: issue j's share of the least stage number showing type k to voter i in column c
+    scaled = _first_positions(n)[:, None] * place[:, None, None]
+    bits = engine.issue_bits(space)
+    voter_bits = 1 << np.arange(n - 2, -1, -1)
+    best = T**m
+    for _, rows in engine.blocks(engine.ProfileLattice(S, n - 1), 3**m):
+        # columns[j, c]: the other voters' bits on issue j, voter 1 most significant
+        columns = bits[:, rows] @ voter_bits
+        for i in range(n):
+            # key[c, b]: least stage number showing type b to voter i in context c, built
+            # last issue first so that each sum broadcasts along its long trailing axis
+            key = np.zeros((len(rows), 1), dtype=place.dtype)
+            for j in range(m - 1, -1, -1):
+                key = (scaled[i, j][columns[j]][:, :, None] + key[:, None, :]).reshape(len(rows), -1)
+            best = min(best, int(key.min(axis=0)[bad].min()))
+    return best
 
 
 def all_stage_products_hamming_free(
@@ -121,44 +138,23 @@ def all_stage_products_hamming_free(
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")
     S, m = space.size, space.m
-    if S > 64:
-        raise ValueError(f"sweeps support at most 64 feasible evaluations (one mask bit each), space has {S}")
     if weights is not None:
         weights = validate_weights(weights, m)
+    bad = _bad_types(space, weights, tie)
+    if not bad.any():
+        return None
     tabs = monotone_tables(n)
-    P = S**n
-    # int64 masks: bit 63 makes them negative, which & and != 0 ignore
-    flat_better = _better_masks(space, weights).view(np.int64).ravel()
-    nn_idx = _correction_indices(space, weights, tie)
-    rows = engine.row_indices(0, P, S, n)
-    column = engine.packed_columns(engine.issue_bits(space), rows)
-    # per_issue[j][t, pid]: issue j's bit, in place, under table t at profile pid
-    truth = engine.truth_bits(tabs, n).astype(np.intp)
-    per_issue = [truth[:, column[j]] << (m - 1 - j) for j in range(m)]
-    # better[x, z] sits at flat index x * S + z, x being voter i's opinion
-    opinion_offsets = [rows[:, i] * S for i in range(n)]
-    for sids, digits in _leader_blocks(n, m, P):
-        B = sids.size
-        value = per_issue[0][digits[0]]
-        for j in range(1, m):
-            value |= per_issue[j][digits[j]]
-        codes = nn_idx[value]
-        flagged = np.zeros(B, dtype=bool)
-        for i in range(n):
-            # in this shape, [b, hi, y, lo] is the outcome when voter i holds y in context (hi, lo)
-            shape = (B, -1, S, S ** (n - 1 - i))
-            reach = np.bitwise_or.reduce(np.left_shift(1, codes.reshape(shape)), axis=2, keepdims=True)
-            closer = flat_better[codes + opinion_offsets[i]].reshape(shape)
-            flagged |= (closer & reach).reshape(B, -1).any(axis=1)
-        if not flagged.any():
-            continue
-        first = int(np.argmax(flagged))
-        tables = tuple(tabs[t] for t in digits[:, first].tolist())
-        rule = NearestNeighborRule(space, IiaStage(n, tables), weights, tie)
-        witness = find_witness(space, rule, n, "hamming", weights)
-        pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
-        return int(sids[first]), tables, (pid, witness.voter - 1, space.index(witness.lie))
-    return None
+    T = len(tabs)
+    best = _least_stage(space, n, bad)
+    digits, rest = [], best
+    for _ in range(m):
+        rest, digit = divmod(rest, T)
+        digits.append(digit)
+    tables = tuple(tabs[d] for d in reversed(digits))
+    rule = NearestNeighborRule(space, IiaStage(n, tables), weights, tie)
+    witness = find_witness(space, rule, n, "hamming", weights)
+    pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
+    return best, tables, (pid, witness.voter - 1, space.index(witness.lie))
 
 
 def stage_product_count(space: EvaluationSpace, n: int) -> int:

@@ -261,7 +261,8 @@ def choose_space(m: int, k: int) -> EvaluationSpace:
     if not 0 < k <= m:
         raise ValueError(f"need 0 < k <= m, got k={k}, m={m}")
     _check_issue_count(m)
-    members = [x for x in range(1 << m) if x.bit_count() == k]
+    # C(m, k) members, without walking the 2**m masks
+    members = [sum(1 << j for j in chosen) for chosen in itertools.combinations(range(m), k)]
     labels = tuple(f"c{j}" for j in range(1, m + 1))
     return EvaluationSpace(m, members, labels, provenance=f"choose({m},{k})")
 

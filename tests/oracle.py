@@ -211,6 +211,22 @@ def orbit_leaders(n, m):
     return leaders
 
 
+def pivot_types(space, stage):
+    """Every type a stage shows some voter in some context (the other voters' rows).
+
+    Entry j is 0 when issue j's output is 0 whatever the voter says, 2
+    when it is 1, and 1 when it copies the voter's bit.
+    """
+    n, m = stage.n, space.m
+    types = set()
+    for i in range(n):
+        for others in itertools.product(space.feasible, repeat=n - 1):
+            # the voter says no, then yes, on every issue at once
+            no, yes = (stage.apply(others[:i] + (row,) + others[i:]) for row in (0, (1 << m) - 1))
+            types.add(tuple(((no >> (m - 1 - j)) & 1) + ((yes >> (m - 1 - j)) & 1) for j in range(m)))
+    return types
+
+
 def first_manipulable_stage(space, n, weights=None, tie=None):
     """The batch sweep's answer, one corrected stage at a time.
 

@@ -1,16 +1,18 @@
 """The batch sweep must agree with the single-rule search probe for probe."""
 
+import functools
 import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from binagg import engine
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from binagg.fastsweep import _leader_blocks, all_stage_products_hamming_free, stage_product_count
+from binagg.fastsweep import _bad_types, _least_stage, all_stage_products_hamming_free, stage_product_count
 from binagg.fixtures import four_candidate_tie_order, tie_battery, weight_battery
 from binagg.manipulation import find_witness
 from binagg.metric import TieOrder
@@ -85,48 +87,122 @@ def test_sweep_rejects_fewer_than_one_voter(doctrinal, n):
         all_stage_products_hamming_free(doctrinal, n)
 
 
+def _type_number(t):
+    return sum(k * 3 ** (len(t) - 1 - j) for j, k in enumerate(t))
+
+
+@functools.cache
+def _leader_walk(n, m):
+    """(stage number, pivot type numbers shown) of every orbit leader on the full m-cube, ascending."""
+    space = EvaluationSpace(m, range(1 << m))
+    tabs = monotone_tables(n)
+    return [
+        (sid, [_type_number(t) for t in oracle.pivot_types(space, IiaStage(n, _stage(tabs, sid, m)))])
+        for sid in sorted(oracle.orbit_leaders(n, m))
+    ]
+
+
 @pytest.mark.parametrize("block_elements", [1, 97, engine.BLOCK_ELEMENTS])
 @pytest.mark.parametrize(
     "n, m, leaders", [(1, 3, 27), (2, 3, 140), (3, 2, 125), (3, 3, 1875), (4, 1, 30), (4, 2, 1990)]
 )
 def test_leader_walk_matches_oracle(n, m, leaders, block_elements):
-    tabs = monotone_tables(n)
+    """The product-set least stage is the first orbit leader showing a flagged type.
+
+    Relabelling the voters maps the stages that show a type to some voter
+    onto themselves, so the least of them is least in its orbit too.
+    """
+    space = EvaluationSpace(m, range(1 << m))
+    walk = _leader_walk(n, m)
+    assert len(walk) == leaders
+    rng = random.Random(10 * n + m)
+    # every single type, then seeded sets of several
+    flagged = [[b] for b in range(3**m)] + [rng.sample(range(3**m), rng.randint(2, 3**m)) for _ in range(20)]
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        blocks = list(_leader_blocks(n, m, 1))
-    sids = [sid for block, _ in blocks for sid in block.tolist()]
-    assert sids == sorted(oracle.orbit_leaders(n, m))
-    assert len(sids) == leaders
-    # each leader comes with its own per-issue table positions
-    for block, digits in blocks:
-        for sid, column in zip(block.tolist(), digits.T.tolist()):
-            assert sum(d * len(tabs) ** (m - 1 - j) for j, d in enumerate(column)) == sid
+        for types in flagged:
+            bad = np.zeros(3**m, dtype=bool)
+            bad[types] = True
+            first = next(sid for sid, shown in walk if bad[shown].any())
+            assert _least_stage(space, n, bad) == first
+
+
+@st.composite
+def stage_cases(draw):
+    """A monotone stage on a small explicit space, with weights and a tie order."""
+    m = draw(st.integers(1, 4))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    n = draw(st.integers(1, 3))
+    tables = draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4) | st.integers(2**31, 2**40)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    return space, IiaStage(n, tables), weights, tie
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage_cases())
+def test_stage_is_free_exactly_when_it_shows_no_bad_pivot_type(case):
+    """The type lemma the sweep rests on."""
+    space, stage, weights, tie = case
+    bad = _bad_types(space, weights, tie)
+    shown = [_type_number(t) for t in oracle.pivot_types(space, stage)]
+    assert (_hunt(space, stage, weights, tie) is None) == (not bad[shown].any())
 
 
 @st.composite
 def permuted_stage_cases(draw):
     """A corrected stage on a small explicit space and a voter-permuted copy of it."""
-    m = draw(st.integers(1, 4))
-    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
-    n = draw(st.integers(1, 3))
-    tables = draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m))
-    order = draw(st.permutations(range(n)))
-    weights = draw(st.none() | st.tuples(*[st.integers(1, 4) | st.integers(2**31, 2**40)] * m))
-    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
-    permuted = IiaStage(n, [oracle.permuted_table(t, order) for t in tables])
-    return space, IiaStage(n, tables), permuted, weights, tie
+    space, stage, weights, tie = draw(stage_cases())
+    order = draw(st.permutations(range(stage.n)))
+    permuted = IiaStage(stage.n, [oracle.permuted_table(t, order) for t in stage.tables])
+    return space, stage, permuted, weights, tie
 
 
 @settings(max_examples=150, deadline=None)
 @given(permuted_stage_cases())
 def test_voter_permutation_keeps_hamming_verdict(case):
-    """The fact the sweep's orbit-leader skip rests on."""
+    """Relabelling the voters relabels the corrected rule, witnesses and all."""
     space, stage, permuted, weights, tie = case
     assert (_hunt(space, stage, weights, tie) is None) == (_hunt(space, permuted, weights, tie) is None)
 
 
-def test_sweep_rejects_spaces_past_64_evaluations():
-    with pytest.raises(ValueError, match="at most 64"):
-        all_stage_products_hamming_free(EvaluationSpace(7, range(65)), 1)
+def _stage(tabs, sid, m):
+    """The stage numbered sid, lexicographic over its m per-issue table positions."""
+    digits = []
+    for _ in range(m):
+        sid, digit = divmod(sid, len(tabs))
+        digits.append(tabs[digit])
+    return tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("members, first", [(range(65), None), (range(48, 113), 81)], ids=["free", "hit"])
+def test_sweep_takes_spaces_past_64_evaluations(members, first):
+    """No outcome bit masks, so no limit of 64 feasible evaluations."""
+    space = EvaluationSpace(7, members)
+    found = all_stage_products_hamming_free(space, 1)
+    assert (None if found is None else found[0]) == first
+    # the hit is find_witness's, and a seeded sample of the stages before it is free
+    _assert_agrees_with_find_witness(space, 1, None, None, found, 0)
+    tabs = monotone_tables(1)
+    for sid in random.Random(65).sample(range(first or stage_product_count(space, 1)), 40):
+        assert _hunt(space, IiaStage(1, _stage(tabs, sid, space.m))) is None
+
+
+def test_claim56_holds_at_four_voters():
+    space = builtin_space("pref3")
+    rng = random.Random(4)
+    tabs = monotone_tables(4)
+    stages = [IiaStage(4, tuple(rng.choice(tabs) for _ in range(3))) for _ in range(6)]
+    for tie in tie_battery(space):
+        for wv in weight_battery(space.m):
+            assert all_stage_products_hamming_free(space, 4, wv, tie) is None
+            for stage in stages:
+                assert _hunt(space, stage, wv, tie) is None
+
+
+def test_sweep_pins_first_manipulable_stage_at_four_voters(doctrinal):
+    found = all_stage_products_hamming_free(doctrinal, 4, (1, 1, 2))
+    assert found == (170, (0, 32768, 32896), (127, 0, 0))
+    _assert_agrees_with_find_witness(doctrinal, 4, (1, 1, 2), None, found, found[0])
 
 
 #: (stage, profile, voter, lie) probes the oracle may walk in one sweep
@@ -185,12 +261,7 @@ def test_batch_sweep_finds_first_manipulable_stage():
     tabs = monotone_tables(3)
     rng = random.Random(5)
     for sid_earlier in rng.sample(range(8000), 12):
-        digits = []
-        rest = sid_earlier
-        for _ in range(4):
-            digits.append(tabs[rest % 20])
-            rest //= 20
-        stage = IiaStage(3, tuple(reversed(digits)))
+        stage = IiaStage(3, _stage(tabs, sid_earlier, 4))
         assert find_witness(space, NearestNeighborRule(space, stage), 3, "hamming") is None
 
 

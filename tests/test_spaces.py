@@ -133,6 +133,17 @@ def test_choose_counts():
     assert all(x.bit_count() == 2 for x in sp.feasible)
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_choose_matches_the_bit_count_filter(m):
+    for k in range(1, m + 1):
+        assert choose_space(m, k).feasible == tuple(x for x in range(1 << m) if x.bit_count() == k)
+
+
+def test_choose_costs_the_member_count_not_two_to_the_m():
+    # 2**40 masks would never finish; the 40 members are built directly
+    assert choose_space(40, 1).feasible == tuple(1 << j for j in range(40))
+
+
 def test_cycle_space():
     sp = cycle_space(6)
     assert set(to_bits(x, 3) for x in sp.feasible) == {"000", "100", "110", "111", "011", "001"}
