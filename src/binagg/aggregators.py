@@ -141,14 +141,13 @@ class IiaStage:
     @property
     def is_anonymous(self) -> bool:
         """True when every issue's decider depends on vote counts only."""
-        return bool(_anonymous_rows(truth_bits(self.tables, self.n), self.n).all())
+        return _stage_is_anonymous(self.tables, self.n)
 
     def influential(self, n: int) -> tuple[int, ...]:
         """0-based voters whose bit some issue's decider depends on; voter 1 alone when none does."""
         if n != self.n:
             raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
-        truth = truth_bits(self.tables, n)
-        return tuple(i for i in range(n) if _reads_voter(truth, n, i)) or (0,)
+        return _stage_influential(self.tables, n)
 
     def __eq__(self, other):
         return isinstance(other, IiaStage) and (self.n, self.tables) == (other.n, other.tables)
@@ -219,6 +218,18 @@ def _anonymous_rows(truth: np.ndarray, n: int) -> np.ndarray:
 def _is_monotone_table(tab: int, n: int) -> bool:
     # memoised because every IiaStage construction checks each of its tables
     return bool(_monotone_rows(truth_bits([tab], n), n)[0])
+
+
+# memoised because every search and suite check of a stage asks again
+@lru_cache(maxsize=1024)
+def _stage_is_anonymous(tables: tuple[int, ...], n: int) -> bool:
+    return bool(_anonymous_rows(truth_bits(tables, n), n).all())
+
+
+@lru_cache(maxsize=1024)
+def _stage_influential(tables: tuple[int, ...], n: int) -> tuple[int, ...]:
+    truth = truth_bits(tables, n)
+    return tuple(i for i in range(n) if _reads_voter(truth, n, i)) or (0,)
 
 
 @lru_cache(maxsize=None)
@@ -865,7 +876,9 @@ def check_structural(
     monotone check of an anonymous rule walks the multiset lattice, whose
     first violation is the canonical first one, and so does the monotone
     check of any other rule on the ordered profiles of the voters it
-    reads (see :mod:`binagg.engine`).
+    reads (see :mod:`binagg.engine`).  The anonymity check of a rule
+    anonymous by construction (``Rule.anonymous``) HOLDS once its budget
+    is charged, without a table.
     """
     if property not in _PROPERTIES:
         raise ValueError(f"unknown property {property!r}; pick one of {_PROPERTIES}")
@@ -873,6 +886,9 @@ def check_structural(
     lattice = search_lattice(
         space, n, rule if property == "monotone" else None, per_profile, budget, f"structural check {property}"
     )
+    if property == "anonymous" and rule.anonymous:
+        # anonymous by construction: no table to walk
+        return StructuralReport(property, True)
     full = lattice.size == profile_count(space, n)
     table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
     m = space.m

@@ -1,4 +1,4 @@
-"""Hamming sweeps over every monotone stage of a small space.
+"""Hamming sweeps over every monotone stage, and one stage under many corrections.
 
 A sweep hunts every product of monotone per-issue deciders (20^m stages
 for three voters), each corrected into the space by its nearest
@@ -32,17 +32,37 @@ the verdict does not depend on n: no bad type means every stage is
 free, for any number of voters.  Distances are exact Python integers
 compared through their ranks, so any positive weights work, and sweeps
 take spaces of any number of feasible evaluations.
+
+The same argument screens one stage under many corrections, for every
+kind of manipulation.  A probe of the corrected stage is an opinion x
+and a lie y of voter i in context c.  If (i, c) shows the stage type
+(F, D), the truthful outcome is the correction of F | (x & D) and the
+lied one that of F | (y & D).  Whether a probe hits is therefore a
+function of (F, D), x and y, under one correction and kind.  So the
+corrected stage has a witness exactly when some (voter, context) shows
+it a type at which some x gains by some y: a bad type.  The types a
+stage shows do not depend on the correction, so
+:func:`corrected_stage_free` walks them once per stage and caches them.
+It then tests only those types against each correction, whose table is
+cached by its weights and tie ranking.
+
+An anonymous stage decides each issue from its vote count.  A voter's
+type in a context therefore depends only on the others' vote counts,
+that is, on the multiset of their rows, and not on which voter it is.
+So walking voter 1 over the multisets of n-1 rows shows every type that
+any voter sees in any context.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import engine
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from .manipulation import find_witness
+from .manipulation import KINDS, find_witness
 from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace
 
@@ -57,32 +77,135 @@ def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -
     return table
 
 
-def _bad_types(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
-    """(3^m,) bool: can some opinion gain by some lie under each pivot type?
+@lru_cache(maxsize=16)
+def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
+    """Read-only :func:`_correction_indices` under the tie order with this ranking (None: no tie order).
 
+    Keyed on the ranking, not the TieOrder: callers rebuild equal orders
+    for every stage.  Each sweep corrects once, so it builds its table
+    uncached.
+    """
+    table = _correction_indices(space, weights, None if ranking is None else TieOrder(space, ranking))
+    table.flags.writeable = False
+    return table
+
+
+def _bad_types(
+    space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming", types: np.ndarray | None = None
+) -> np.ndarray:
+    """Bool per pivot type: can some opinion gain by some lie of this kind?
+
+    ``correct`` is the correction table (:func:`_correction_indices`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
-    voter's bit and 2 when it fixes it at 1.
+    voter's bit and 2 when it fixes it at 1.  ``types`` lists the type
+    numbers to test, every type by default.
     """
     S, m = space.size, space.m
-    correct = _correction_indices(space, weights, tie)
-    # rank[x, o]: place of d(x, o) among the distinct distances from x
-    rank = np.empty((S, S), dtype=np.intp)
-    for x, opinion in enumerate(space.feasible):
-        d = [weighted_hamming(opinion, o, weights, m) for o in space.feasible]
-        levels = {v: k for k, v in enumerate(sorted(set(d)))}
-        rank[x] = [levels[v] for v in d]
     masks = np.array(space.feasible, dtype=np.intp)
     place = 1 << np.arange(m - 1, -1, -1)
     opinions = np.arange(S)
+    if kind == "hamming":
+        # rank[x, o]: place of d(x, o) among the distinct distances from x
+        rank = np.empty((S, S), dtype=np.intp)
+        for x, opinion in enumerate(space.feasible):
+            d = [weighted_hamming(opinion, o, weights, m) for o in space.feasible]
+            levels = {v: k for k, v in enumerate(sorted(set(d)))}
+            rank[x] = [levels[v] for v in d]
+    if types is None:
+        chunks = (digits for _, digits in engine.blocks(engine.ProfileLattice(3, m), S * S))
+    else:
+        step = engine.block_size(S * S)
+        chunks = (
+            types[at : at + step, None] // 3 ** np.arange(m - 1, -1, -1) % 3 for at in range(0, len(types), step)
+        )
     bad = []
-    for _, types in engine.blocks(engine.ProfileLattice(3, m), S * S):
+    for digits in chunks:
         # outcome[b, y]: feasible index of the corrected outcome when the voter says y
-        outcome = correct[((types == 2) @ place)[:, None] | (masks & ((types == 1) @ place)[:, None])]
-        # distance[b, x, y]: rank of that outcome's distance from opinion x
-        distance = rank[opinions[:, None], outcome[:, None, :]]
-        bad.append((distance.min(axis=2) < distance[:, opinions, opinions]).any(axis=1))
+        outcome = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
+        if kind == "hamming":
+            # distance[b, x, y]: rank of that outcome's distance from opinion x
+            distance = rank[opinions[:, None], outcome[:, None, :]]
+            gains = distance.min(axis=2) < distance[:, opinions, opinions]
+        else:
+            # z[b, x, 0]: outcome of opinion x told truthfully; w[b, 0, y]: after the lie y
+            z, w, x = masks[outcome][:, :, None], masks[outcome][:, None, :], masks[:, None]
+            if kind == "partial":
+                gains = ((z ^ x) & ~(w ^ x) != 0).any(axis=2)
+            else:
+                gains = ((w != z) & ((w ^ x) & (w ^ z) == 0)).any(axis=2)
+        bad.append(gains.any(axis=1))
     return np.concatenate(bad)
+
+
+def _pivot_kinds(truth: np.ndarray, n: int, i: int) -> np.ndarray:
+    """(T, 2**(n-1)): [t, c] is the pivot type of truth-bit row t towards voter i
+    where the others' bits pack to c: 0 fixed at 0, 1 copying the voter, 2 fixed at 1."""
+    # halves[t, hi, b, lo]: output when voter i votes b and the others pack to (hi, lo)
+    halves = truth.reshape(len(truth), -1, 2, 1 << (n - 1 - i))
+    return (halves[:, :, 0] + halves[:, :, 1]).reshape(len(truth), -1)
+
+
+@lru_cache(maxsize=64)
+def _shown_types(space: EvaluationSpace, stage: IiaStage, n: int) -> np.ndarray:
+    """Ascending numbers of the pivot types the stage shows some voter in some context."""
+    S, m = space.size, space.m
+    truth = engine.truth_bits(stage.tables, n)
+    bits = engine.issue_bits(space)
+    digit = 3 ** np.arange(m - 1, -1, -1)
+    voter_bits = 1 << np.arange(n - 2, -1, -1)
+    # an anonymous stage shows every voter the types voter 1 sees, and
+    # those depend on the multiset of the others' rows only
+    if stage.is_anonymous and n > 1:
+        voters, contexts = (0,), engine.MultisetLattice(S, n - 1)
+    else:
+        voters, contexts = range(n), engine.ProfileLattice(S, n - 1)
+    shown = []
+    for i in voters:
+        # scaled[j, c]: issue j's type towards voter i in column c, times 3^(m-1-j)
+        scaled = _pivot_kinds(truth, n, i) * digit[:, None]
+        for _, rows in engine.blocks(contexts, m * n):
+            # columns[j, c]: the other voters' bits on issue j, first of them most significant
+            columns = bits[:, rows] @ voter_bits
+            shown.append(_distinct(np.take_along_axis(scaled, columns, axis=1).sum(axis=0)))
+    shown = _distinct(np.concatenate(shown))
+    shown.flags.writeable = False
+    return shown
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct entries, without ``np.unique``, whose plain form imports ``numpy.ma`` (about 0.5 MB)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def corrected_stage_free(
+    space: EvaluationSpace,
+    stage: IiaStage,
+    n: int,
+    kind: str,
+    weights: Sequence[int] | None = None,
+    tie: TieOrder | None = None,
+) -> bool:
+    """Whether the stage, corrected to its nearest feasible neighbour, is kind-free for n voters.
+
+    Exactly ``find_witness(space, NearestNeighborRule(space, stage,
+    weights, tie), n, kind, weights) is None``, decided from the pivot
+    types the stage shows and the cached correction table.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown manipulation kind {kind!r}; pick one of {KINDS}")
+    if stage.m != space.m:
+        raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
+    if n != stage.n:
+        raise ValueError(f"stage arity is {stage.n}, profile has {n} rows")
+    if weights is not None:
+        weights = validate_weights(weights, space.m)
+    # built first: past 20 issues it refuses, before type numbers could overflow
+    correct = _correction_table(space, weights, None if tie is None else tie.ranking)
+    return not _bad_types(space, weights, correct, kind, _shown_types(space, stage, n)).any()
 
 
 def _first_positions(n: int) -> np.ndarray:
@@ -91,10 +214,7 @@ def _first_positions(n: int) -> np.ndarray:
     truth = engine.truth_bits(monotone_tables(n), n)
     first = np.empty((n, 1 << (n - 1), 3), dtype=np.int64)
     for i in range(n):
-        # halves[t, hi, b, lo]: output when voter i votes b and the others pack to (hi, lo)
-        halves = truth.reshape(len(truth), -1, 2, 1 << (n - 1 - i))
-        kind = (halves[:, :, 0] + halves[:, :, 1]).reshape(len(truth), -1)
-        first[i] = (kind[:, :, None] == np.arange(3)).argmax(axis=0)
+        first[i] = (_pivot_kinds(truth, n, i)[:, :, None] == np.arange(3)).argmax(axis=0)
     return first
 
 
@@ -140,7 +260,7 @@ def all_stage_products_hamming_free(
     S, m = space.size, space.m
     if weights is not None:
         weights = validate_weights(weights, m)
-    bad = _bad_types(space, weights, tie)
+    bad = _bad_types(space, weights, _correction_indices(space, weights, tie))
     if not bad.any():
         return None
     tabs = monotone_tables(n)

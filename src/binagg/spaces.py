@@ -19,10 +19,13 @@ sets of infeasible points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_ISSUES = 64
+#: most strict orders ``preference_space`` enumerates (8!); each more alternative multiplies the walk
+MAX_ORDERS = math.factorial(8)
 
 
 def from_bits(text: str) -> int:
@@ -212,6 +215,8 @@ def preference_space(
     ``orientation`` lists the issues as ordered pairs; bit 1 on issue
     (p, q) means p is ranked above q.  Each unordered pair must appear
     exactly once.  Alternatives may be named or given as 0-based indices.
+    More than ``MAX_ORDERS`` orders (nine alternatives or more) are
+    refused before enumerating.
     """
     if k < 2:
         raise ValueError(f"need at least two alternatives, got {k}")
@@ -219,6 +224,8 @@ def preference_space(
     if len(alts) != k or len(set(alts)) != k:
         raise ValueError("alternative names must be distinct and match k")
     _check_issue_count(k * (k - 1) // 2)
+    if math.factorial(k) > MAX_ORDERS:
+        raise ValueError(f"pref({k}) has {k}! = {math.factorial(k)} orders; enumeration stops at {MAX_ORDERS}")
     name_to_idx = {a: i for i, a in enumerate(alts)}
 
     if orientation is None:

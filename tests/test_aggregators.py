@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracle
+from binagg import aggregators
 
 from binagg.aggregators import (
     MAX_STAGE_ARITY,
@@ -92,6 +94,19 @@ def test_stage_anonymity():
     proj5 = sum(1 << c for c in range(1 << 5) if c >> 4)
     assert not IiaStage(5, [_quota_table(5, 3), proj5]).is_anonymous
     assert IiaStage(5, [_quota_table(5, 3), _quota_table(5, 6)]).is_anonymous
+
+
+def test_stage_structure_is_memoised_per_tables():
+    tables = (_quota_table(3, 2), 0b11110000, _quota_table(3, 4))
+    first = IiaStage(3, tables)
+    answers = (first.is_anonymous, first.influential(3))
+    assert answers == (False, (0, 1, 2))
+    # an equal stage answers without repacking its truth bits
+    with mock.patch.object(aggregators, "truth_bits", side_effect=AssertionError("repacked")):
+        again = IiaStage(3, tables)
+        assert (again.is_anonymous, again.influential(3)) == answers
+    with pytest.raises(ValueError, match="stage arity is 3, profile has 2 rows"):
+        first.influential(2)
 
 
 def test_stage_tables_match_oracle():

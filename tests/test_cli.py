@@ -239,5 +239,14 @@ def test_space_past_issue_limit_exits_at_once(tmp_path, generator):
     assert done.stderr.startswith("error:") and "issue count must be in 1..64" in done.stderr
 
 
+def test_space_past_order_limit_exits_at_once(tmp_path):
+    # 55 issues are within the issue limit, but 11! = 39,916,800 orders are not enumerated
+    path = tmp_path / "space.txt"
+    path.write_text("space pref 11\n", encoding="utf-8")
+    done = cli_process("space", "info", "--space", str(path), timeout=2)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "orders; enumeration stops at 40320" in done.stderr
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, "hunt", "--space", "pref3")[0] == 1

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from binagg import aggregators
 from binagg.aggregators import (
+    BudgetExceededError,
     Dictator,
     IiaStage,
     NearestNeighborRule,
     Partition,
     Plurality,
     StageRule,
+    StructuralReport,
     TableRule,
     WelfareMaximizer,
     check_structural,
@@ -103,9 +106,19 @@ def test_engine_matches_oracle(case, block_elements):
 @settings(max_examples=100, deadline=None)
 @given(cases())
 def test_anonymous_rules_pass_the_anonymity_check(case):
+    # check_structural answers from rule.anonymous, so the oracle's profile walk decides
     space, rule, n, _ = case
     if rule.anonymous:
-        assert check_structural(space, rule, n, "anonymous").holds
+        assert oracle.check_structural(space, rule, n, "anonymous").holds
+
+
+def test_anonymity_check_of_an_anonymous_rule_builds_no_table(pref3):
+    rule = NearestNeighborRule(pref3, IiaStage.majority(3, 3))
+    with mock.patch.object(aggregators, "build_table", side_effect=AssertionError("table built")):
+        assert check_structural(pref3, rule, 3, "anonymous") == StructuralReport("anonymous", True)
+    # the budget is charged first, as for every other check
+    with pytest.raises(BudgetExceededError):
+        check_structural(pref3, rule, 3, "anonymous", budget=6**3 - 1)
 
 
 def test_anonymity_is_claimed_by_construction_only(pref3):

@@ -12,10 +12,19 @@ from hypothesis import example, given, settings, strategies as st
 import oracle
 from binagg import engine
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from binagg.fastsweep import _bad_types, _least_stage, all_stage_products_hamming_free, stage_product_count
-from binagg.fixtures import four_candidate_tie_order, tie_battery, weight_battery
-from binagg.manipulation import find_witness
-from binagg.metric import TieOrder
+from binagg.fastsweep import (
+    _bad_types,
+    _correction_indices,
+    _correction_table,
+    _least_stage,
+    _shown_types,
+    all_stage_products_hamming_free,
+    corrected_stage_free,
+    stage_product_count,
+)
+from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
+from binagg.manipulation import KINDS, classify_deviation, find_witness
+from binagg.metric import TieOrder, nn_select, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
 
@@ -143,7 +152,7 @@ def stage_cases(draw):
 def test_stage_is_free_exactly_when_it_shows_no_bad_pivot_type(case):
     """The type lemma the sweep rests on."""
     space, stage, weights, tie = case
-    bad = _bad_types(space, weights, tie)
+    bad = _bad_types(space, weights, _correction_indices(space, weights, tie))
     shown = [_type_number(t) for t in oracle.pivot_types(space, stage)]
     assert (_hunt(space, stage, weights, tie) is None) == (not bad[shown].any())
 
@@ -283,3 +292,138 @@ def test_stage_iteration_order_is_lexicographic():
     # the sweep numbers its stages in the same order
     pinned = EvaluationSpace(4, [4, 9, 12, 14])
     assert next(itertools.islice(oracle.iter_stages(pinned, 3), 8000, None)).tables == (128, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# one stage under many corrections
+
+
+def _ignores(table, n, voter):
+    """Whether the decider's output never changes with the voter's bit (0-based, voter 1 most significant)."""
+    flip = 1 << (n - 1 - voter)
+    return all((table >> c) & 1 == (table >> (c ^ flip)) & 1 for c in range(1 << n))
+
+
+#: (profile, voter, lie) probes the oracle may walk for one kind
+MAX_SCREEN_PROBES = 30_000
+
+
+@st.composite
+def screen_cases(draw):
+    """A stage to correct on a small explicit space: any monotone one, an anonymous one, or one blind to a voter."""
+    m = draw(st.integers(1, 4))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    S = space.size
+    n = draw(st.sampled_from([n for n in (1, 2, 3) if S**n * n * S <= MAX_SCREEN_PROBES]))
+    tables = monotone_tables(n)
+    pool = draw(st.sampled_from(("monotone", "anonymous", "blind")))
+    if pool == "anonymous":
+        tables = [t for t in tables if IiaStage(n, [t]).is_anonymous]
+    elif pool == "blind":
+        voter = draw(st.integers(0, n - 1))
+        tables = [t for t in tables if _ignores(t, n, voter)]
+    stage = IiaStage(n, draw(st.lists(st.sampled_from(tables), min_size=m, max_size=m)))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4) | st.integers(2**31, 2**40)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    return space, stage, weights, tie
+
+
+@settings(max_examples=120, deadline=None)
+@given(screen_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+def test_corrected_stage_screen_matches_oracle(case, block_elements):
+    space, stage, weights, tie = case
+    rule = NearestNeighborRule(space, stage, weights, tie)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        _shown_types.cache_clear()
+        shown = _shown_types(space, stage, stage.n).tolist()
+        assert shown == sorted(_type_number(t) for t in oracle.pivot_types(space, stage))
+        for kind in KINDS:
+            free = next(oracle.iter_witnesses(space, rule, stage.n, kind, weights), None) is None
+            assert corrected_stage_free(space, stage, stage.n, kind, weights, tie) == free, kind
+
+
+def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
+    for _, space in battery_spaces():
+        for stage in (IiaStage.majority(3, space.m),) + sampled_stages(3, space.m, 2):
+            for tie in tie_battery(space):
+                for wv in weight_battery(space.m):
+                    rule = NearestNeighborRule(space, stage, wv, tie)
+                    for kind in KINDS:
+                        free = find_witness(space, rule, 3, kind, wv) is None
+                        assert corrected_stage_free(space, stage, 3, kind, wv, tie) == free
+
+
+def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
+    stage = IiaStage.majority(3, 3)
+    with pytest.raises(ValueError, match="unknown manipulation kind"):
+        corrected_stage_free(doctrinal, stage, 3, "strong")
+    with pytest.raises(ValueError, match="stage arity is 3, profile has 2 rows"):
+        corrected_stage_free(doctrinal, stage, 2, "full")
+    with pytest.raises(ValueError, match="need 3 weights"):
+        corrected_stage_free(doctrinal, stage, 3, "full", (1, 1))
+
+
+def _old_bad_types(space, weights, tie):
+    """The sweep's hamming-only flags over every type, before the kinds were generalised."""
+    S, m = space.size, space.m
+    correct = np.array([space.index(nn_select(space, p, weights, tie)) for p in range(1 << m)])
+    rank = np.empty((S, S), dtype=np.intp)
+    for x, opinion in enumerate(space.feasible):
+        d = [weighted_hamming(opinion, o, weights, m) for o in space.feasible]
+        levels = {v: k for k, v in enumerate(sorted(set(d)))}
+        rank[x] = [levels[v] for v in d]
+    masks = np.array(space.feasible, dtype=np.intp)
+    place = 1 << np.arange(m - 1, -1, -1)
+    opinions = np.arange(S)
+    types = engine.ProfileLattice(3, m).rows(0, 3**m)
+    outcome = correct[((types == 2) @ place)[:, None] | (masks & ((types == 1) @ place)[:, None])]
+    distance = rank[opinions[:, None], outcome[:, None, :]]
+    return (distance.min(axis=2) < distance[:, opinions, opinions]).any(axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
+    space, _, weights, tie = case
+    every = np.arange(3**space.m)
+    correct = _correction_indices(space, weights, tie)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        expected = _old_bad_types(space, weights, tie)
+        assert np.array_equal(_bad_types(space, weights, correct), expected)
+        assert np.array_equal(_bad_types(space, weights, correct, "hamming", every), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage_cases(), st.sampled_from(KINDS), st.data())
+def test_bad_types_match_classify_deviation(case, kind, data):
+    """A type is bad when some opinion gains by some lie, judged one move at a time."""
+    space, _, weights, tie = case
+    m, X = space.m, space.feasible
+    types = np.array(sorted(data.draw(st.sets(st.integers(0, 3**m - 1), min_size=1))))
+    expected = []
+    for t in types.tolist():
+        digits = [t // 3 ** (m - 1 - j) % 3 for j in range(m)]
+        fixed = sum(1 << (m - 1 - j) for j, k in enumerate(digits) if k == 2)
+        copied = sum(1 << (m - 1 - j) for j, k in enumerate(digits) if k == 1)
+        outcome = {y: nn_select(space, fixed | (y & copied), weights, tie) for y in X}
+        gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
+        expected.append(any(getattr(g, kind) for g in gains))
+    assert _bad_types(space, weights, _correction_indices(space, weights, tie), kind, types).tolist() == expected
+
+
+def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
+    # equal tie orders rebuilt for every stage, as the suites' batteries do
+    first, again = TieOrder.descending(pref3), TieOrder.descending(pref3)
+    assert first is not again
+    stage = IiaStage.majority(3, 3)
+    _correction_table.cache_clear()
+    with mock.patch("binagg.fastsweep._correction_indices", wraps=_correction_indices) as build:
+        for tie in (first, again):
+            corrected_stage_free(pref3, stage, 3, "full", (1, 1, 1), tie)
+        assert build.call_count == 1
+        table = _correction_table(pref3, (1, 1, 1), again.ranking)
+        assert build.call_count == 1 and not table.flags.writeable
+        # majority's infeasible outputs 000 and 111 tie between three orders each
+        ascending = _correction_table(pref3, (1, 1, 1), TieOrder.ascending(pref3).ranking)
+        assert build.call_count == 2 and not np.array_equal(ascending, table)
+        assert np.array_equal(table, _correction_indices(pref3, (1, 1, 1), first))

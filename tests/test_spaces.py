@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from binagg.spaces import (
+    MAX_ORDERS,
     EvaluationSpace,
     InfeasibleOrderError,
     PartialEvaluation,
@@ -184,6 +185,13 @@ def test_generators_check_the_issue_count_before_enumerating(build, m):
     # refused before enumerating: choose would walk 2**70 masks, pref 12! orders
     with pytest.raises(ValueError, match=f"issue count must be in 1..64, got {m}"):
         build()
+
+
+def test_preference_space_checks_the_order_count_before_enumerating():
+    assert preference_space(8).size == MAX_ORDERS
+    for k in (9, 10, 11):
+        with pytest.raises(ValueError, match=f"pref\\({k}\\) has {k}! = "):
+            preference_space(k)
 
 
 # ---------------------------------------------------------------------------
