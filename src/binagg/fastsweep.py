@@ -33,24 +33,17 @@ free, for any number of voters.  Distances are exact Python integers
 compared through their ranks, so any positive weights work, and sweeps
 take spaces of any number of feasible evaluations.
 
-The same argument screens one stage under many corrections, for every
-kind of manipulation.  A probe of the corrected stage is an opinion x
-and a lie y of voter i in context c.  If (i, c) shows the stage type
-(F, D), the truthful outcome is the correction of F | (x & D) and the
-lied one that of F | (y & D).  Whether a probe hits is therefore a
-function of (F, D), x and y, under one correction and kind.  So the
-corrected stage has a witness exactly when some (voter, context) shows
-it a type at which some x gains by some y: a bad type.  The types a
-stage shows do not depend on the correction, so
-:func:`corrected_stage_free` walks them once per stage and caches them.
-It then tests only those types against each correction, whose table is
-cached by its weights and tie ranking.
-
-An anonymous stage decides each issue from its vote count.  A voter's
-type in a context therefore depends only on the others' vote counts,
-that is, on the multiset of their rows, and not on which voter it is.
-So walking voter 1 over the multisets of n-1 rows shows every type that
-any voter sees in any context.
+The same argument screens one stage under many corrections for full
+manipulation.  A probe of the corrected stage is an opinion x and a lie
+y of voter i in context c.  If (i, c) shows the stage type (F, D), the
+truthful outcome is the correction of F | (x & D) and the lied one that
+of F | (y & D).  Whether a probe hits is therefore a function of (F, D),
+x and y, under one correction.  So the corrected stage has a witness
+exactly when some (voter, context) shows it a type at which some x
+gains by some y: a bad type.  The types a stage shows do not depend on
+the correction, so :func:`corrected_stage_free` walks them once per
+stage and caches them.  It then tests only those types against each
+correction, whose table is cached by its weights and tie ranking.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ import numpy as np
 
 from . import engine
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from .manipulation import KINDS, find_witness
+from .manipulation import find_witness
 from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
 from .spaces import EvaluationSpace
 
@@ -93,7 +86,7 @@ def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] 
 def _bad_types(
     space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming", types: np.ndarray | None = None
 ) -> np.ndarray:
-    """Bool per pivot type: can some opinion gain by some lie of this kind?
+    """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
 
     ``correct`` is the correction table (:func:`_correction_indices`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
@@ -130,10 +123,7 @@ def _bad_types(
         else:
             # z[b, x, 0]: outcome of opinion x told truthfully; w[b, 0, y]: after the lie y
             z, w, x = masks[outcome][:, :, None], masks[outcome][:, None, :], masks[:, None]
-            if kind == "partial":
-                gains = ((z ^ x) & ~(w ^ x) != 0).any(axis=2)
-            else:
-                gains = ((w != z) & ((w ^ x) & (w ^ z) == 0)).any(axis=2)
+            gains = ((w != z) & ((w ^ x) & (w ^ z) == 0)).any(axis=2)
         bad.append(gains.any(axis=1))
     return np.concatenate(bad)
 
@@ -154,17 +144,11 @@ def _shown_types(space: EvaluationSpace, stage: IiaStage, n: int) -> np.ndarray:
     bits = engine.issue_bits(space)
     digit = 3 ** np.arange(m - 1, -1, -1)
     voter_bits = 1 << np.arange(n - 2, -1, -1)
-    # an anonymous stage shows every voter the types voter 1 sees, and
-    # those depend on the multiset of the others' rows only
-    if stage.is_anonymous and n > 1:
-        voters, contexts = (0,), engine.MultisetLattice(S, n - 1)
-    else:
-        voters, contexts = range(n), engine.ProfileLattice(S, n - 1)
     shown = []
-    for i in voters:
+    for i in range(n):
         # scaled[j, c]: issue j's type towards voter i in column c, times 3^(m-1-j)
         scaled = _pivot_kinds(truth, n, i) * digit[:, None]
-        for _, rows in engine.blocks(contexts, m * n):
+        for _, rows in engine.blocks(engine.ProfileLattice(S, n - 1), m * n):
             # columns[j, c]: the other voters' bits on issue j, first of them most significant
             columns = bits[:, rows] @ voter_bits
             shown.append(_distinct(np.take_along_axis(scaled, columns, axis=1).sum(axis=0)))
@@ -185,18 +169,17 @@ def corrected_stage_free(
     space: EvaluationSpace,
     stage: IiaStage,
     n: int,
-    kind: str,
     weights: Sequence[int] | None = None,
     tie: TieOrder | None = None,
 ) -> bool:
-    """Whether the stage, corrected to its nearest feasible neighbour, is kind-free for n voters.
+    """Whether the stage, corrected to its nearest feasible neighbour, is full-manipulation-free for n voters.
 
-    Exactly ``find_witness(space, NearestNeighborRule(space, stage,
-    weights, tie), n, kind, weights) is None``, decided from the pivot
-    types the stage shows and the cached correction table.
+    Where ``find_witness(space, NearestNeighborRule(space, stage, weights,
+    tie), n, "full", weights)`` stays within its search budget, exactly
+    whether that is None; decided from the pivot types the stage shows
+    and the cached correction table.  It charges no budget: it walks the
+    S^(n-1) contexts of each voter in blocks of ``engine.block_size``.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown manipulation kind {kind!r}; pick one of {KINDS}")
     if stage.m != space.m:
         raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
     if n != stage.n:
@@ -205,7 +188,7 @@ def corrected_stage_free(
         weights = validate_weights(weights, space.m)
     # built first: past 20 issues it refuses, before type numbers could overflow
     correct = _correction_table(space, weights, None if tie is None else tie.ranking)
-    return not _bad_types(space, weights, correct, kind, _shown_types(space, stage, n)).any()
+    return not _bad_types(space, weights, correct, "full", _shown_types(space, stage, n)).any()
 
 
 def _first_positions(n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from binagg.fastsweep import (
     stage_product_count,
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
-from binagg.manipulation import KINDS, classify_deviation, find_witness
+from binagg.manipulation import classify_deviation, find_witness
 from binagg.metric import TieOrder, nn_select, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
@@ -337,9 +337,8 @@ def test_corrected_stage_screen_matches_oracle(case, block_elements):
         _shown_types.cache_clear()
         shown = _shown_types(space, stage, stage.n).tolist()
         assert shown == sorted(_type_number(t) for t in oracle.pivot_types(space, stage))
-        for kind in KINDS:
-            free = next(oracle.iter_witnesses(space, rule, stage.n, kind, weights), None) is None
-            assert corrected_stage_free(space, stage, stage.n, kind, weights, tie) == free, kind
+        free = next(oracle.iter_witnesses(space, rule, stage.n, "full", weights), None) is None
+        assert corrected_stage_free(space, stage, stage.n, weights, tie) == free
 
 
 def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
@@ -348,19 +347,16 @@ def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
             for tie in tie_battery(space):
                 for wv in weight_battery(space.m):
                     rule = NearestNeighborRule(space, stage, wv, tie)
-                    for kind in KINDS:
-                        free = find_witness(space, rule, 3, kind, wv) is None
-                        assert corrected_stage_free(space, stage, 3, kind, wv, tie) == free
+                    free = find_witness(space, rule, 3, "full", wv) is None
+                    assert corrected_stage_free(space, stage, 3, wv, tie) == free
 
 
 def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
     stage = IiaStage.majority(3, 3)
-    with pytest.raises(ValueError, match="unknown manipulation kind"):
-        corrected_stage_free(doctrinal, stage, 3, "strong")
     with pytest.raises(ValueError, match="stage arity is 3, profile has 2 rows"):
-        corrected_stage_free(doctrinal, stage, 2, "full")
+        corrected_stage_free(doctrinal, stage, 2)
     with pytest.raises(ValueError, match="need 3 weights"):
-        corrected_stage_free(doctrinal, stage, 3, "full", (1, 1))
+        corrected_stage_free(doctrinal, stage, 3, (1, 1))
 
 
 def _old_bad_types(space, weights, tie):
@@ -394,7 +390,7 @@ def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
 
 
 @settings(max_examples=100, deadline=None)
-@given(stage_cases(), st.sampled_from(KINDS), st.data())
+@given(stage_cases(), st.sampled_from(("hamming", "full")), st.data())
 def test_bad_types_match_classify_deviation(case, kind, data):
     """A type is bad when some opinion gains by some lie, judged one move at a time."""
     space, _, weights, tie = case
@@ -419,7 +415,7 @@ def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     _correction_table.cache_clear()
     with mock.patch("binagg.fastsweep._correction_indices", wraps=_correction_indices) as build:
         for tie in (first, again):
-            corrected_stage_free(pref3, stage, 3, "full", (1, 1, 1), tie)
+            corrected_stage_free(pref3, stage, 3, (1, 1, 1), tie)
         assert build.call_count == 1
         table = _correction_table(pref3, (1, 1, 1), again.ranking)
         assert build.call_count == 1 and not table.flags.writeable
