@@ -10,13 +10,15 @@ partition rules, nearest-neighbor-corrected stages, and the welfare
 maximizer that minimizes total weighted distance to the voters.
 
 All rules are immutable values: applying one never mutates it, and the
-same inputs always produce the same output.
+same inputs always produce the same output.  Each rule, and each stage,
+has one evaluator, an array gather over blocks of profiles; calling it
+on one profile is a one-row call of that evaluator.  Only
+:class:`TableRule` evaluates its function profile by profile.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -102,41 +104,34 @@ class IiaStage:
     def unanimity(cls, n: int, m: int) -> "IiaStage":
         return cls.quota(n, [n] * m)
 
-    def apply(self, rows: Sequence[int], m: int | None = None) -> int:
-        """Stage output for a profile; may be infeasible."""
-        if m is None:
-            m = self.m
-        elif m != self.m:
-            raise ValueError(f"stage decides {self.m} issues, space has {m}")
-        if len(rows) != self.n:
-            raise ValueError(f"stage arity is {self.n}, profile has {len(rows)} rows")
-        out = 0
-        for j, tab in enumerate(self.tables, start=1):
-            shift = m - j
-            # issue j's column, packed with voter 1 most significant
-            column = 0
-            for r in rows:
-                column = (column << 1) | ((r >> shift) & 1)
-            out |= ((tab >> column) & 1) << shift
-        return out
-
-    def block_evaluator(self, space: EvaluationSpace, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Stage outputs (uint64 masks) for (B, n) blocks of feasible row indices."""
-        m = space.m
+    def _check_shape(self, m: int, n: int) -> None:
         if m != self.m:
             raise ValueError(f"stage decides {self.m} issues, space has {m}")
         if n != self.n:
             raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
-        bits = issue_bits(space)
+
+    def _gather(self, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Stage outputs (uint64 masks) for (B, n) column indices into an (m, K) array of issue bits."""
+        m, n = self.m, self.n
         # issue j+1's truth table starts at j * 2**n: one flat gather decides every issue
         offsets = (np.arange(m, dtype=np.intp) << n)[:, None]
         truth = truth_bits(self.tables, n).ravel()
         place = np.array([1 << (m - j) for j in range(1, m + 1)], dtype=np.uint64)
+        return lambda rows: place @ truth[offsets + packed_columns(bits, rows)]
 
-        def evaluate(rows):
-            return place @ truth[offsets + packed_columns(bits, rows)]
+    def apply(self, rows: Sequence[int], m: int | None = None) -> int:
+        """Stage output for a profile of any masks; may be infeasible.
 
-        return evaluate
+        A one-row call of the gather :meth:`block_evaluator` makes, on the
+        issue bits of the masks given.
+        """
+        self._check_shape(self.m if m is None else m, len(rows))
+        return int(self._gather(issue_bits(rows, self.m))(np.arange(self.n)[None])[0])
+
+    def block_evaluator(self, space: EvaluationSpace, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Stage outputs (uint64 masks) for (B, n) blocks of feasible row indices."""
+        self._check_shape(space.m, n)
+        return self._gather(issue_bits(space.feasible, space.m))
 
     @property
     def is_anonymous(self) -> bool:
@@ -145,8 +140,7 @@ class IiaStage:
 
     def influential(self, n: int) -> tuple[int, ...]:
         """0-based voters whose bit some issue's decider depends on; voter 1 alone when none does."""
-        if n != self.n:
-            raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
+        self._check_shape(self.m, n)
         return _stage_influential(self.tables, n)
 
     def __eq__(self, other):
@@ -250,17 +244,27 @@ def monotone_tables(n: int) -> tuple[int, ...]:
 
 
 class Rule:
-    """Base class: a deterministic map from profiles to evaluations."""
+    """Base class: a deterministic map from profiles to evaluations.
 
-    #: outputs are guaranteed members of the feasible set
-    always_feasible = True
+    A rule has one evaluator, :meth:`block_evaluator`.  Calling the rule
+    on one profile is a one-row call of it.
+    """
 
     def __init__(self, space: EvaluationSpace, name: str):
         self.space = space
         self.name = name
+        # block evaluator per voter count, built at the first call
+        self._evaluators: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
 
     def __call__(self, rows: Sequence[int]) -> int:
-        raise NotImplementedError
+        """Outcome of one profile of feasible rows; an infeasible row is a ValueError."""
+        n = len(rows)
+        if n < 1:
+            raise ValueError("a profile needs at least one voter")
+        index = np.array([[self.space.index(r) for r in rows]], dtype=np.intp)
+        if n not in self._evaluators:
+            self._evaluators[n] = self.block_evaluator(n)
+        return int(self._evaluators[n](index)[0])
 
     @property
     def anonymous(self) -> bool:
@@ -283,14 +287,8 @@ class Rule:
         return tuple(range(n))
 
     def block_evaluator(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Outcome masks for (B, n) blocks of feasible row indices.
-
-        This default calls the rule once per profile; the built-in rules
-        override it with array arithmetic.
-        """
-        X = self.space.feasible
-        m = self.space.m
-        return lambda rows: masks_array([self(tuple(X[r] for r in row)) for row in rows.tolist()], m)
+        """Outcome masks for (B, n) blocks of feasible row indices."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
@@ -302,11 +300,6 @@ class Dictator(Rule):
             raise ValueError(f"voter index is 1-based, got {voter}")
         super().__init__(space, f"dictator:{voter}")
         self.voter = voter
-
-    def __call__(self, rows):
-        if self.voter > len(rows):
-            raise ValueError(f"profile has {len(rows)} voters, dictator is voter {self.voter}")
-        return rows[self.voter - 1]
 
     def influential(self, n):
         if self.voter > n:
@@ -323,16 +316,11 @@ class Dictator(Rule):
 class StageRule(Rule):
     """A bare per-issue stage used as the rule itself; may output infeasible."""
 
-    always_feasible = False
-
     def __init__(self, space: EvaluationSpace, stage: IiaStage, name: str | None = None):
         if stage.m != space.m:
             raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
         super().__init__(space, name or "stage")
         self.stage = stage
-
-    def __call__(self, rows):
-        return self.stage.apply(rows, self.space.m)
 
     @property
     def anonymous(self) -> bool:
@@ -359,14 +347,6 @@ class Plurality(Rule):
     @property
     def anonymous(self) -> bool:
         return True
-
-    def __call__(self, rows):
-        counts = Counter(rows)
-        top = max(counts.values())
-        tied = [r for r, c in counts.items() if c == top]
-        if self.tie is None:
-            return max(tied)
-        return self.tie.best(tied)
 
     def block_evaluator(self, n):
         X = self.space.feasible
@@ -414,23 +394,6 @@ class Partition(Rule):
         self.blocks = blocks
         self._owner = tuple(owner[j] for j in range(1, space.m + 1))
 
-    def __call__(self, rows):
-        if len(rows) != len(self.blocks):
-            raise ValueError(f"rule partitions issues over {len(self.blocks)} voters, profile has {len(rows)}")
-        space = self.space
-        m = space.m
-        prefix = 0
-        for j in range(1, m + 1):
-            want = bit_at(rows[self._owner[j - 1] - 1], j, m)
-            candidate = (prefix << 1) | want
-            if space.prefix_feasible(candidate, j):
-                prefix = candidate
-            else:
-                prefix = (prefix << 1) | (1 - want)
-                if not space.prefix_feasible(prefix, j):
-                    raise AssertionError(f"both extensions infeasible at issue {j}")
-        return prefix
-
     def _automaton(self) -> list[np.ndarray]:
         """Per issue j, next prefix state indexed by (state, wanted bit).
 
@@ -460,7 +423,7 @@ class Partition(Rule):
     def block_evaluator(self, n):
         if n != len(self.blocks):
             raise ValueError(f"rule partitions issues over {len(self.blocks)} voters, profile has {n}")
-        bits = issue_bits(self.space)
+        bits = issue_bits(self.space.feasible, self.space.m)
         steps = self._automaton()
         owners = [v - 1 for v in self._owner]
         xs = masks_array(self.space.feasible, self.space.m)
@@ -508,9 +471,6 @@ class NearestNeighborRule(Rule):
             snapped = self._snapped[point] = nn_select(self.space, point, self.weights, self.tie)
         return snapped
 
-    def __call__(self, rows):
-        return self.correct(self.stage.apply(rows, self.space.m))
-
     @property
     def anonymous(self) -> bool:
         # the correction sees the stage output only, never the voters
@@ -542,43 +502,17 @@ class WelfareMaximizer(Rule):
         super().__init__(space, "swm")
         self.weights = None if weights is None else validate_weights(weights, space.m)
         self.tie = tie
-        self._dist: list[list[int]] | None = None
 
     @property
     def anonymous(self) -> bool:
         return True
 
-    def _distances(self) -> list[list[int]]:
-        if self._dist is None:
-            X = self.space.feasible
-            self._dist = [
-                [weighted_hamming(a, b, self.weights, self.space.m) for b in X] for a in X
-            ]
-        return self._dist
-
-    def __call__(self, rows):
-        space = self.space
-        dist = self._distances()
-        ridx = [space.index(r) for r in rows]
-        best = None
-        best_key = None
-        for vi, v in enumerate(space.feasible):
-            row = dist[vi]
-            total = 0
-            for ri in ridx:
-                total += row[ri]
-            key = (total, self.tie.rank(v) if self.tie else v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
-        return best
-
     def block_evaluator(self, n):
-        X = self.space.feasible
+        X, m = self.space.feasible, self.space.m
         S = len(X)
-        xs = masks_array(X, self.space.m)
+        xs = masks_array(X, m)
         # key (total distance, tie rank or mask) packed as total * S + rank
-        dist = exact_array(self._distances(), headroom=n * S) * S
+        dist = exact_array([[weighted_hamming(a, b, self.weights, m) for b in X] for a in X], headroom=n * S) * S
         tie_key = np.arange(S) if self.tie is None else np.array([self.tie.rank(x) for x in X])
 
         def evaluate(rows):
@@ -591,15 +525,19 @@ class WelfareMaximizer(Rule):
 
 
 class TableRule(Rule):
-    """Arbitrary explicit rule; the escape hatch for counterexample rules."""
+    """Arbitrary explicit rule; the escape hatch for counterexample rules.
 
-    def __init__(self, space: EvaluationSpace, fn: Callable[[tuple[int, ...]], int], name: str, always_feasible: bool = True):
+    ``fn`` maps a tuple of feasible rows to an outcome, so this is the one
+    rule evaluated profile by profile.
+    """
+
+    def __init__(self, space: EvaluationSpace, fn: Callable[[tuple[int, ...]], int], name: str):
         super().__init__(space, name)
         self._fn = fn
-        self.always_feasible = always_feasible
 
-    def __call__(self, rows):
-        return self._fn(tuple(rows))
+    def block_evaluator(self, n):
+        X = self.space.feasible
+        return lambda rows: masks_array([self._fn(tuple(X[r] for r in row)) for row in rows.tolist()], self.space.m)
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +723,9 @@ def profile_count(space: EvaluationSpace, n: int) -> int:
     return space.size**n
 
 
-def profile_rows(space: EvaluationSpace, pid: int, n: int) -> tuple[int, ...]:
-    """Rows of the pid-th profile in canonical (lexicographic) order."""
-    X = space.feasible
-    S = len(X)
-    out = []
-    for i in range(n):
-        stride = S ** (n - 1 - i)
-        out.append(X[(pid // stride) % S])
-    return tuple(out)
+def lattice_rows(space: EvaluationSpace, lattice: Lattice, pid: int) -> tuple[int, ...]:
+    """The feasible rows of the lattice's profile ``pid``."""
+    return tuple(space.feasible[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
 
 
 def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFAULT_BUDGET) -> OutcomeTable:
@@ -906,7 +838,7 @@ def check_structural(
             return ((true ^ lie) & (values[z] ^ lied) & (lie ^ lied)) != 0
 
         for pid, i, y, lied_pid in scan(lattice, table, violated):
-            rows = tuple(X[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
+            rows = lattice_rows(space, lattice, pid)
             other = rows[:i] + (X[y],) + rows[i + 1 :]
             res, res2 = table[pid], table[lied_pid]
             viol = (rows[i] ^ other[i]) & (res ^ res2) & (other[i] ^ res2)
@@ -917,7 +849,7 @@ def check_structural(
         # the canonically first profile with a given issue-j column gives
         # each voter the least feasible index sharing its bit on issue j;
         # first[j, r] is that index for row r
-        bits = issue_bits(space)
+        bits = issue_bits(space.feasible, m)
         first = np.where(bits == 1, bits.argmax(axis=1)[:, None], (1 - bits).argmax(axis=1)[:, None])
         place = masks_array([1 << (m - j) for j in range(1, m + 1)], m)
         for start, rows in blocks(lattice, n * m):
@@ -927,7 +859,7 @@ def check_structural(
             hits = np.flatnonzero(moved)
             if hits.size:
                 b, j = divmod(int(hits[0]), m)
-                pair = (profile_rows(space, int(partners[b, j]), n), profile_rows(space, start + b, n))
+                pair = (lattice_rows(space, lattice, int(partners[b, j])), lattice_rows(space, lattice, start + b))
                 return StructuralReport(property, False, pair, issue=j + 1)
         return StructuralReport(property, True)
 
@@ -937,7 +869,7 @@ def check_structural(
             sorted_pids = np.sort(rows, axis=1) @ voter_strides
             hits = np.flatnonzero(codes[start : start + len(rows)] != codes[sorted_pids])
             if hits.size:
-                rows = profile_rows(space, start + int(hits[0]), n)
+                rows = lattice_rows(space, lattice, start + int(hits[0]))
                 return StructuralReport(property, False, (rows, tuple(sorted(rows))))
         return StructuralReport(property, True)
 

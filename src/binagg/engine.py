@@ -78,11 +78,10 @@ def masks_array(masks, m: int) -> np.ndarray:
     return np.array(masks, dtype=_unsigned((1 << m) - 1))
 
 
-def issue_bits(space: EvaluationSpace) -> np.ndarray:
-    """(m, S) array: row j holds issue j+1's bit of every feasible evaluation."""
-    shifts = np.arange(space.m - 1, -1, -1, dtype=np.uint64)
-    feasible = np.array(space.feasible, dtype=np.uint64)
-    return ((feasible[None, :] >> shifts[:, None]) & np.uint64(1)).astype(np.intp)
+def issue_bits(masks: Sequence[int], m: int) -> np.ndarray:
+    """(m, K) array: row j holds issue j+1's bit of each of the K masks on m issues."""
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+    return ((np.array(masks, dtype=np.uint64)[None, :] >> shifts[:, None]) & np.uint64(1)).astype(np.intp)
 
 
 def truth_bits(tables: Sequence[int], n: int) -> np.ndarray:

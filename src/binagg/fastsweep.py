@@ -141,7 +141,7 @@ def _shown_types(space: EvaluationSpace, stage: IiaStage, n: int) -> np.ndarray:
     """Ascending numbers of the pivot types the stage shows some voter in some context."""
     S, m = space.size, space.m
     truth = engine.truth_bits(stage.tables, n)
-    bits = engine.issue_bits(space)
+    bits = engine.issue_bits(space.feasible, m)
     digit = 3 ** np.arange(m - 1, -1, -1)
     voter_bits = 1 << np.arange(n - 2, -1, -1)
     shown = []
@@ -209,7 +209,7 @@ def _least_stage(space: EvaluationSpace, n: int, bad: np.ndarray) -> int:
     place = np.array([T ** (m - 1 - j) for j in range(m)], dtype=np.int64 if T**m <= 2**63 else object)
     # scaled[i, j, c, k]: issue j's share of the least stage number showing type k to voter i in column c
     scaled = _first_positions(n)[:, None] * place[:, None, None]
-    bits = engine.issue_bits(space)
+    bits = engine.issue_bits(space.feasible, m)
     voter_bits = 1 << np.arange(n - 2, -1, -1)
     best = T**m
     for _, rows in engine.blocks(engine.ProfileLattice(S, n - 1), 3**m):

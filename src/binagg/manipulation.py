@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .aggregators import DEFAULT_BUDGET, Rule, lattice_table, outcome_table, profile_count, search_lattice
+from .aggregators import DEFAULT_BUDGET, Rule, lattice_rows, lattice_table, outcome_table, profile_count, search_lattice
 from .engine import HitFn, OutcomeTable, exact_array, masks_array, scan
 from .metric import uniform_weights, validate_weights, weight_of, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
@@ -151,10 +151,9 @@ def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Itera
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
     full = lattice.size == profile_count(space, n)
     table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
-    X = space.feasible
     for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table, kind, w)):
-        rows = tuple(X[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
-        yield ManipulationWitness(space.m, rows, i + 1, X[yi], table[pid], table[lied_pid], kind, w)
+        rows = lattice_rows(space, lattice, pid)
+        yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], table[pid], table[lied_pid], kind, w)
 
 
 def _hit_fn(space: EvaluationSpace, table: OutcomeTable, kind: str, weights) -> HitFn:

@@ -123,7 +123,6 @@ class EvaluationSpace:
         self.orientation = orientation
         self._members = frozenset(masks)
         self._index = {x: i for i, x in enumerate(self.feasible)}
-        self._prefix_sets: list[frozenset[int]] | None = None
         self._mipes: tuple[PartialEvaluation, ...] | None = None
 
     # -- membership ----------------------------------------------------
@@ -149,22 +148,6 @@ class EvaluationSpace:
 
     def infeasible(self) -> tuple[int, ...]:
         return tuple(x for x in range(1 << self.m) if x not in self._members)
-
-    # -- prefix feasibility (used by the sequential partition rule) ----
-
-    def prefix_feasible(self, prefix: int, length: int) -> bool:
-        """Is there a feasible evaluation starting with these ``length`` bits?"""
-        if not 0 <= length <= self.m:
-            raise ValueError(f"prefix length out of range: {length}")
-        if length == 0:
-            return True
-        if self._prefix_sets is None:
-            sets = []
-            for i in range(1, self.m + 1):
-                shift = self.m - i
-                sets.append(frozenset(x >> shift for x in self.feasible))
-            self._prefix_sets = sets
-        return prefix in self._prefix_sets[length - 1]
 
     def mipes(self) -> tuple[PartialEvaluation, ...]:
         if self._mipes is None:

@@ -316,15 +316,18 @@ def _suite_thm43() -> list[CheckResult]:
                 )
             )
         # row-permutation invariance: anonymous by construction (Rule.anonymous),
-        # and 200 random permutations test the call path
+        # and 200 random permutations test the evaluator
         rule = WelfareMaximizer(space, uniform_weights(space.m), TieOrder.ascending(space))
-        bad = 0
+        drawn, shuffles = [], []
         for _ in range(200):
             rows = [rng.choice(space.feasible) for _ in range(5)]
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            if rule(rows) != rule(shuffled):
-                bad += 1
+            drawn.append(rows)
+            shuffles.append(shuffled)
+        # one (400, 5) block: the drawn profiles, then their permutations
+        outcomes = rule.block_evaluator(5)(np.vectorize(space.index)(drawn + shuffles))
+        bad = int(np.count_nonzero(outcomes[:200] != outcomes[200:]))
         checks.append(
             CheckResult(
                 f"welfare maximizer anonymity on {name}",
@@ -359,12 +362,14 @@ def _lemma_harvest():
     stage = IiaStage.majority(3, m)
     tie = fixtures.four_candidate_tie_order()
     rule = NearestNeighborRule(space, stage, uniform, tie)
-    exhaustive_pairs = set()
-    exhaustive_hits = 0
+    profiles, lied = [], []
     for w in iter_witnesses(space, rule, 3, "hamming"):
-        exhaustive_hits += 1
-        lied_rows = w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :]
-        exhaustive_pairs.add((stage.apply(w.profile), stage.apply(lied_rows)))
+        profiles.append(w.profile)
+        lied.append(w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :])
+    exhaustive_hits = len(profiles)
+    # one block: the witness profiles, then their lied profiles
+    outputs = stage.block_evaluator(space, 3)(np.vectorize(space.index)(profiles + lied)).tolist()
+    exhaustive_pairs = set(zip(outputs[:exhaustive_hits], outputs[exhaustive_hits:]))
 
     # randomized: stage, tie, weights and deviation all sampled
     configs = 100_000
@@ -491,7 +496,7 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
     # truth[t, c]: bit c of table tabs[t]
     truth = engine.truth_bits(tabs, n)
-    bits = engine.issue_bits(space)
+    bits = engine.issue_bits(space.feasible, m)
     place = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.int64)
 
     def outputs(tab, rows):
@@ -669,9 +674,9 @@ def _suite_claim58() -> list[CheckResult]:
         )
         mismatches = 0
         count = 0
-        for rows in itertools.product(space.feasible, repeat=3):
+        for rows, outcome in zip(itertools.product(space.feasible, repeat=3), outcome_table(space, rule, 3)):
             count += 1
-            if rule(rows) != swm_topk(space, rows):
+            if outcome != swm_topk(space, rows):
                 mismatches += 1
         checks.append(
             CheckResult(

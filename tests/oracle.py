@@ -1,20 +1,94 @@
 """Pure-Python reference scanners that the numpy probe engine and the batch sweep are checked against.
 
-These are the original one-profile-at-a-time loops: they call the rule
-on every profile, walk every (profile, voter, lie) probe in canonical
-order, one stage at a time for sweeps, and decide each structural
-property profile by profile, and they apply one randomly drawn stage
-at a time in the lemma harvest.  They are slow and obviously
-correct, which is their job.
+These are the original one-profile-at-a-time loops.  The reference
+evaluators are the per-profile rule bodies, :func:`outcome` and
+:func:`stage_output`, which the library evaluates in array blocks
+instead.  The scanners evaluate the rule on every profile through them,
+walk every (profile, voter, lie) probe in canonical order, one stage at
+a time for sweeps, and decide each structural property profile by
+profile, and they apply one randomly drawn stage at a time in the lemma
+harvest.  They are slow and obviously correct, which is their job.
 """
 
 import itertools
+from collections import Counter
+from functools import lru_cache
 
 from binagg import fixtures
-from binagg.aggregators import IiaStage, NearestNeighborRule, StructuralReport, monotone_tables, profile_rows
+from binagg.aggregators import (
+    Dictator,
+    IiaStage,
+    NearestNeighborRule,
+    Partition,
+    Plurality,
+    StageRule,
+    StructuralReport,
+    TableRule,
+    WelfareMaximizer,
+    monotone_tables,
+)
 from binagg.manipulation import ManipulationWitness, classify_deviation
 from binagg.metric import nn_select, uniform_weights, weighted_hamming
 from binagg.spaces import builtin_space
+
+
+def stage_output(stage, rows):
+    """A stage's output for a profile of any masks, issue by issue and voter by voter."""
+    if len(rows) != stage.n:
+        raise ValueError(f"stage arity is {stage.n}, profile has {len(rows)} rows")
+    m = stage.m
+    out = 0
+    for j, tab in enumerate(stage.tables, start=1):
+        shift = m - j
+        # issue j's column, packed with voter 1 most significant
+        column = 0
+        for r in rows:
+            column = (column << 1) | ((r >> shift) & 1)
+        out |= ((tab >> column) & 1) << shift
+    return out
+
+
+def outcome(rule, rows):
+    """A built-in rule's outcome for one profile, by its original per-profile body."""
+    space = rule.space
+    m = space.m
+    if isinstance(rule, Dictator):
+        return rows[rule.voter - 1]
+    if isinstance(rule, StageRule):
+        return stage_output(rule.stage, rows)
+    if isinstance(rule, NearestNeighborRule):
+        v = stage_output(rule.stage, rows)
+        return v if v in space else _nearest(space, v, rule.weights, rule.tie)
+    if isinstance(rule, Plurality):
+        counts = Counter(rows)
+        top = max(counts.values())
+        tied = [r for r, c in counts.items() if c == top]
+        return max(tied) if rule.tie is None else rule.tie.best(tied)
+    if isinstance(rule, Partition):
+        # the owner's bit, unless no feasible evaluation starts with the prefix it makes
+        owner = {j: v for v, block in enumerate(rule.blocks) for j in block}
+        prefix = 0
+        for j in range(1, m + 1):
+            starts = {x >> (m - j) for x in space.feasible}
+            want = (rows[owner[j]] >> (m - j)) & 1
+            prefix = (prefix << 1) | (want if ((prefix << 1) | want) in starts else 1 - want)
+            assert prefix in starts, f"both extensions infeasible at issue {j}"
+        return prefix
+    if isinstance(rule, WelfareMaximizer):
+        # least (total distance, tie rank or mask) over the space
+        def key(v):
+            total = sum(weighted_hamming(v, r, rule.weights, m) for r in rows)
+            return total, rule.tie.rank(v) if rule.tie else v
+
+        return min(space.feasible, key=key)
+    assert isinstance(rule, TableRule), rule
+    return rule._fn(tuple(rows))
+
+
+@lru_cache(maxsize=4096)
+def _nearest(space, point, weights, tie):
+    # spaces and tie orders hash by identity
+    return nn_select(space, point, weights, tie)
 
 
 def iter_profiles(space, n):
@@ -24,9 +98,15 @@ def iter_profiles(space, n):
         yield pid, ridx, tuple(X[i] for i in ridx)
 
 
+def profile_at(space, pid, n):
+    """Rows of the pid-th profile in canonical (lexicographic) order."""
+    S = space.size
+    return tuple(space.feasible[pid // S ** (n - 1 - i) % S] for i in range(n))
+
+
 def outcome_list(space, rule, n):
     """Rule outcome for every profile, indexed by canonical profile id."""
-    return [rule(rows) for _, _, rows in iter_profiles(space, n)]
+    return [outcome(rule, rows) for _, _, rows in iter_profiles(space, n)]
 
 
 def iter_witnesses(space, rule, n, kind, weights=None):
@@ -102,7 +182,7 @@ def check_structural(space, rule, n, property):
                 prev = seen[j - 1].setdefault(col, (pid, bit))
                 if prev[1] != bit:
                     return StructuralReport(
-                        property, False, (profile_rows(space, prev[0], n), rows), issue=j
+                        property, False, (profile_at(space, prev[0], n), rows), issue=j
                     )
         return StructuralReport(property, True)
 
@@ -222,7 +302,7 @@ def pivot_types(space, stage):
     for i in range(n):
         for others in itertools.product(space.feasible, repeat=n - 1):
             # the voter says no, then yes, on every issue at once
-            no, yes = (stage.apply(others[:i] + (row,) + others[i:]) for row in (0, (1 << m) - 1))
+            no, yes = (stage_output(stage, others[:i] + (row,) + others[i:]) for row in (0, (1 << m) - 1))
             types.add(tuple(((no >> (m - 1 - j)) & 1) + ((yes >> (m - 1 - j)) & 1) for j in range(m)))
     return types
 
@@ -267,8 +347,8 @@ def random_harvest(configs, rng):
         if lie == rows[voter]:
             continue
         lied_rows = rows[:voter] + (lie,) + rows[voter + 1 :]
-        v = stage.apply(rows)
-        u = stage.apply(lied_rows)
+        v = stage_output(stage, rows)
+        u = stage_output(stage, lied_rows)
         nearest = corrected[t, wv]
         z, w = nearest[v], nearest[u]
         if z != w and classify_deviation(rows[voter], z, w, wv, m).hamming:

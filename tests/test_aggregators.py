@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from binagg import aggregators
@@ -40,7 +40,7 @@ from binagg.fixtures import (
     welfare_separation_case,
 )
 from binagg.metric import TieOrder, check_h2, weighted_hamming
-from binagg.spaces import builtin_space, choose_space, from_bits, interval, to_bits
+from binagg.spaces import EvaluationSpace, builtin_space, choose_space, from_bits, interval, to_bits
 from oracle import iter_profiles
 
 # ---------------------------------------------------------------------------
@@ -168,13 +168,14 @@ def test_stage_output_between_opinion_and_lied_output():
     subcube spanned by the voter's opinion and the lied output."""
     for name in ("pref3", "doctrinal", "cycle6", "classifier4"):
         space = builtin_space(name)
-        stage = IiaStage.majority(3, space.m)
-        for _, ridx, rows in iter_profiles(space, 3):
-            v = stage.apply(rows)
+        S = space.size
+        outputs = list(outcome_table(space, StageRule(space, IiaStage.majority(3, space.m)), 3))
+        for pid, ridx, rows in iter_profiles(space, 3):
             for i in range(3):
-                for y in space.feasible:
-                    u = stage.apply(rows[:i] + (y,) + rows[i + 1 :])
-                    assert v in interval(rows[i], u, space.m)
+                stride = S ** (2 - i)
+                base = pid - ridx[i] * stride
+                for y in range(S):
+                    assert outputs[pid] in interval(rows[i], outputs[base + y * stride], space.m)
 
 
 def test_stage_betweenness_sampled_on_six_issues(pref4):
@@ -326,11 +327,11 @@ def test_welfare_unanimous_profile(pref3):
 
 def test_welfare_is_correction_of_issuewise_majority(all_builtin_spaces):
     for _, space in all_builtin_spaces:
-        rule = WelfareMaximizer(space)
-        for _, _, rows in iter_profiles(space, 3):
+        outcomes = outcome_table(space, WelfareMaximizer(space), 3)
+        for (_, _, rows), outcome in zip(iter_profiles(space, 3), outcomes):
             g = issuewise_majority(rows, space.m)
             if g in space:
-                assert rule(rows) == g
+                assert outcome == g
 
 
 def test_issuewise_majority_minimizes_over_hypercube():
@@ -387,6 +388,85 @@ def test_swm_matches_topk_with_permuted_candidates():
     rule = WelfareMaximizer(sp, tie=committee_tie_order(sp, order))
     for _, _, rows in iter_profiles(sp, 3):
         assert rule(rows) == swm_topk(sp, rows, order)
+
+
+# ---------------------------------------------------------------------------
+# one evaluator per rule: a call is a one-row block evaluation
+
+BUILT_IN_RULES = (Dictator, StageRule, Plurality, Partition, NearestNeighborRule, WelfareMaximizer)
+
+
+def every_rule(space, stage, dictator, owners, weights, tie):
+    """One rule of each built-in class; ``owners[j]`` is the 0-based voter owning issue j+1."""
+    m = space.m
+    return (
+        Dictator(space, dictator),
+        StageRule(space, stage),
+        Plurality(space, tie),
+        Partition(space, [{j + 1 for j in range(m) if owners[j] == v} for v in range(stage.n)]),
+        NearestNeighborRule(space, stage, weights, tie),
+        WelfareMaximizer(space, weights, tie),
+    )
+
+
+@st.composite
+def one_profile_cases(draw):
+    """Every built-in rule on one random space, a feasible profile, and any masks."""
+    m = draw(st.integers(1, 6))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    n = draw(st.integers(1, 4))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 2**40)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    # any monotone stage: on a sparse space its outputs often leave it
+    stage = IiaStage(n, draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m)))
+    # issue owners among n voters: some blocks are often empty
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    rules = every_rule(space, stage, draw(st.integers(1, n)), owners, weights, tie)
+    rows = tuple(draw(st.lists(st.sampled_from(space.feasible), min_size=n, max_size=n)))
+    masks = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n)))
+    return stage, rules, rows, masks
+
+
+PREF3, MAJORITY3 = builtin_space("pref3"), IiaStage.majority(3, 3)
+PAIR, MAJORITY4 = EvaluationSpace(2, [0b01, 0b10]), IiaStage.majority(4, 2)
+# majority on pref3 leaves the space at the Condorcet profile, and voter 2 owns no issue
+CONDORCET_CASE = (MAJORITY3, every_rule(PREF3, MAJORITY3, 3, (0, 0, 2), None, None), condorcet_rows(), (0, 7, 5))
+# four-voter majority gives 00 here, and only voter 4 owns issues
+PAIR_CASE = (
+    MAJORITY4,
+    every_rule(PAIR, MAJORITY4, 2, (3, 3), (2**40, 1), TieOrder.descending(PAIR)),
+    (1, 2, 2, 1),
+    (3, 0, 2, 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_profile_cases())
+@example(CONDORCET_CASE)
+@example(PAIR_CASE)
+def test_one_row_calls_match_the_per_profile_bodies(case):
+    stage, rules, rows, masks = case
+    assert stage.apply(masks) == oracle.stage_output(stage, masks)
+    assert stage.apply(rows) == oracle.stage_output(stage, rows)
+    assert [type(rule) for rule in rules] == list(BUILT_IN_RULES)
+    for rule in rules:
+        assert rule(rows) == oracle.outcome(rule, rows), rule
+
+
+def test_infeasible_rows_are_rejected_by_every_rule(pref3):
+    rules = every_rule(pref3, IiaStage.majority(2, 3), 1, (0, 0, 1), None, None)
+    for rule in rules + (TableRule(pref3, max, "max"),):
+        # pref3 leaves out 000 and 111, even where a rule would not read them
+        for rows in ((0b111, 0b110), (0b110, 0b000)):
+            with pytest.raises(ValueError, match="not feasible"):
+                rule(rows)
+        with pytest.raises(ValueError, match="at least one voter"):
+            rule(())
+
+
+def test_built_in_rules_have_one_evaluator():
+    for cls in BUILT_IN_RULES:
+        assert "__call__" not in vars(cls) and "block_evaluator" in vars(cls), cls
 
 
 # ---------------------------------------------------------------------------

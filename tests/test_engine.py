@@ -79,7 +79,7 @@ def cases(draw):
         def pick(rows):
             return pool[(sum(r * (i + salt) for i, r in enumerate(rows)) + salt) % len(pool)]
 
-        rule = TableRule(space, pick, "table", always_feasible=False)
+        rule = TableRule(space, pick, "table")
     return space, rule, n, weights
 
 
@@ -256,7 +256,7 @@ def test_outcome_codes_are_narrow(pref4):
 def test_outcome_codes_widen_past_256_outcomes():
     space = EvaluationSpace(12, range(0, 4096, 683))
     index = {x: i for i, x in enumerate(space.feasible)}
-    rule = TableRule(space, lambda rows: sum(index[r] * 6**i for i, r in enumerate(rows)), "distinct", False)
+    rule = TableRule(space, lambda rows: sum(index[r] * 6**i for i, r in enumerate(rows)), "distinct")
     table = outcome_table(space, rule, 4)
     assert table.codes.dtype == np.uint16
     assert len(table.values) == 6**4
