@@ -40,7 +40,7 @@ from .engine import (
     strides,
     truth_bits,
 )
-from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
+from .metric import TieOrder, nn_select, uniform_weights, validate_weights, weight_of
 from .spaces import EvaluationSpace, bit_at
 
 DEFAULT_BUDGET = 10**8
@@ -512,7 +512,8 @@ class WelfareMaximizer(Rule):
         S = len(X)
         xs = masks_array(X, m)
         # key (total distance, tie rank or mask) packed as total * S + rank
-        dist = exact_array([[weighted_hamming(a, b, self.weights, m) for b in X] for a in X], headroom=n * S) * S
+        w = self.weights or uniform_weights(m)
+        dist = exact_array([[weight_of(a, b, w, m) for b in X] for a in X], headroom=n * S) * S
         tie_key = np.arange(S) if self.tie is None else np.array([self.tie.rank(x) for x in X])
 
         def evaluate(rows):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .aggregators import BudgetExceededError, DEFAULT_BUDGET, check_structural, parse_rule
 from .fileio import ParseError, read_profile, read_space, read_tie_order, read_weights
@@ -48,7 +49,9 @@ def _budget(text: str) -> int:
     return budget
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="binagg", description="aggregation of binary evaluations over constrained spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 

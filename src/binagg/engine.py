@@ -37,12 +37,31 @@ lexicographic order is the order of the reduced ids, and voters and
 lies are probed in the same order on both lattices.  Budgets count
 S**k * n * S probes there.
 
-The engine never builds a (P, n, S) array, nor any (P, n) one on the
-ordered lattice.  It walks a lattice in blocks of whole profiles, sized
-from S, n and m so that each block's temporaries stay within
-BLOCK_ELEMENTS elements (a megabyte or less), and it reports hits in C
-order.  The first hit is therefore the canonically first probe, and a
-generator over the hits stops as soon as its caller does.
+A *context* is one varying voter plus the other voters' rows: an
+(n-1)-multiset on the multiset lattice, or the profile of the other k-1
+varying voters on the ordered one.  Its *row* is the S outcome codes
+the voter's lies reach there, and its truthful outcome is the row's
+entry at the voter's opinion.  Every probe predicate (:data:`HitFn`)
+depends only on the row, the opinion and the lie, so :func:`scan`
+tests each distinct row, a *type*, once for all S opinions and S lies.
+The first time a block reaches a context, the context's row is filed
+under an exact type id: rows are keyed by their bytes, so two contexts
+share a type exactly when their rows are equal.  Each (profile, voter)
+is then one lookup of its type and opinion, and the scan lists lies only
+where that lookup flags a hit.
+
+The engine never builds a (P, n, S) array, nor any (P, n) one.  It
+walks a lattice in blocks of whole profiles, sized from S, n and m so
+that each block's temporaries stay within BLOCK_ELEMENTS elements (a
+megabyte or less), and it reports hits in C order.  The first hit is
+therefore the canonically first probe, and a generator over the hits
+stops as soon as its caller does.  The scan's memo holds one narrow
+entry per context, k * P / S of them for k varying voters on the
+ordered lattice and C(S+n-2, n-1) <= n * P / S on the multiset one, in
+the narrowest unsigned dtype holding S times that count.  Its type
+tables hold S codes and S flags per type, with capacity doubled as
+types arrive; they reach the memo's size times S only when nearly
+every context row is distinct.
 """
 
 from __future__ import annotations
@@ -65,10 +84,13 @@ def block_size(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
+_UNSIGNED = tuple((dtype, int(np.iinfo(dtype).max)) for dtype in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
 def _unsigned(top: int):
     """The narrowest unsigned dtype holding 0..top."""
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if top <= np.iinfo(dtype).max:
+    for dtype, most in _UNSIGNED:
+        if top <= most:
             return dtype
     raise OverflowError(f"{top} does not fit in 64 bits")
 
@@ -110,9 +132,12 @@ def exact_array(rows, headroom: int = 1) -> np.ndarray:
     return a.astype(_unsigned(top) if top < 2**32 else np.int64)
 
 
+@lru_cache(maxsize=16)
 def strides(S: int, n: int) -> np.ndarray:
-    """(n,) weight of each voter's row index in a profile id."""
-    return np.array([S ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    """(n,) weight of each voter's row index in a profile id (read-only: it is shared)."""
+    place = np.array([S ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    place.flags.writeable = False
+    return place
 
 
 def row_indices(start: int, stop: int, S: int, n: int) -> np.ndarray:
@@ -135,6 +160,7 @@ class ProfileLattice:
         self.S, self.n = S, n
         self.voters = tuple(range(n)) if voters is None else tuple(sorted(voters))
         self.size = S ** len(self.voters)
+        self.context_count = len(self.voters) * self.size // S
 
     def __str__(self) -> str:
         k = len(self.voters)
@@ -159,24 +185,28 @@ class ProfileLattice:
         stride = self.S ** (len(self.voters) - 1 - self.voters.index(voter))
         return pid + (lie - pid // stride % self.S) * stride
 
-    def lied_codes(self, codes: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
-        """Map a block (start, rows) to its (B, n, S) lied outcome codes."""
-        S, n = self.S, self.n
-        voter_strides = strides(S, len(self.voters)).tolist()
-        # by_voter[k][hi, y, lo] is the code of profile (hi * S + y) * stride + lo:
-        # the profile hi/lo with the k-th varying voter's row replaced by feasible index y
-        by_voter = [codes.reshape(-1, S, stride) for stride in voter_strides]
-        pinned = [i for i in range(n) if i not in self.voters]
+    def contexts(self, start: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, k) context ids and true opinions of each profile's k varying voters.
 
-        def lied(start, rows):
-            pids = np.arange(start, start + len(rows), dtype=np.int64)
-            out = np.empty((len(rows), n, S), dtype=codes.dtype)
-            for i, stride, grid in zip(self.voters, voter_strides, by_voter):
-                out[:, i, :] = grid[pids // (S * stride), :, pids % stride]
-            if pinned:
-                # a pinned voter's lie leaves the profile where it is
-                out[:, pinned, :] = codes[start : start + len(rows), None, None]
-            return out
+        The context of the j-th varying voter in a profile is the other
+        varying voters' rows.  Its id is j * S**(k-1) plus the canonical id
+        of those rows as a profile of k-1 voters.
+        """
+        opinions = rows if len(self.voters) == self.n else rows[:, self.voters]
+        drop, offsets = _context_weights(self.S, len(self.voters))
+        return opinions @ drop + offsets, opinions
+
+    def lied_codes(self, codes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Map (F,) context ids to their (F, S) lied outcome codes, one per lie."""
+        S, per_voter = self.S, self.size // self.S
+        voter_strides, lies = strides(S, len(self.voters)), np.arange(S)
+
+        def lied(ids):
+            j, context = np.divmod(ids, per_voter)
+            stride = voter_strides[j]
+            hi, lo = np.divmod(context, stride)
+            # the profile hi/lo with the j-th varying voter's row replaced by each lie
+            return codes[(hi * (S * stride) + lo)[:, None] + stride[:, None] * lies]
 
         return lied
 
@@ -192,7 +222,9 @@ class MultisetLattice:
 
     def __init__(self, S: int, n: int):
         self.S, self.n = S, n
+        self.voters = tuple(range(n))
         self.size = math.comb(S + n - 1, n)
+        self.context_count = math.comb(S + n - 2, n - 1)
 
     def __str__(self) -> str:
         return f"{self.size} multisets of {self.n} opinions from {self.S}"
@@ -210,13 +242,29 @@ class MultisetLattice:
         _, remove, add = self._tables
         return int(add[remove[k, voter], lie])
 
-    def lied_codes(self, codes: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
-        """Map a block (start, rows) to its (B, n, S) lied outcome codes."""
-        _, remove, add = self._tables
-        return lambda start, rows: codes[add[remove[start : start + len(rows)]]]
+    def contexts(self, start: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, n) context ids and true opinions: the (n-1)-multiset left without each position."""
+        return self._tables[1][start : start + len(rows)].astype(np.intp), rows
+
+    def lied_codes(self, codes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Map (F,) context ids to their (F, S) lied outcome codes, one per lie."""
+        add = self._tables[2]
+        return lambda ids: codes[add[ids]]
 
 
 Lattice = ProfileLattice | MultisetLattice
+
+
+@lru_cache(maxsize=8)
+def _context_weights(S: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(drop, offsets) naming the contexts of k varying voters of S rows each.
+
+    ``drop[l, j]`` weighs varying voter l's row in the context id of
+    varying voter j, and ``offsets[j]`` is voter j's first context id.
+    """
+    place = strides(S, k)
+    drop = [[0 if l == j else place[l] // S if l < j else place[l] for j in range(k)] for l in range(k)]
+    return np.array(drop, dtype=np.int64).reshape(k, k), np.arange(k) * (S**k // S)
 
 
 @lru_cache(maxsize=8)
@@ -333,10 +381,22 @@ def build_table(
     return OutcomeTable(tuple(values), codes)
 
 
-#: hit(z, w, x, y) -> bool array of probe hits.  z: (B, 1, 1) truthful
-#: outcome codes; w: (B, n, S) lied outcome codes; x: (B, n, 1) liars'
-#: true feasible indices; y: (S,) lie feasible indices.
+#: hit(z, w, x, y) -> bool array of probe hits over T contexts.  w: (T, 1, S)
+#: the context rows, the lied outcome code of each lie; x: the liars' true
+#: feasible indices, (1, S, 1) for every opinion or (T, 1, 1) for one per
+#: context; z: (T, S, 1) or (T, 1, 1), the truthful outcome codes, which
+#: are w's entries at those opinions; y: (S,) lie feasible indices.  The
+#: result broadcasts to (T, S, S) or (T, 1, S).  A hit depends on these
+#: alone and is false wherever w == z: a lie that leaves the outcome in
+#: place is never a hit.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` zero-padded to at least ``size`` entries, at least doubling it."""
+    if size <= len(array):
+        return array
+    return np.concatenate((array, np.zeros(max(size, 2 * len(array)) - len(array), dtype=array.dtype)))
 
 
 def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[int, int, int, int]]:
@@ -345,17 +405,54 @@ def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[in
     Each hit is (id, voter index, lie index, id of the lied profile).
 
     A lie equal to the liar's true opinion is probed too: it leaves the
-    outcome unchanged, and every predicate is false there.
+    outcome unchanged, and every predicate is false there.  Each distinct
+    context row, a *type*, is tested once, the first time a block reaches
+    it; a (profile, voter) is then one lookup, and its lies are listed
+    only when that lookup flags a hit.
     """
     S, n = lattice.S, lattice.n
     lies = np.arange(S)
     codes = table.codes
     lied_codes = lattice.lied_codes(codes)
+    # at[c]: S times the type of context c, or `unseen` until a block
+    # reaches c; there are no more types than contexts
+    unseen = lattice.context_count * S
+    at = np.full(lattice.context_count, unseen, dtype=_unsigned(unseen))
+    # types maps a context row's bytes to S times its type t;
+    # type_rows[t * S + y] is that row's code at lie y, and
+    # has[t * S + x] says some lie is a hit for opinion x in it
+    types: dict[bytes, int] = {}
+    row_key = np.dtype((np.void, S * codes.itemsize))
+    per_call = block_size(S * S)
+    type_rows = np.zeros(min(lattice.context_count, per_call) * S, dtype=codes.dtype)
+    has = np.zeros(len(type_rows), dtype=bool)
     for start, rows in blocks(lattice, n * S):
-        hits = hit(codes[start : start + len(rows), None, None], lied_codes(start, rows), rows[:, :, None], lies)
-        if not hits.any():
+        ids, opinions = lattice.contexts(start, rows)
+        block_at = at[ids]
+        fresh = block_at == unseen
+        if fresh.any():
+            fresh_ids = ids[fresh]
+            keys = lied_codes(fresh_ids).view(row_key).ravel().tolist()
+            known = len(types) * S
+            new = [key for key in dict.fromkeys(keys) if key not in types]
+            types.update(zip(new, range(known, known + len(new) * S, S)))
+            at[fresh_ids] = block_at[fresh] = np.fromiter(map(types.__getitem__, keys), np.intp, len(keys))
+            if new:
+                end = len(types) * S
+                type_rows, has = _grown(type_rows, end), _grown(has, end)
+                type_rows[known:end] = np.frombuffer(b"".join(new), dtype=codes.dtype)
+                for lo in range(known, end, per_call * S):
+                    chunk = type_rows[lo : min(lo + per_call * S, end)].reshape(-1, S)
+                    flags = hit(chunk[:, :, None], chunk[:, None, :], lies[None, :, None], lies)
+                    has[lo : lo + chunk.size] = flags.any(axis=2).ravel()
+        flagged = has[block_at + opinions]
+        if not flagged.any():
             continue
+        b, j = np.nonzero(flagged)
+        lied = type_rows[block_at[b, j, None] + lies]
+        hits = hit(codes[start + b, None, None], lied[:, None, :], opinions[b, j, None, None], lies)
+        pids, positions = (start + b).tolist(), j.tolist()
         for flat in np.flatnonzero(hits).tolist():
-            b, rest = divmod(flat, n * S)
-            voter, lie = divmod(rest, S)
-            yield start + b, voter, lie, lattice.lied(start + b, voter, lie)
+            f, lie = divmod(flat, S)
+            pid, voter = pids[f], lattice.voters[positions[f]]
+            yield pid, voter, lie, lattice.lied(pid, voter, lie)

@@ -56,7 +56,7 @@ import numpy as np
 from . import engine
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from .manipulation import find_witness
-from .metric import TieOrder, nn_select, validate_weights, weighted_hamming
+from .metric import TieOrder, nn_select, uniform_weights, validate_weights, weight_of
 from .spaces import EvaluationSpace
 
 
@@ -101,8 +101,9 @@ def _bad_types(
     if kind == "hamming":
         # rank[x, o]: place of d(x, o) among the distinct distances from x
         rank = np.empty((S, S), dtype=np.intp)
+        w = weights or uniform_weights(m)
         for x, opinion in enumerate(space.feasible):
-            d = [weighted_hamming(opinion, o, weights, m) for o in space.feasible]
+            d = [weight_of(opinion, o, w, m) for o in space.feasible]
             levels = {v: k for k, v in enumerate(sorted(set(d)))}
             rank[x] = [levels[v] for v in d]
     if types is None:

@@ -163,7 +163,7 @@ def _hit_fn(space: EvaluationSpace, table: OutcomeTable, kind: str, weights) -> 
     if kind == "hamming":
         # dist[k, s]: distance from outcome k to feasible opinion s
         dist = exact_array(
-            [[weighted_hamming(x, v, weights, space.m) for x in space.feasible] for v in table.values]
+            [[weight_of(x, v, weights, space.m) for x in space.feasible] for v in table.values]
         )
         return lambda z, w, x, y: dist[w, x] < dist[z, x]
     if kind == "partial":

@@ -342,12 +342,16 @@ def _suite_thm43() -> list[CheckResult]:
 # harvested correction witnesses: interval emptiness and type inequality
 
 
-def _lemma_pair_ok(space, v: int, u: int) -> tuple[bool, bool]:
-    """(interval empty, types differ) for one stage-output pair."""
-    empty = not any(is_between(v, x, u) for x in space.feasible)
+def _interval_empty(space, v: int, u: int) -> bool:
+    """No feasible evaluation lies between the stage outputs v and u."""
+    return not any(is_between(v, x, u) for x in space.feasible)
+
+
+def _types_differ(space, v: int, u: int) -> bool:
+    """The stage outputs v and u are both infeasible, of different MIPE types."""
     if space.is_feasible(v) or space.is_feasible(u):
-        return empty, False
-    return empty, mipe_type(space, v) != mipe_type(space, u)
+        return False
+    return mipe_type(space, v) != mipe_type(space, u)
 
 
 @lru_cache(maxsize=1)
@@ -367,8 +371,12 @@ def _lemma_harvest():
         profiles.append(w.profile)
         lied.append(w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :])
     exhaustive_hits = len(profiles)
-    # one block: the witness profiles, then their lied profiles
-    outputs = stage.block_evaluator(space, 3)(np.vectorize(space.index)(profiles + lied)).tolist()
+    # the witness profiles, then their lied profiles, in blocks sized as the
+    # engine sizes outcome-table blocks
+    rows = np.vectorize(space.index)(profiles + lied)
+    evaluate = stage.block_evaluator(space, 3)
+    step = engine.block_size(3 + space.size + m)
+    outputs = [v for start in range(0, len(rows), step) for v in evaluate(rows[start : start + step]).tolist()]
     exhaustive_pairs = set(zip(outputs[:exhaustive_hits], outputs[exhaustive_hits:]))
 
     # randomized: stage, tie, weights and deviation all sampled
@@ -534,12 +542,8 @@ def _lemma_checks(which: str) -> list[CheckResult]:
     for mode in ("exhaustive", "random"):
         pairs = data[f"{mode}_pairs"]
         hits = data[f"{mode}_hits"]
-        bad = []
-        for v, u in pairs:
-            empty, differ = _lemma_pair_ok(space, v, u)
-            ok = empty if which == "interval" else differ
-            if not ok:
-                bad.append((v, u))
+        ok = _interval_empty if which == "interval" else _types_differ
+        bad = [(v, u) for v, u in pairs if not ok(space, v, u)]
         label = {
             "exhaustive": "every witness of the corrected majority, worked-example tie order",
             "random": f"randomized correction sweep ({data['configs']} configurations)",

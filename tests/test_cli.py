@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from binagg.aggregators import check_structural, parse_rule
+from binagg import cli
 from binagg.cli import main
 from binagg.fileio import read_tie_order, read_weights
 from binagg.spaces import builtin_space, to_bits
@@ -250,3 +251,24 @@ def test_space_past_order_limit_exits_at_once(tmp_path):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, "hunt", "--space", "pref3")[0] == 1
+
+
+def test_repeated_calls_match_first_calls(capsys):
+    # main builds its parser once per process; later calls, after a usage
+    # error too, print and exit exactly as a first call does
+    commands = [
+        ("space", "info", "--space", "pref3"),
+        ("hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--kind", "hamming"),
+        ("hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--kind", "bogus"),
+        ("check", "--space", "doctrinal", "--aggregator", "majority", "-n", "3", "--property", "monotone"),
+        ("hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--kind", "full", "--budget", "10"),
+        ("verify", "--suite", "tables"),
+    ]
+    first = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        first.append(run(capsys, *argv)[:2])
+    assert [code for code, _ in first] == [0, 0, 1, 0, 2, 0]
+    cli._build_parser.cache_clear()
+    assert [run(capsys, *argv)[:2] for argv in commands * 2] == first * 2
+    assert cli._build_parser.cache_info().misses == 1

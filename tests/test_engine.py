@@ -25,7 +25,7 @@ from binagg.aggregators import (
     monotone_tables,
     outcome_table,
 )
-from binagg import engine
+from binagg import engine, manipulation
 from binagg.manipulation import KINDS, find_witness, iter_witnesses
 from binagg.metric import TieOrder
 from binagg.spaces import EvaluationSpace, builtin_space
@@ -227,11 +227,32 @@ def test_pinned_lattice_tables():
                 assert rows.tolist() == expected.tolist()
                 pid = {tuple(r): q for q, r in enumerate(rows.tolist())}
                 codes = np.arange(lattice.size, dtype=np.uint16)
-                lied = lattice.lied_codes(codes)(0, rows)
+                ids, opinions = lattice.contexts(0, rows)
+                assert opinions.tolist() == rows[:, voters].tolist()
+                assert_contexts(lattice, rows, ids)
+                lied = lattice.lied_codes(codes)(ids.ravel()).reshape(len(rows), k, S)
                 for p, row in enumerate(rows.tolist()):
                     for i, y in itertools.product(range(n), range(S)):
                         target = pid[tuple(row[:i] + [y] + row[i + 1 :])] if i in voters else p
-                        assert lattice.lied(p, i, y) == lied[p, i, y] == target
+                        assert lattice.lied(p, i, y) == target
+                        if i in voters:
+                            assert lied[p, voters.index(i), y] == target
+
+
+def assert_contexts(lattice, rows, ids):
+    # two (profile, voter) pairs share a context id exactly when they share
+    # the voter and the other voters' rows, or on the multiset lattice
+    # just the multiset of the others
+    assert ids.shape == (len(rows), len(lattice.voters))
+    assert 0 <= ids.min() and ids.max() < lattice.context_count
+    named = {}
+    for row, row_ids in zip(rows.tolist(), ids.tolist()):
+        for j, context in enumerate(row_ids):
+            i = lattice.voters[j]
+            others = row[:i] + row[i + 1 :]
+            key = tuple(sorted(others)) if isinstance(lattice, engine.MultisetLattice) else (j, tuple(others))
+            assert named.setdefault(context, key) == key
+    assert len(named) == lattice.context_count
 
 
 def test_multiset_lattice_tables():
@@ -241,9 +262,14 @@ def test_multiset_lattice_tables():
         assert lattice.size == len(multisets)
         assert [tuple(r) for r in lattice.rows(0, lattice.size).tolist()] == multisets
         index = {ms: k for k, ms in enumerate(multisets)}
+        rows = lattice.rows(0, lattice.size)
+        ids, opinions = lattice.contexts(0, rows)
+        assert opinions.tolist() == rows.tolist()
+        assert_contexts(lattice, rows, ids)
+        lied = lattice.lied_codes(np.arange(lattice.size))(ids.ravel()).reshape(len(rows), n, S)
         for k, ms in enumerate(multisets):
             for i, y in itertools.product(range(n), range(S)):
-                assert lattice.lied(k, i, y) == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
+                assert lattice.lied(k, i, y) == lied[k, i, y] == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
 
 
 def test_outcome_codes_are_narrow(pref4):
@@ -272,3 +298,30 @@ def test_nearest_neighbor_correction_snaps_only_outputs_seen():
     find_witness(space, rule, 2, "full")
     assert time.perf_counter() - start < 0.5
     assert len(rule._snapped) <= space.size**2
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 97))
+def test_scan_tests_each_distinct_context_row_once(block_elements):
+    # the FREE full hunt of nn(majority) on pref4 with four voters: 17,550
+    # multisets * 4 voters * 24 lies = 1,684,800 probes, over 2,600
+    # contexts holding 295 distinct rows
+    space, n = builtin_space("pref4"), 4
+    S = space.size
+    rule = NearestNeighborRule(space, IiaStage.majority(n, space.m))
+    lattice = engine.MultisetLattice(S, n)
+    table = aggregators.lattice_table(space, rule, lattice)
+    full = manipulation._hit_fn(space, table, "full", None)
+    cells = 0
+
+    def counting(z, w, x, y):
+        nonlocal cells
+        hits = full(z, w, x, y)
+        cells += hits.size
+        return hits
+
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        assert list(engine.scan(lattice, table, counting)) == []
+    _, _, add = lattice._tables
+    rows = {tuple(row) for row in table.codes[add].tolist()}
+    assert (lattice.context_count, len(rows)) == (2600, 295)
+    assert 0 < cells <= len(rows) * S * S < lattice.size * n * S // 9
