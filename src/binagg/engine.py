@@ -388,8 +388,27 @@ def build_table(
 #: are w's entries at those opinions; y: (S,) lie feasible indices.  The
 #: result broadcasts to (T, S, S) or (T, 1, S).  A hit depends on these
 #: alone and is false wherever w == z: a lie that leaves the outcome in
-#: place is never a hit.
+#: place is never a hit.  ``manipulation._hit_fn`` builds one per
+#: manipulation kind.  The witness searches call it through :func:`scan`,
+#: which tests each new context row with :func:`type_hits` and then lists
+#: the lies of each flagged (profile, voter); ``fastsweep._bad_types``
+#: calls it through :func:`type_hits` alone.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def type_hits(rows: np.ndarray, hit: HitFn) -> np.ndarray:
+    """(T, S) bool: [t, x] says some lie is a hit for opinion x in the context row ``rows[t]``.
+
+    Rows of S outcome codes, one per lie, are tested in chunks of ``block_size(S * S)``.
+    """
+    S = rows.shape[1]
+    lies = np.arange(S)
+    step = block_size(S * S)
+    out = np.empty(rows.shape, dtype=bool)
+    for at in range(0, len(rows), step):
+        chunk = rows[at : at + step]
+        out[at : at + step] = hit(chunk[:, :, None], chunk[:, None, :], lies[None, :, None], lies).any(axis=2)
+    return out
 
 
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
@@ -423,8 +442,7 @@ def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[in
     # has[t * S + x] says some lie is a hit for opinion x in it
     types: dict[bytes, int] = {}
     row_key = np.dtype((np.void, S * codes.itemsize))
-    per_call = block_size(S * S)
-    type_rows = np.zeros(min(lattice.context_count, per_call) * S, dtype=codes.dtype)
+    type_rows = np.zeros(min(lattice.context_count, block_size(S * S)) * S, dtype=codes.dtype)
     has = np.zeros(len(type_rows), dtype=bool)
     for start, rows in blocks(lattice, n * S):
         ids, opinions = lattice.contexts(start, rows)
@@ -441,10 +459,7 @@ def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[in
                 end = len(types) * S
                 type_rows, has = _grown(type_rows, end), _grown(has, end)
                 type_rows[known:end] = np.frombuffer(b"".join(new), dtype=codes.dtype)
-                for lo in range(known, end, per_call * S):
-                    chunk = type_rows[lo : min(lo + per_call * S, end)].reshape(-1, S)
-                    flags = hit(chunk[:, :, None], chunk[:, None, :], lies[None, :, None], lies)
-                    has[lo : lo + chunk.size] = flags.any(axis=2).ravel()
+                has[known:end] = type_hits(type_rows[known:end].reshape(-1, S), hit).ravel()
         flagged = has[block_at + opinions]
         if not flagged.any():
             continue

@@ -11,9 +11,11 @@ No stage is enumerated.  Fix a voter i and the other voters' rows, a
 stage then fixes the output at 0, copies voter i's bit, or fixes it at
 1.  Every lie y therefore yields the stage output F | (y & D) for one
 of 3^m *pivot types* (F, D), and whether some opinion gains by some lie
-depends on the type alone.  One walk over the types, as the profile
-lattice of m issues taking three values, flags the *bad* ones from
-exact distance ranks and the 2^m correction table.
+depends on the type alone.  A type is itself a context row: the
+corrected outcome of each lie, read off the 2^m correction table.  One
+walk over the type numbers, in blocks, flags the *bad* ones with the
+engine's type step (``engine.type_hits``) under the probe scan's own
+gain test (``manipulation._hit_fn``).
 
 A stage is manipulable exactly when some (voter, context) shows it a
 bad type.  The stages showing type b at (i, c) form a product over
@@ -29,9 +31,9 @@ so it is the engine scan's canonical first probe.
 
 Constant and dictator deciders show every type in every context, so
 the verdict does not depend on n: no bad type means every stage is
-free, for any number of voters.  Distances are exact Python integers
-compared through their ranks, so any positive weights work, and sweeps
-take spaces of any number of feasible evaluations.
+free, for any number of voters.  Distances are exact integers, so any
+positive weights work, and sweeps take spaces of any number of
+feasible evaluations.
 
 The same argument screens one stage under many corrections for full
 manipulation.  A probe of the corrected stage is an opinion x and a lie
@@ -49,14 +51,14 @@ correction, whose table is cached by its weights and tie ranking.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import engine
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from .manipulation import find_witness
-from .metric import TieOrder, nn_select, uniform_weights, validate_weights, weight_of
+from .manipulation import _hit_fn, _validate_kind, find_witness
+from .metric import TieOrder, nn_select, validate_weights
 from .spaces import EvaluationSpace
 
 
@@ -97,35 +99,16 @@ def _bad_types(
     S, m = space.size, space.m
     masks = np.array(space.feasible, dtype=np.intp)
     place = 1 << np.arange(m - 1, -1, -1)
-    opinions = np.arange(S)
-    if kind == "hamming":
-        # rank[x, o]: place of d(x, o) among the distinct distances from x
-        rank = np.empty((S, S), dtype=np.intp)
-        w = weights or uniform_weights(m)
-        for x, opinion in enumerate(space.feasible):
-            d = [weight_of(opinion, o, w, m) for o in space.feasible]
-            levels = {v: k for k, v in enumerate(sorted(set(d)))}
-            rank[x] = [levels[v] for v in d]
-    if types is None:
-        chunks = (digits for _, digits in engine.blocks(engine.ProfileLattice(3, m), S * S))
-    else:
-        step = engine.block_size(S * S)
-        chunks = (
-            types[at : at + step, None] // 3 ** np.arange(m - 1, -1, -1) % 3 for at in range(0, len(types), step)
-        )
+    digit = 3 ** np.arange(m - 1, -1, -1)
+    hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
+    count = 3**m if types is None else len(types)
+    step = engine.block_size(S * S)
     bad = []
-    for digits in chunks:
-        # outcome[b, y]: feasible index of the corrected outcome when the voter says y
-        outcome = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
-        if kind == "hamming":
-            # distance[b, x, y]: rank of that outcome's distance from opinion x
-            distance = rank[opinions[:, None], outcome[:, None, :]]
-            gains = distance.min(axis=2) < distance[:, opinions, opinions]
-        else:
-            # z[b, x, 0]: outcome of opinion x told truthfully; w[b, 0, y]: after the lie y
-            z, w, x = masks[outcome][:, :, None], masks[outcome][:, None, :], masks[:, None]
-            gains = ((w != z) & ((w ^ x) & (w ^ z) == 0)).any(axis=2)
-        bad.append(gains.any(axis=1))
+    for at in range(0, count, step):
+        numbers = np.arange(at, min(at + step, count)) if types is None else types[at : at + step]
+        digits = numbers[:, None] // digit % 3
+        rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
+        bad.append(engine.type_hits(rows, hit).any(axis=1))
     return np.concatenate(bad)
 
 
@@ -137,22 +120,28 @@ def _pivot_kinds(truth: np.ndarray, n: int, i: int) -> np.ndarray:
     return (halves[:, :, 0] + halves[:, :, 1]).reshape(len(truth), -1)
 
 
+def _context_columns(space: EvaluationSpace, n: int, width: int) -> Iterator[np.ndarray]:
+    """(m, B) issue columns per block of the other n-1 voters' profiles, ``width`` elements per context:
+    [j, c] packs their bits on issue j in context c, the first of them most significant."""
+    bits = engine.issue_bits(space.feasible, space.m)
+    voter_bits = 1 << np.arange(n - 2, -1, -1)
+    for _, rows in engine.blocks(engine.ProfileLattice(space.size, n - 1), width):
+        yield bits[:, rows] @ voter_bits
+
+
 @lru_cache(maxsize=64)
 def _shown_types(space: EvaluationSpace, stage: IiaStage, n: int) -> np.ndarray:
     """Ascending numbers of the pivot types the stage shows some voter in some context."""
-    S, m = space.size, space.m
+    m = space.m
     truth = engine.truth_bits(stage.tables, n)
-    bits = engine.issue_bits(space.feasible, m)
     digit = 3 ** np.arange(m - 1, -1, -1)
-    voter_bits = 1 << np.arange(n - 2, -1, -1)
-    shown = []
-    for i in range(n):
-        # scaled[j, c]: issue j's type towards voter i in column c, times 3^(m-1-j)
-        scaled = _pivot_kinds(truth, n, i) * digit[:, None]
-        for _, rows in engine.blocks(engine.ProfileLattice(S, n - 1), m * n):
-            # columns[j, c]: the other voters' bits on issue j, first of them most significant
-            columns = bits[:, rows] @ voter_bits
-            shown.append(_distinct(np.take_along_axis(scaled, columns, axis=1).sum(axis=0)))
+    # scaled[i][j, c]: issue j's type towards voter i in column c, times 3^(m-1-j)
+    scaled = [_pivot_kinds(truth, n, i) * digit[:, None] for i in range(n)]
+    shown = [
+        _distinct(np.take_along_axis(kinds, columns, axis=1).sum(axis=0))
+        for columns in _context_columns(space, n, m * n)
+        for kinds in scaled
+    ]
     shown = _distinct(np.concatenate(shown))
     shown.flags.writeable = False
     return shown
@@ -204,24 +193,21 @@ def _first_positions(n: int) -> np.ndarray:
 
 def _least_stage(space: EvaluationSpace, n: int, bad: np.ndarray) -> int:
     """Least stage number that shows some voter, in some context, a type flagged in ``bad``."""
-    S, m = space.size, space.m
+    m = space.m
     T = len(monotone_tables(n))
     # keys run up to T^m - 1; past int64, numpy sums Python ints instead
     place = np.array([T ** (m - 1 - j) for j in range(m)], dtype=np.int64 if T**m <= 2**63 else object)
     # scaled[i, j, c, k]: issue j's share of the least stage number showing type k to voter i in column c
     scaled = _first_positions(n)[:, None] * place[:, None, None]
-    bits = engine.issue_bits(space.feasible, m)
-    voter_bits = 1 << np.arange(n - 2, -1, -1)
     best = T**m
-    for _, rows in engine.blocks(engine.ProfileLattice(S, n - 1), 3**m):
-        # columns[j, c]: the other voters' bits on issue j, voter 1 most significant
-        columns = bits[:, rows] @ voter_bits
+    for columns in _context_columns(space, n, 3**m):
+        B = columns.shape[1]
         for i in range(n):
             # key[c, b]: least stage number showing type b to voter i in context c, built
             # last issue first so that each sum broadcasts along its long trailing axis
-            key = np.zeros((len(rows), 1), dtype=place.dtype)
+            key = np.zeros((B, 1), dtype=place.dtype)
             for j in range(m - 1, -1, -1):
-                key = (scaled[i, j][columns[j]][:, :, None] + key[:, None, :]).reshape(len(rows), -1)
+                key = (scaled[i, j][columns[j]][:, :, None] + key[:, None, :]).reshape(B, -1)
             best = min(best, int(key.min(axis=0)[bad].min()))
     return best
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .aggregators import DEFAULT_BUDGET, Rule, lattice_rows, lattice_table, outcome_table, profile_count, search_lattice
-from .engine import HitFn, OutcomeTable, exact_array, masks_array, scan
+from .engine import HitFn, exact_array, masks_array, scan
 from .metric import uniform_weights, validate_weights, weight_of, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
 
@@ -151,28 +151,24 @@ def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Itera
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
     full = lattice.size == profile_count(space, n)
     table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
-    for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table, kind, w)):
+    for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table.values, kind, w)):
         rows = lattice_rows(space, lattice, pid)
         yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], table[pid], table[lied_pid], kind, w)
 
 
-def _hit_fn(space: EvaluationSpace, table: OutcomeTable, kind: str, weights) -> HitFn:
-    """The vectorised predicate of one manipulation kind over outcome codes."""
+def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights) -> HitFn:
+    """The vectorised predicate of one manipulation kind over outcome codes.
+
+    Code k stands for ``outcomes[k]``: a table's ``values``, or ``space.feasible`` for feasible indices.
+    """
     xs = masks_array(space.feasible, space.m)
-    values = masks_array(table.values, space.m)
+    values = masks_array(outcomes, space.m)
     if kind == "hamming":
         # dist[k, s]: distance from outcome k to feasible opinion s
-        dist = exact_array(
-            [[weight_of(x, v, weights, space.m) for x in space.feasible] for v in table.values]
-        )
+        dist = exact_array([[weight_of(x, v, weights, space.m) for x in space.feasible] for v in outcomes])
         return lambda z, w, x, y: dist[w, x] < dist[z, x]
     if kind == "partial":
-
-        def partial(z, w, x, y):
-            true = xs[x]
-            return (values[z] ^ true) & ~(values[w] ^ true) != 0
-
-        return partial
+        return lambda z, w, x, y: (values[z] ^ xs[x]) & ~(values[w] ^ xs[x]) != 0
 
     def full(z, w, x, y):
         lied = values[w]

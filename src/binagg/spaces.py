@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_ISSUES = 64
@@ -469,8 +470,9 @@ def mipe_set(space: EvaluationSpace, pe: PartialEvaluation) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=1024)
 def mipe_type(space: EvaluationSpace, mask: int) -> tuple[PartialEvaluation, ...]:
-    """The MIPEs whose subcube contains an infeasible evaluation."""
+    """The MIPEs whose subcube contains an infeasible evaluation (memoised; a feasible mask always raises)."""
     if space.is_feasible(mask):
         raise ValueError(f"mipe_type is defined on infeasible evaluations only: {to_bits(mask, space.m)}")
     return tuple(pe for pe in space.mipes() if pe.matches(mask, space.m))

@@ -34,9 +34,9 @@ from .aggregators import (
     outcome_table,
     swm_topk,
 )
-from .fastsweep import all_stage_products_hamming_free, corrected_stage_free, stage_product_count
+from .fastsweep import _correction_indices, all_stage_products_hamming_free, corrected_stage_free, stage_product_count
 from .manipulation import ManipulationWitness, certify, classify_deviation, find_witness, iter_witnesses
-from .metric import TieOrder, nn_select, uniform_weights, weight_of, weighted_hamming
+from .metric import TieOrder, uniform_weights, weight_of, weighted_hamming
 from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
 
@@ -477,15 +477,16 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
 
     Each configuration draws a monotone three-voter stage, a tie order,
     weights, a profile, a liar and a lie.  Its stage outputs are corrected
-    by ``nn_select`` under the drawn tie order and weights, and a hit is
-    a lie whose corrected outcome is strictly closer, in those weights,
-    to the liar's opinion.  The draws are those of a loop over single
-    configurations calling ``rng.choice`` and ``rng.randrange`` in its
-    order; :func:`_bounded_draws` replays them from bulk words with
-    CPython's ``_randbelow`` rejection rule, and ``rng`` ends in that
-    loop's state.  ``tests/oracle.py`` keeps the loop, and the tests pin
-    the replay against it on the running interpreter.  The configurations
-    are evaluated in the replay's blocks by array gathers.
+    by the sweeps' nearest-neighbour table under the drawn tie order and
+    weights, and a hit is a lie whose corrected outcome is strictly
+    closer, in those weights, to the liar's opinion.  The draws are those
+    of a loop over single configurations calling ``rng.choice`` and
+    ``rng.randrange`` in its order; :func:`_bounded_draws` replays them
+    from bulk words with CPython's ``_randbelow`` rejection rule, and
+    ``rng`` ends in that loop's state.  ``tests/oracle.py`` keeps the
+    loop, and the tests pin the replay against it on the running
+    interpreter.  The configurations are evaluated in the replay's blocks
+    by array gathers.
     """
     space = builtin_space("pref4")
     m, n = space.m, 3
@@ -497,9 +498,7 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     weight_options = fixtures.weight_battery(m)
     W = len(weight_options)
     # corrected[t * W + k, p]: the correction of hypercube point p under tie t and weights k
-    corrected = np.array(
-        [[nn_select(space, p, wv, t) for p in range(1 << m)] for t in ties for wv in weight_options], dtype=np.int64
-    )
+    corrected = X[np.array([_correction_indices(space, wv, t) for t in ties for wv in weight_options])]
     # dist[k, d]: the total weight of the disagreement mask d under weights k
     dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
     # truth[t, c]: bit c of table tabs[t]

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from binagg.spaces import builtin_space, builtin_space_names
+
+# Property tests draw the same examples on every run, so run-to-run time
+# and verdicts do not move with fresh draws; each test keeps its own
+# max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from binagg.aggregators import (
     outcome_table,
 )
 from binagg import engine, manipulation
-from binagg.manipulation import KINDS, find_witness, iter_witnesses
+from binagg.manipulation import KINDS, classify_deviation, find_witness, iter_witnesses
 from binagg.metric import TieOrder
 from binagg.spaces import EvaluationSpace, builtin_space
 
@@ -310,7 +310,7 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     rule = NearestNeighborRule(space, IiaStage.majority(n, space.m))
     lattice = engine.MultisetLattice(S, n)
     table = aggregators.lattice_table(space, rule, lattice)
-    full = manipulation._hit_fn(space, table, "full", None)
+    full = manipulation._hit_fn(space, table.values, "full", None)
     cells = 0
 
     def counting(z, w, x, y):
@@ -325,3 +325,35 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     rows = {tuple(row) for row in table.codes[add].tolist()}
     assert (lattice.context_count, len(rows)) == (2600, 295)
     assert 0 < cells <= len(rows) * S * S < lattice.size * n * S // 9
+
+
+@st.composite
+def type_cases(draw):
+    """An explicit space of 1-5 issues, outcome masks, rows of codes into them, and weights."""
+    m = draw(st.integers(1, 5))
+    top = (1 << m) - 1
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, top), min_size=1, max_size=8)))
+    outcomes = sorted(draw(st.sets(st.integers(0, top), min_size=1, max_size=8)))
+    row = st.lists(st.integers(0, len(outcomes) - 1), min_size=space.size, max_size=space.size)
+    rows = np.array(draw(st.lists(row, min_size=1, max_size=30)), dtype=draw(st.sampled_from((np.uint8, np.intp))))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4) | st.integers(2**31, 2**40)] * m))
+    return space, outcomes, rows, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(type_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+def test_type_step_matches_classify_deviation(case, block_elements):
+    """[t, x] is flagged exactly when opinion x gains by some lie in row t, judged one move at a time."""
+    space, outcomes, rows, weights = case
+    m, X = space.m, space.feasible
+    # moves[t][x][y]: how the lie y moves opinion x's outcome in row t
+    moves = [
+        [[classify_deviation(x, outcomes[row[i]], outcomes[lied], weights, m) for lied in row] for i, x in enumerate(X)]
+        for row in rows.tolist()
+    ]
+    for kind in KINDS:
+        hit = manipulation._hit_fn(space, outcomes, kind, manipulation._validate_kind(kind, weights, m))
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+            flags = engine.type_hits(rows, hit)
+        expected = [[any(getattr(move, kind) for move in lies) for lies in row] for row in moves]
+        assert flags.tolist() == expected, kind

@@ -389,6 +389,16 @@ def test_mipe_type_rejects_feasible(pref3):
         mipe_type(pref3, 0b110)
 
 
+def test_mipe_type_is_memoised_and_rejects_feasible_masks_every_time(pref3):
+    mipe_type.cache_clear()
+    first = mipe_type(pref3, 0b000)
+    assert mipe_type(pref3, 0b000) is first
+    assert mipe_type.cache_info().hits == 1
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            mipe_type(pref3, 0b110)
+
+
 def test_mipe_set_rejects_non_mipe(pref3):
     with pytest.raises(ValueError):
         mipe_set(pref3, PartialEvaluation((1,), (1,)))
