@@ -58,17 +58,27 @@ import numpy as np
 from . import engine
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from .manipulation import _hit_fn, _validate_kind, find_witness
-from .metric import TieOrder, nn_select, validate_weights
+from .metric import TieOrder, nn_select, uniform_weights, validate_weights  # noqa: F401  bench/spans.py wraps nn_select
 from .spaces import EvaluationSpace
 
 
 def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
-    """Feasible index of the corrected value for every hypercube point."""
-    if space.m > 20:
+    """Feasible index of ``nn_select(space, p, weights, tie)`` for every hypercube point p: per block of points,
+    the first nearest feasible evaluation in tie order (ascending without one), by exact distances."""
+    m = space.m
+    if m > 20:
         raise ValueError("correction table is practical for m <= 20 only")
-    table = np.empty(1 << space.m, dtype=np.intp)
-    for p in range(1 << space.m):
-        table[p] = space.index(nn_select(space, p, weights, tie))
+    # weight[d]: the total weight of the disagreement mask d, exact (Python ints past int64)
+    weight = [0]
+    for wj in reversed(uniform_weights(m) if weights is None else weights):
+        weight += [d + wj for d in weight]
+    weight = engine.exact_array(weight)
+    ranking = space.feasible if tie is None else tie.ranking
+    ranked, index = np.array(ranking, dtype=np.intp), np.array([space.index(x) for x in ranking])
+    table = np.empty(1 << m, dtype=np.intp)
+    step = engine.block_size(space.size)
+    for at in range(0, 1 << m, step):
+        table[at : at + step] = index[weight[np.arange(at, min(at + step, 1 << m))[:, None] ^ ranked].argmin(axis=1)]
     return table
 
 

@@ -35,7 +35,7 @@ from .aggregators import (
     swm_topk,
 )
 from .fastsweep import _correction_indices, all_stage_products_hamming_free, corrected_stage_free, stage_product_count
-from .manipulation import ManipulationWitness, certify, classify_deviation, find_witness, iter_witnesses
+from .manipulation import ManipulationWitness, _hit_fn, certify, classify_deviation, find_witness
 from .metric import TieOrder, uniform_weights, weight_of, weighted_hamming
 from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
@@ -320,13 +320,13 @@ def _suite_thm43() -> list[CheckResult]:
         rule = WelfareMaximizer(space, uniform_weights(space.m), TieOrder.ascending(space))
         drawn, shuffles = [], []
         for _ in range(200):
-            rows = [rng.choice(space.feasible) for _ in range(5)]
+            rows = [rng.randrange(space.size) for _ in range(5)]
             shuffled = rows[:]
             rng.shuffle(shuffled)
             drawn.append(rows)
             shuffles.append(shuffled)
-        # one (400, 5) block: the drawn profiles, then their permutations
-        outcomes = rule.block_evaluator(5)(np.vectorize(space.index)(drawn + shuffles))
+        # one (400, 5) block of feasible indices: the drawn profiles, then their permutations
+        outcomes = rule.block_evaluator(5)(np.array(drawn + shuffles))
         bad = int(np.count_nonzero(outcomes[:200] != outcomes[200:]))
         checks.append(
             CheckResult(
@@ -355,45 +355,36 @@ def _types_differ(space, v: int, u: int) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _lemma_harvest():
-    """All correction-witness stage pairs from the two harvest modes."""
+def _lemma_harvest() -> dict[str, tuple[list[tuple[int, int]], int]]:
+    """(sorted correction-witness stage-output pairs, witness count) of each harvest mode on pref4, by report label."""
     space = builtin_space("pref4")
-    m = space.m
-    uniform = uniform_weights(m)
-
-    # exhaustive: every hamming witness of the corrected majority under the
-    # worked example's tie order
-    stage = IiaStage.majority(3, m)
-    tie = fixtures.four_candidate_tie_order()
-    rule = NearestNeighborRule(space, stage, uniform, tie)
-    profiles, lied = [], []
-    for w in iter_witnesses(space, rule, 3, "hamming"):
-        profiles.append(w.profile)
-        lied.append(w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :])
-    exhaustive_hits = len(profiles)
-    # the witness profiles, then their lied profiles, in blocks sized as the
-    # engine sizes outcome-table blocks
-    rows = np.vectorize(space.index)(profiles + lied)
-    evaluate = stage.block_evaluator(space, 3)
-    step = engine.block_size(3 + space.size + m)
-    outputs = [v for start in range(0, len(rows), step) for v in evaluate(rows[start : start + step]).tolist()]
-    exhaustive_pairs = set(zip(outputs[:exhaustive_hits], outputs[exhaustive_hits:]))
-
-    # randomized: stage, tie, weights and deviation all sampled
     configs = 100_000
-    random_pairs, random_hits = _random_harvest(configs, random.Random(fixtures.RANDOM_SWEEP_SEED))
-    return dict(
-        space=space,
-        exhaustive_pairs=sorted(exhaustive_pairs),
-        exhaustive_hits=exhaustive_hits,
-        random_pairs=random_pairs,
-        random_hits=random_hits,
-        configs=configs,
-    )
+    # every hamming witness of the corrected majority under the worked example's tie order
+    exhaustive = _exhaustive_harvest(space, fixtures.four_candidate_tie_order())
+    # stage, tie, weights and deviation all sampled
+    randomized = _random_harvest(configs, random.Random(fixtures.RANDOM_SWEEP_SEED))
+    return {
+        "every witness of the corrected majority, worked-example tie order": exhaustive,
+        f"randomized correction sweep ({configs} configurations)": randomized,
+    }
+
+
+def _exhaustive_harvest(space, tie: TieOrder) -> tuple[list[tuple[int, int]], int]:
+    """Sorted stage-output pairs and count of the hamming witnesses of the three-voter majority,
+    corrected under uniform weights and ``tie``: the engine scans the stage's own outcome table,
+    each code standing for its correction, and a hit's pair is the table at (profile, lied profile)."""
+    uniform = uniform_weights(space.m)
+    lattice = engine.ProfileLattice(space.size, 3)
+    stage = engine.build_table(space, lattice, IiaStage.majority(3, space.m).block_evaluator(space, 3))
+    correct = _correction_indices(space, uniform, tie)[list(stage.values)].tolist()
+    hit = _hit_fn(space, [space.feasible[i] for i in correct], "hamming", uniform)
+    probes = np.array([(pid, lied) for pid, _, _, lied in engine.scan(lattice, stage, hit)]).reshape(-1, 2)
+    v, u = np.array(stage.values)[stage.codes[probes]].T
+    return sorted(set(zip(v.tolist(), u.tolist()))), len(probes)
 
 
 def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> Iterator[np.ndarray]:
-    """Blocks of (B, len(bounds)) values: ``rounds`` rounds of ``[rng.randrange(b) for b in bounds]``.
+    """Blocks of (B, len(bounds)) values, B >= 0: ``rounds`` rounds of ``[rng.randrange(b) for b in bounds]``.
 
     The values are replayed from bulk 32-bit Mersenne Twister words, by
     the rule CPython's ``randrange(b)`` and ``choice`` of a length-b
@@ -405,21 +396,25 @@ def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> It
     ``getrandbits(32 * N)`` in little-endian order, so its 4-byte groups
     are the next N words in order.
 
-    Consecutive bounds with one acceptance threshold form a run, whose
-    draws are the run's next accepted words.  From each word position a
-    round's end is then a few gathers, and the rounds of a bulk are a
-    walk along those ends.  Words left after the last complete round
-    carry into the next bulk.  Once the generator is exhausted, ``rng``
-    is back at the first unconsumed word: at the state of the
-    per-call loop.  Bounds outside 1..2**32-1 raise ``ValueError``,
-    since a larger bound draws more than one word.
+    Every draw takes a word below the loosest threshold, so a bulk is
+    read among those words alone.  Consecutive bounds with one threshold
+    form a run, which draws its next accepted words: simply the next
+    words at the loosest threshold.  Composing the runs gives each
+    position's round end, pointer doubling on those ends lists the
+    bulk's round starts, and one 2-D gather per run reads their values.
+    Words after the last complete round carry into the next bulk; once
+    the generator is exhausted, ``rng`` is in the per-call loop's state.
+    Bounds outside 1..2**32-1 raise ``ValueError``: a larger bound draws
+    more than one word.
     """
     if not bounds or not all(1 <= b < 1 << 32 for b in bounds):
         raise ValueError(f"bounds must be 1..2**32-1, one word per draw, got {tuple(bounds)}")
-    shifts = [32 - b.bit_length() for b in bounds]
-    runs = [(t, len(list(group))) for t, group in itertools.groupby(b << s for b, s in zip(bounds, shifts))]
+    width = len(bounds)
+    shifts = np.array([32 - b.bit_length() for b in bounds])
+    runs = [(t, len(list(group))) for t, group in itertools.groupby(b << (32 - b.bit_length()) for b in bounds)]
+    loosest = max(runs)[0]
     # each bulk holds at least one round's words, each word about eight temporaries
-    step = len(bounds) * engine.block_size(8 * len(bounds))
+    step = width * engine.block_size(8 * width)
     words = np.empty(0, dtype=np.uint32)
     # (state before the bulk draw, its word count) of every bulk with unconsumed words;
     # `spent` words of the first one are consumed
@@ -428,43 +423,47 @@ def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> It
     while rounds:
         held.append((rng.getstate(), step))
         words = np.concatenate((words, np.frombuffer(rng.randbytes(4 * step), dtype="<u4")))
-        N = len(words)
-        # per run: accepted[c] is the position of its c-th accepted word, padded
-        # with N; before[p] counts its accepted words before position p <= N,
-        # and position N + 1 stands for "past the end"
-        tables = []
+        # the N words below the loosest threshold, at positions `where` among all words
+        where = np.flatnonzero(words < loosest)
+        kept = words[where]
+        N = len(kept)
+        # end[p]: where a round starting at position p ends, N + 1 once past the end.
+        # A tighter run's c-th accepted word is at accepted[c], N past the end, and
+        # before[p] of them come before position p
         end = np.arange(N + 2)
+        tables = []
         for threshold, length in runs:
-            ok = words < threshold
-            accepted = np.concatenate((np.flatnonzero(ok), np.full(length, N)))
-            before = np.zeros(N + 2, dtype=np.intp)
-            np.cumsum(ok, out=before[1 : N + 1])
-            before[N + 1] = before[N]
-            tables.append((accepted, before, length))
-            end = accepted[before[end] + length - 1] + 1
-        # walk the rounds from position 0: a round starting at p ends at end[p] <= N
-        starts = []
-        p = 0
-        for _ in range(rounds):
-            q = end.item(p)
-            if q > N:
-                break
-            starts.append(p)
-            p = q
-        if starts:
-            at = np.array(starts, dtype=np.intp)
-            out = np.empty((len(starts), len(bounds)), dtype=np.intp)
-            d = 0
-            for accepted, before, length in tables:
-                first = before[at]
-                for j in range(length):
-                    out[:, d] = words[accepted[first + j]] >> shifts[d]
-                    d += 1
-                at = accepted[first + length - 1] + 1
-            rounds -= len(starts)
-            yield out
-        words = words[p:]
-        spent += p
+            if threshold == loosest:
+                end = np.minimum(end + length, N + 1)
+                tables.append(None)
+            else:
+                ok = kept < threshold
+                accepted = np.concatenate((np.flatnonzero(ok), np.full(length, N)))
+                before = np.cumsum(np.concatenate(([0], ok, [0])))
+                end = accepted[before[end] + length - 1] + 1
+                tables.append(accepted)
+        # chain[i]: where round i starts, listed by doubling (while `jump` is `end` applied 2**k
+        # times, chain holds rounds 0..2**k - 1); a round spans `width` or more positions
+        most = min(rounds, N // width)
+        chain, jump = np.zeros(1, dtype=np.intp), end
+        for _ in range(most.bit_length()):
+            chain = np.concatenate((chain, jump[chain]))
+            jump = jump[jump]
+        # round i is complete when its end, chain[i + 1], is not past the end
+        count = int(np.count_nonzero(chain[1 : most + 1] <= N))
+        # taken[r, d]: the position of round r's draw d
+        taken = np.empty((count, width), dtype=np.intp)
+        at, d = chain[:count, None], 0
+        for (_, length), accepted in zip(runs, tables):
+            draws = np.arange(length)
+            taken[:, d : d + length] = at + draws if accepted is None else accepted[accepted.searchsorted(at) + draws]
+            d += length
+            at = taken[:, d - 1 : d] + 1
+        rounds -= count
+        yield kept[taken] >> shifts
+        consumed = int(where[chain[count] - 1]) + 1 if count else 0
+        words = words[consumed:]
+        spent += consumed
         while held and spent >= held[0][1]:
             spent -= held.pop(0)[1]
     if held:
@@ -480,13 +479,10 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     by the sweeps' nearest-neighbour table under the drawn tie order and
     weights, and a hit is a lie whose corrected outcome is strictly
     closer, in those weights, to the liar's opinion.  The draws are those
-    of a loop over single configurations calling ``rng.choice`` and
-    ``rng.randrange`` in its order; :func:`_bounded_draws` replays them
-    from bulk words with CPython's ``_randbelow`` rejection rule, and
-    ``rng`` ends in that loop's state.  ``tests/oracle.py`` keeps the
-    loop, and the tests pin the replay against it on the running
-    interpreter.  The configurations are evaluated in the replay's blocks
-    by array gathers.
+    of the loop over single configurations that ``tests/oracle.py`` keeps,
+    replayed by :func:`_bounded_draws`, and ``rng`` ends in that loop's
+    state.  A stage output is one flat truth-table gather at the issue
+    columns of its profile, read off a table of all S**3 profiles.
     """
     space = builtin_space("pref4")
     m, n = space.m, 3
@@ -501,14 +497,14 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     corrected = X[np.array([_correction_indices(space, wv, t) for t in ties for wv in weight_options])]
     # dist[k, d]: the total weight of the disagreement mask d under weights k
     dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
-    # truth[t, c]: bit c of table tabs[t]
-    truth = engine.truth_bits(tabs, n)
-    bits = engine.issue_bits(space.feasible, m)
-    place = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.int64)
-
-    def outputs(tab, rows):
-        """(B,) stage outputs for (m, B) table positions and (B, n) row indices."""
-        return place @ truth[tab, engine.packed_columns(bits, rows)]
+    # truth[t << n | c]: bit c of table tabs[t]
+    truth = engine.truth_bits(tabs, n).ravel()
+    # columns[pid, j]: issue j's bits in the profile with id pid, voter 1 most significant
+    columns = bits = engine.issue_bits(space.feasible, m).T.astype(np.uint8)
+    for _ in range(n - 1):
+        columns = (columns[:, None] << 1 | bits).reshape(-1, m)
+    place = 1 << np.arange(m - 1, -1, -1)
+    stride = engine.strides(S, n)
 
     # one configuration's draws: m tables (``rng.choice(tabs)`` draws a
     # position below len(tabs)), then tie, weights, n rows, liar and lie
@@ -516,37 +512,29 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     pairs = set()
     hits = 0
     for drawn in _bounded_draws(rng, bounds, configs):
-        tab = drawn[:, :m].T
-        tie, weight = drawn[:, m], drawn[:, m + 1]
+        tab = drawn[:, :m] << n
+        weight = drawn[:, m + 1]
+        correction = drawn[:, m] * W + weight
         rows = drawn[:, m + 2 : m + 2 + n]
         voter, lie = drawn[:, -2], drawn[:, -1]
-        config = np.arange(len(drawn))
-        truthful = rows[config, voter]
-        lied_rows = rows.copy()
-        lied_rows[config, voter] = lie
-        v, u = outputs(tab, rows), outputs(tab, lied_rows)
-        correction = tie * W + weight
-        z, w = corrected[correction, v], corrected[correction, u]
+        truthful = rows[np.arange(len(drawn)), voter]
+        pid = rows @ stride
+        v = truth[tab + columns[pid]] @ place
+        u = truth[tab + columns[pid + (lie - truthful) * stride[voter]]] @ place
+        # a lie that leaves the opinion in place, or the corrected outcome, is never closer
         x = X[truthful]
-        hit = (lie != truthful) & (z != w) & (dist[weight, x ^ w] < dist[weight, x ^ z])
+        hit = dist[weight, x ^ corrected[correction, u]] < dist[weight, x ^ corrected[correction, v]]
         hits += int(np.count_nonzero(hit))
         pairs.update(zip(v[hit].tolist(), u[hit].tolist()))
     return sorted(pairs), hits
 
 
 def _lemma_checks(which: str) -> list[CheckResult]:
-    data = _lemma_harvest()
-    space = data["space"]
+    space = builtin_space("pref4")
     checks = []
-    for mode in ("exhaustive", "random"):
-        pairs = data[f"{mode}_pairs"]
-        hits = data[f"{mode}_hits"]
+    for label, (pairs, hits) in _lemma_harvest().items():
         ok = _interval_empty if which == "interval" else _types_differ
         bad = [(v, u) for v, u in pairs if not ok(space, v, u)]
-        label = {
-            "exhaustive": "every witness of the corrected majority, worked-example tie order",
-            "random": f"randomized correction sweep ({data['configs']} configurations)",
-        }[mode]
         prop = "interval(v,u) avoids the space" if which == "interval" else "subcube types differ"
         if bad:
             v, u = bad[0]

@@ -7,14 +7,15 @@ instead.  The scanners evaluate the rule on every profile through them,
 walk every (profile, voter, lie) probe in canonical order, one stage at
 a time for sweeps, and decide each structural property profile by
 profile, and they apply one randomly drawn stage at a time in the lemma
-harvest.  They are slow and obviously correct, which is their job.
+harvest and take its exhaustive half one witness at a time.  They are
+slow and obviously correct, which is their job.
 """
 
 import itertools
 from collections import Counter
 from functools import lru_cache
 
-from binagg import fixtures
+from binagg import fixtures, manipulation
 from binagg.aggregators import (
     Dictator,
     IiaStage,
@@ -321,6 +322,24 @@ def first_manipulable_stage(space, n, weights=None, tie=None):
             pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
             return sid, stage.tables, (pid, witness.voter - 1, space.index(witness.lie))
     return None
+
+
+def exhaustive_harvest(space, tie):
+    """The exhaustive lemma harvest's (sorted pairs, hits), witness by witness.
+
+    The witnesses are the library's enumeration of every hamming witness
+    of the three-voter majority corrected under uniform weights and
+    ``tie``; each pair is the per-profile stage output at the witness's
+    profile and at its lied profile.
+    """
+    stage = IiaStage.majority(3, space.m)
+    rule = NearestNeighborRule(space, stage, uniform_weights(space.m), tie)
+    pairs, hits = set(), 0
+    for w in manipulation.iter_witnesses(space, rule, 3, "hamming"):
+        lied = w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :]
+        pairs.add((stage_output(stage, w.profile), stage_output(stage, lied)))
+        hits += 1
+    return sorted(pairs), hits
 
 
 def random_harvest(configs, rng):

@@ -407,6 +407,31 @@ def test_bad_types_match_classify_deviation(case, kind, data):
     assert _bad_types(space, weights, _correction_indices(space, weights, tie), kind, types).tolist() == expected
 
 
+@st.composite
+def correction_cases(draw):
+    """A space of 1-6 issues, with or without weights up to 2**40, and with or without a tie order."""
+    m = draw(st.integers(1, 6))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4) | st.integers(2**31, 2**40)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    return space, weights, tie
+
+
+THREE_POINTS = EvaluationSpace(3, {0b001, 0b110, 0b011})
+
+
+@settings(max_examples=150, deadline=None)
+@given(correction_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+# distances past int64 are summed as Python ints, and equal weights tie them
+@example((THREE_POINTS, (2**62,) * 3, None), engine.BLOCK_ELEMENTS)
+@example((THREE_POINTS, (2**62,) * 3, TieOrder.descending(THREE_POINTS)), 1)
+def test_correction_indices_match_nn_select(case, block_elements):
+    space, weights, tie = case
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        table = _correction_indices(space, weights, tie)
+    assert table.tolist() == [space.index(nn_select(space, p, weights, tie)) for p in range(1 << space.m)]
+
+
 def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     # equal tie orders rebuilt for every stage, as the suites' batteries do
     first, again = TieOrder.descending(pref3), TieOrder.descending(pref3)

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from binagg import engine, fixtures, suites
+from binagg.metric import TieOrder
 from binagg.suites import format_report, run_suite, suite_names
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
@@ -82,6 +86,17 @@ BOUNDS = st.one_of(st.sampled_from((1, 2, 3, 4, 20, 24, 2**31, 2**32 - 1)), st.i
 )
 # about 18,000 words: past the first bulk at the default block size
 @example(0, [1, 2**32 - 1, 3, 20, 24, 4], 2000, engine.BLOCK_ELEMENTS)
+# the loosest threshold's run alone, first, last, and both first and last
+@example(1, [24], 2000, engine.BLOCK_ELEMENTS)
+@example(2, [24, 20, 4], 2000, engine.BLOCK_ELEMENTS)
+@example(3, [20, 4, 24], 2000, engine.BLOCK_ELEMENTS)
+@example(4, [24, 20, 3], 300, 97)
+# every bound sharing one threshold: 3 << 30 == 6 << 29 == 12 << 28 == 24 << 27
+@example(5, [3, 24, 24], 2000, engine.BLOCK_ELEMENTS)
+@example(6, [3, 6, 12, 24, 3], 700, 97)
+# fewer rounds than one bulk completes
+@example(7, [20, 4, 24], 3, engine.BLOCK_ELEMENTS)
+@example(8, [20] * 6 + [4, 3, 24, 24, 24, 3, 24], 1, engine.BLOCK_ELEMENTS)
 def test_bounded_draws_replay_randrange(seed, bounds, rounds, block_elements):
     ours, theirs = random.Random(seed), random.Random(seed)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
@@ -146,8 +161,23 @@ def test_random_harvest_matches_oracle(block_elements):
         assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("tie", ("worked example", "descending"))
+def test_exhaustive_harvest_matches_oracle(pref4, tie):
+    tie = fixtures.four_candidate_tie_order() if tie == "worked example" else TieOrder.descending(pref4)
+    assert suites._exhaustive_harvest(pref4, tie) == oracle.exhaustive_harvest(pref4, tie)
+
+
+def test_lemma_harvest_leaves_numpy_random_unimported():
+    # importing numpy.random adds about 1.5 MB of peak RSS to every process that runs the suites
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys; from binagg import suites; suites.run_suite('lemma5.4'); print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def test_random_harvest_memory_is_chunked():
-    # blocks trace about 1.4 MB here; all 40,000 configurations in one batch, over 13 MB
+    # blocks trace about 0.8 MB here; all 40,000 configurations in one batch, over 13 MB
     tracemalloc.start()
     try:
         suites._random_harvest(40_000, random.Random(fixtures.RANDOM_SWEEP_SEED))
