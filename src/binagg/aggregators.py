@@ -35,7 +35,6 @@ from .engine import (
     exact_array,
     issue_bits,
     masks_array,
-    packed_columns,
     scan,
     strides,
     truth_bits,
@@ -64,6 +63,10 @@ class IiaStage:
 
     ``tables[j]`` is the truth table of issue j+1's decider, indexed by
     the packed column (voter 1 most significant).
+
+    Evaluation packs each column into an n-bit *issue lane*: ``64 // n``
+    issues to a uint64 word, from mask bit 0 up, the issue at bit j of a
+    word holding voter i's bit at offset ``j * n + (n - 1 - i)``.
     """
 
     __slots__ = ("n", "tables")
@@ -110,28 +113,35 @@ class IiaStage:
         if n != self.n:
             raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
 
-    def _gather(self, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Stage outputs (uint64 masks) for (B, n) column indices into an (m, K) array of issue bits."""
-        m, n = self.m, self.n
-        # issue j+1's truth table starts at j * 2**n: one flat gather decides every issue
-        offsets = (np.arange(m, dtype=np.intp) << n)[:, None]
-        truth = truth_bits(self.tables, n).ravel()
-        place = np.array([1 << (m - j) for j in range(1, m + 1)], dtype=np.uint64)
-        return lambda rows: place @ truth[offsets + packed_columns(bits, rows)]
+    def _gather(self, masks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Stage outputs (uint64 masks) for (B, n) indices into the (K,) uint64 ``masks``, over issue lanes."""
+        n, mask = self.n, np.uint64((1 << self.n) - 1)
+        bit, shifts, voters, place, offsets = _lanes(self.m, n)
+        # codes[i, w, k]: voter i's lane bits of masks[k] in word w
+        codes = (((masks >> bit) & 1) << shifts).sum(axis=1) << voters
+        # lane p's truth table starts at p << n, its entries at mask bit p
+        truth = (truth_bits(self.tables[::-1] + (0,) * (len(place) - self.m), n) * place).ravel()
+
+        def evaluate(rows):
+            packed = codes[0][:, rows[:, 0]]
+            for i in range(1, n):
+                packed |= codes[i][:, rows[:, i]]
+            return truth[((packed[:, None, :] >> shifts) & mask) + offsets].sum(axis=(0, 1))
+
+        return evaluate
 
     def apply(self, rows: Sequence[int], m: int | None = None) -> int:
         """Stage output for a profile of any masks; may be infeasible.
 
-        A one-row call of the gather :meth:`block_evaluator` makes, on the
-        issue bits of the masks given.
+        A one-row call of the gather :meth:`block_evaluator` makes, on the masks given.
         """
         self._check_shape(self.m if m is None else m, len(rows))
-        return int(self._gather(issue_bits(rows, self.m))(np.arange(self.n)[None])[0])
+        return int(self._gather(np.array(rows, dtype=np.uint64))(np.arange(self.n)[None])[0])
 
     def block_evaluator(self, space: EvaluationSpace, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Stage outputs (uint64 masks) for (B, n) blocks of feasible row indices."""
         self._check_shape(space.m, n)
-        return self._gather(issue_bits(space.feasible, space.m))
+        return self._gather(np.array(space.feasible, dtype=np.uint64))
 
     @property
     def is_anonymous(self) -> bool:
@@ -162,6 +172,15 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"stage arity must be at least 1, got {n}")
     if n > MAX_STAGE_ARITY:
         raise ValueError(f"stage arity must be at most {MAX_STAGE_ARITY} (truth tables of 2**n bits), got {n}")
+
+
+@lru_cache(maxsize=64)
+def _lanes(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """(bit, shifts, voters, place, offsets) of the issue lanes of :class:`IiaStage` on m issues and n voters."""
+    per = min(m, 64 // n)
+    # bit[w, l]: the mask bit lane l of word w decides; lanes past bit m - 1 get zero truth tables
+    bit = np.arange(-(-m // per) * per, dtype=np.uint64).reshape(-1, per, 1)
+    return bit, bit[0] * n, np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None, None], 1 << bit.reshape(-1, 1), bit << n
 
 
 def _vote_counts(n: int) -> np.ndarray:

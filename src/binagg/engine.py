@@ -44,11 +44,11 @@ the voter's lies reach there, and its truthful outcome is the row's
 entry at the voter's opinion.  Every probe predicate (:data:`HitFn`)
 depends only on the row, the opinion and the lie, so :func:`scan`
 tests each distinct row, a *type*, once for all S opinions and S lies.
-The first time a block reaches a context, the context's row is filed
-under an exact type id: rows are keyed by their bytes, so two contexts
-share a type exactly when their rows are equal.  Each (profile, voter)
-is then one lookup of its type and opinion, and the scan lists lies only
-where that lookup flags a hit.
+Each block keys each distinct context it reaches first once, by its
+row's bytes, under an exact type id (two contexts share a type exactly
+when their rows are equal) that then goes to all its (profile, voter)
+pairs.  Each (profile, voter) is one lookup of its type and opinion, and
+the scan lists lies only where that lookup flags a hit.
 
 The engine never builds a (P, n, S) array, nor any (P, n) one.  It
 walks a lattice in blocks of whole profiles, sized from S, n and m so
@@ -111,11 +111,6 @@ def truth_bits(tables: Sequence[int], n: int) -> np.ndarray:
     nbytes = max(1, (1 << n) // 8)
     packed = np.frombuffer(b"".join(t.to_bytes(nbytes, "little") for t in tables), dtype=np.uint8)
     return np.unpackbits(packed, bitorder="little").reshape(len(tables), -1)[:, : 1 << n]
-
-
-def packed_columns(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(m, B) truth-table columns of (B, n) row indices under :func:`issue_bits`, voter 1 most significant."""
-    return sum(bits[:, rows[:, i]] << (rows.shape[1] - 1 - i) for i in range(rows.shape[1]))
 
 
 def exact_array(rows, headroom: int = 1) -> np.ndarray:
@@ -411,6 +406,14 @@ def type_hits(rows: np.ndarray, hit: HitFn) -> np.ndarray:
     return out
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct entries, without ``np.unique``, whose plain form imports ``numpy.ma`` (about 0.5 MB)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
     """``array`` zero-padded to at least ``size`` entries, at least doubling it."""
     if size <= len(array):
@@ -424,10 +427,10 @@ def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[in
     Each hit is (id, voter index, lie index, id of the lied profile).
 
     A lie equal to the liar's true opinion is probed too: it leaves the
-    outcome unchanged, and every predicate is false there.  Each distinct
-    context row, a *type*, is tested once, the first time a block reaches
-    it; a (profile, voter) is then one lookup, and its lies are listed
-    only when that lookup flags a hit.
+    outcome unchanged, and every predicate is false there.  A block keys
+    each distinct context it is first to reach once, and each distinct
+    context row, a *type*, is tested once; a (profile, voter) is then one
+    lookup, and its lies are listed only when that lookup flags a hit.
     """
     S, n = lattice.S, lattice.n
     lies = np.arange(S)
@@ -449,12 +452,13 @@ def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[in
         block_at = at[ids]
         fresh = block_at == unseen
         if fresh.any():
-            fresh_ids = ids[fresh]
+            fresh_ids = _distinct(ids[fresh])
             keys = lied_codes(fresh_ids).view(row_key).ravel().tolist()
             known = len(types) * S
             new = [key for key in dict.fromkeys(keys) if key not in types]
             types.update(zip(new, range(known, known + len(new) * S, S)))
-            at[fresh_ids] = block_at[fresh] = np.fromiter(map(types.__getitem__, keys), np.intp, len(keys))
+            at[fresh_ids] = np.fromiter(map(types.__getitem__, keys), np.intp, len(keys))
+            block_at = at[ids]
             if new:
                 end = len(types) * S
                 type_rows, has = _grown(type_rows, end), _grown(has, end)

@@ -148,21 +148,13 @@ def _shown_types(space: EvaluationSpace, stage: IiaStage, n: int) -> np.ndarray:
     # scaled[i][j, c]: issue j's type towards voter i in column c, times 3^(m-1-j)
     scaled = [_pivot_kinds(truth, n, i) * digit[:, None] for i in range(n)]
     shown = [
-        _distinct(np.take_along_axis(kinds, columns, axis=1).sum(axis=0))
+        engine._distinct(np.take_along_axis(kinds, columns, axis=1).sum(axis=0))
         for columns in _context_columns(space, n, m * n)
         for kinds in scaled
     ]
-    shown = _distinct(np.concatenate(shown))
+    shown = engine._distinct(np.concatenate(shown))
     shown.flags.writeable = False
     return shown
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Ascending distinct entries, without ``np.unique``, whose plain form imports ``numpy.ma`` (about 0.5 MB)."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def corrected_stage_free(

@@ -8,7 +8,7 @@ written ``a>b``.  Profile file: ``profile <n> <m>`` then n rows.
 Weights file: one line of m positive integers.  Tie-order file: every
 feasible evaluation once, best-ranked first.
 
-Every parse failure carries the file and line it came from.
+Every failure to read or parse a file names the file, and the line if there is one.
 """
 
 from __future__ import annotations
@@ -27,17 +27,20 @@ from .spaces import (
 
 
 class ParseError(ValueError):
-    """A malformed input file, pointing at the offending line."""
+    """A malformed or unreadable input file, pointing at the offending line if there is one."""
 
-    def __init__(self, path: str, line: int, message: str):
+    def __init__(self, path: str, line: int | None, message: str):
         self.path = path
         self.line = line
-        super().__init__(f"{path}:{line}: {message}")
+        super().__init__(f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(path, None, getattr(e, "strerror", None) or str(e)) from None
     return [(i, ln.strip()) for i, ln in enumerate(raw, start=1) if ln.strip()]
 
 

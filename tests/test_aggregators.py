@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from binagg import aggregators
+from binagg import aggregators, engine
 
 from binagg.aggregators import (
     MAX_STAGE_ARITY,
@@ -451,6 +451,61 @@ def test_one_row_calls_match_the_per_profile_bodies(case):
     assert [type(rule) for rule in rules] == list(BUILT_IN_RULES)
     for rule in rules:
         assert rule(rows) == oracle.outcome(rule, rows), rule
+
+
+@st.composite
+def lane_cases(draw):
+    """A stage of 1-7 voters on 1-64 issues over an explicit space of at most 2048 profiles."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 64))
+    top = (1 << m) - 1
+    size = max(s for s in range(1, 9) if s**n <= 2048)
+    feasible = draw(st.sets(st.integers(0, top) | st.just(top), min_size=1, max_size=min(size, top + 1)))
+    if n <= 4:
+        stage = IiaStage(n, draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m)))
+    else:
+        stage = IiaStage.quota(n, draw(st.lists(st.integers(1, n + 1), min_size=m, max_size=m)))
+    return stage, EvaluationSpace(m, feasible)
+
+
+def word_edge(n, m, tables):
+    """A lane case on m issues with alternating and all-ones masks."""
+    top = (1 << m) - 1
+    return IiaStage(n, tables), EvaluationSpace(m, {top // 3, top ^ (top // 3), top})
+
+
+# issues go 64 // n to a word: the last issue of a full word, and one past it
+WORD_EDGES = [
+    word_edge(n, m, [tables[(5 * j) % len(tables)] for j in range(m)])
+    for n, tables in ((3, monotone_tables(3)), (4, monotone_tables(4)))
+    for m in (64 // n, 64 // n + 1)
+] + [
+    word_edge(7, 10, IiaStage.quota(7, [j % 8 + 1 for j in range(10)]).tables),
+    word_edge(2, 64, [monotone_tables(2)[j % 6] for j in range(64)]),
+]
+
+
+def at_word_edges(test):
+    """Add every word-edge case, under each block size, as an explicit example."""
+    for case, block_elements in itertools.product(WORD_EDGES, (engine.BLOCK_ELEMENTS, 1, 97)):
+        test = example(case, block_elements)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+@at_word_edges
+def test_lane_gather_matches_the_oracle(case, block_elements):
+    stage, space = case
+    n, X = stage.n, space.feasible
+    lattice = engine.ProfileLattice(space.size, n)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        table = engine.build_table(space, lattice, stage.block_evaluator(space, n))
+    profiles = [tuple(X[r] for r in row) for row in lattice.rows(0, lattice.size).tolist()]
+    expected = [oracle.stage_output(stage, rows) for rows in profiles]
+    assert list(table) == expected
+    for at in range(0, len(profiles), max(1, len(profiles) // 50)):
+        assert stage.apply(profiles[at]) == expected[at]
 
 
 def test_infeasible_rows_are_rejected_by_every_rule(pref3):

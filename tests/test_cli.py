@@ -203,6 +203,31 @@ def test_usage_errors(tmp_path, capsys):
             assert code == 1 and "budget must be at least 1" in err
 
 
+# a missing --space path is a usage error instead (test_usage_errors): it is neither an alias nor a file
+@pytest.mark.parametrize(
+    "flag, problem",
+    [
+        (flag, problem)
+        for flag in ("--space", "--profile", "--weights", "--tieorder")
+        for problem in ("missing", "directory", "not utf-8")
+        if (flag, problem) != ("--space", "missing")
+    ],
+)
+def test_unreadable_input_files_are_error_lines(tmp_path, capsys, flag, problem):
+    bad = tmp_path / "bad"
+    if problem == "directory":
+        bad.mkdir()
+    elif problem == "not utf-8":
+        bad.write_bytes(b"profile 1 3\n\xff\xfe\n")
+    args = {"--space": "pref3", "--profile": profile_file(tmp_path, "profile 3 3\n110\n011\n101\n")}
+    args[flag] = str(bad)
+    argv = [token for pair in args.items() for token in pair]
+    code, out, err = run(capsys, "run", "--aggregator", "nn(majority)", *argv)
+    reason = {"missing": "No such file", "directory": "Is a directory", "not utf-8": "codec can't decode"}[problem]
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}") and reason in err and "Traceback" not in err
+
+
 def cli_process(*argv, timeout):
     """Run the CLI in its own interpreter, so a hang fails by timeout instead of stalling the suite."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -300,7 +300,32 @@ def test_nearest_neighbor_correction_snaps_only_outputs_seen():
     assert len(rule._snapped) <= space.size**2
 
 
-@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 97))
+def recording_lied_codes(lattice):
+    """Make the lattice's lied-code maps record each call's context ids in the returned list."""
+    calls, lied_codes = [], lattice.lied_codes
+
+    def recorded(codes):
+        lied = lied_codes(codes)
+
+        def keyed(ids):
+            calls.append(ids.tolist())
+            return lied(ids)
+
+        return keyed
+
+    lattice.lied_codes = recorded
+    return calls
+
+
+def assert_each_context_keyed_once(lattice, calls):
+    # every call keys distinct contexts, no context is keyed twice, and a
+    # scan without an early exit keys every context
+    assert calls and all(len(set(ids)) == len(ids) for ids in calls)
+    keyed = [c for ids in calls for c in ids]
+    assert sorted(keyed) == list(range(lattice.context_count))
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
 def test_scan_tests_each_distinct_context_row_once(block_elements):
     # the FREE full hunt of nn(majority) on pref4 with four voters: 17,550
     # multisets * 4 voters * 24 lies = 1,684,800 probes, over 2,600
@@ -319,12 +344,32 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
         cells += hits.size
         return hits
 
+    calls = recording_lied_codes(lattice)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         assert list(engine.scan(lattice, table, counting)) == []
+    assert_each_context_keyed_once(lattice, calls)
     _, _, add = lattice._tables
     rows = {tuple(row) for row in table.codes[add].tolist()}
     assert (lattice.context_count, len(rows)) == (2600, 295)
     assert 0 < cells <= len(rows) * S * S < lattice.size * n * S // 9
+    # the ordered lattice with pinned voters: every partial-manipulation hit
+    # of a two-owner partition on pref3 with four voters, voters 1 and 3 pinned
+    rule = Partition(builtin_space("pref3"), [set(), {1, 2}, set(), {3}])
+    lattice = engine.ProfileLattice(6, 4, rule.influential(4))
+    table = aggregators.lattice_table(rule.space, rule, lattice)
+    hit = manipulation._hit_fn(rule.space, table.values, "partial", None)
+    calls = recording_lied_codes(lattice)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        hits = list(engine.scan(lattice, table, hit))
+    assert_each_context_keyed_once(lattice, calls)
+    X = rule.space.feasible
+    found = [(tuple(X[r] for r in lattice.rows(pid, pid + 1)[0]), voter + 1, X[lie]) for pid, voter, lie, _ in hits]
+    expected = [
+        (w.profile, w.voter, w.lie)
+        for w in oracle.iter_witnesses(rule.space, rule, 4, "partial")
+        if w.profile[0] == w.profile[2] == X[0]
+    ]
+    assert found and found == expected
 
 
 @st.composite
