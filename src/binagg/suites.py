@@ -383,6 +383,43 @@ def _exhaustive_harvest(space, tie: TieOrder) -> tuple[list[tuple[int, int]], in
     return sorted(set(zip(v.tolist(), u.tolist()))), len(probes)
 
 
+def _group_size(distinct: int) -> int:
+    """Words per automaton step: the most, up to 8, with at most 4096 patterns of ``distinct`` classes."""
+    g = 1
+    while g < 8 and distinct ** (g + 1) <= 4096:
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=16)
+def _slot_automaton(ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The slot automaton of a round whose draw s is at distinct threshold ``ranks[s]``, tightest first.
+
+    A word's class is the number of distinct thresholds at or below it,
+    and slot s accepts it exactly when the class is at most ``ranks[s]``.
+    The automaton reads g = :func:`_group_size` words at a time.  A
+    pattern p = sum of class_j * d**(g - 1 - j), for d distinct
+    thresholds, lists g classes, the first word most significant.  At
+    index ``p * len(ranks) + s``, for pattern p read from slot s, the
+    first table holds the slot that draws next and the second the g
+    words' accepted flags, bit j for word j.  Both are narrow, and so
+    are the temporaries that build them: the tables live as long as the
+    process, and int64 temporaries raised a fresh process's peak RSS
+    through ``lemma5.4`` by about 0.45 MB.
+    """
+    width, d = len(ranks), max(ranks) + 1
+    g = _group_size(d)
+    pattern = np.arange(d**g)
+    rank = np.array(ranks, dtype=engine._unsigned(d - 1))
+    slot = np.broadcast_to(np.arange(width, dtype=engine._unsigned(width)), (d**g, width))
+    accepted = np.zeros((d**g, width), dtype=np.uint8)
+    for j in range(g):
+        ok = (pattern // d ** (g - 1 - j) % d)[:, None] <= rank[slot]
+        accepted |= ok.view(np.uint8) << j
+        slot = np.where(ok, (slot + 1) % width, slot)
+    return slot.ravel(), accepted.ravel()
+
+
 def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> Iterator[np.ndarray]:
     """Blocks of (B, len(bounds)) values, B >= 0: ``rounds`` rounds of ``[rng.randrange(b) for b in bounds]``.
 
@@ -397,13 +434,14 @@ def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> It
     are the next N words in order.
 
     Every draw takes a word below the loosest threshold, so a bulk is
-    read among those words alone.  Consecutive bounds with one threshold
-    form a run, which draws its next accepted words: simply the next
-    words at the loosest threshold.  Composing the runs gives each
-    position's round end, pointer doubling on those ends lists the
-    bulk's round starts, and one 2-D gather per run reads their values.
-    Words after the last complete round carry into the next bulk; once
-    the generator is exhausted, ``rng`` is in the per-call loop's state.
+    read among those words alone.  A round's draws are accepted in
+    stream order, so the state before each such word is the slot that
+    draws next, and :func:`_slot_automaton` reads the words g at a time:
+    a walk over the groups' class patterns gives each group's start
+    slot, and one gather of accepted flags lists the positions of the
+    bulk's draws, round after round.  Words after the last complete
+    round, whole groups or not, carry into the next bulk; once the
+    generator is exhausted, ``rng`` is in the per-call loop's state.
     Bounds outside 1..2**32-1 raise ``ValueError``: a larger bound draws
     more than one word.
     """
@@ -411,8 +449,12 @@ def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> It
         raise ValueError(f"bounds must be 1..2**32-1, one word per draw, got {tuple(bounds)}")
     width = len(bounds)
     shifts = np.array([32 - b.bit_length() for b in bounds])
-    runs = [(t, len(list(group))) for t, group in itertools.groupby(b << (32 - b.bit_length()) for b in bounds)]
-    loosest = max(runs)[0]
+    thresholds = [b << (32 - b.bit_length()) for b in bounds]
+    distinct = sorted(set(thresholds))
+    nxt, accepted = _slot_automaton(tuple(distinct.index(t) for t in thresholds))
+    nxt, g = memoryview(nxt), _group_size(len(distinct))
+    # a group's pattern times `width`, the first word's class most significant
+    place = len(distinct) ** np.arange(g - 1, -1, -1) * width
     # each bulk holds at least one round's words, each word about eight temporaries
     step = width * engine.block_size(8 * width)
     words = np.empty(0, dtype=np.uint32)
@@ -423,45 +465,27 @@ def _bounded_draws(rng: random.Random, bounds: Sequence[int], rounds: int) -> It
     while rounds:
         held.append((rng.getstate(), step))
         words = np.concatenate((words, np.frombuffer(rng.randbytes(4 * step), dtype="<u4")))
-        # the N words below the loosest threshold, at positions `where` among all words
-        where = np.flatnonzero(words < loosest)
+        # the words below the loosest threshold, at positions `where` among all words
+        where = np.flatnonzero(words < distinct[-1])
         kept = words[where]
-        N = len(kept)
-        # end[p]: where a round starting at position p ends, N + 1 once past the end.
-        # A tighter run's c-th accepted word is at accepted[c], N past the end, and
-        # before[p] of them come before position p
-        end = np.arange(N + 2)
-        tables = []
-        for threshold, length in runs:
-            if threshold == loosest:
-                end = np.minimum(end + length, N + 1)
-                tables.append(None)
-            else:
-                ok = kept < threshold
-                accepted = np.concatenate((np.flatnonzero(ok), np.full(length, N)))
-                before = np.cumsum(np.concatenate(([0], ok, [0])))
-                end = accepted[before[end] + length - 1] + 1
-                tables.append(accepted)
-        # chain[i]: where round i starts, listed by doubling (while `jump` is `end` applied 2**k
-        # times, chain holds rounds 0..2**k - 1); a round spans `width` or more positions
-        most = min(rounds, N // width)
-        chain, jump = np.zeros(1, dtype=np.intp), end
-        for _ in range(most.bit_length()):
-            chain = np.concatenate((chain, jump[chain]))
-            jump = jump[jump]
-        # round i is complete when its end, chain[i + 1], is not past the end
-        count = int(np.count_nonzero(chain[1 : most + 1] <= N))
-        # taken[r, d]: the position of round r's draw d
-        taken = np.empty((count, width), dtype=np.intp)
-        at, d = chain[:count, None], 0
-        for (_, length), accepted in zip(runs, tables):
-            draws = np.arange(length)
-            taken[:, d : d + length] = at + draws if accepted is None else accepted[accepted.searchsorted(at) + draws]
-            d += length
-            at = taken[:, d - 1 : d] + 1
+        groups = len(kept) // g
+        # the class of every kept word in a whole group
+        classes = np.zeros(groups * g, dtype=np.intp)
+        for threshold in distinct[:-1]:
+            classes += kept[: groups * g] >= threshold
+        at = classes.reshape(groups, g) @ place
+        # each group's end slot, which the next group starts at
+        slot = 0
+        ends = [slot := nxt[p + slot] for p in at.tolist()]
+        # at[i]: the table index of group i, its pattern read from the slot it starts at
+        at[1:] += np.array(ends[:-1], dtype=at.dtype)
+        # taken[r, d]: the position among the kept words of round r's draw d
+        taken = np.flatnonzero(np.unpackbits(accepted[at][:, None], axis=1, count=g, bitorder="little"))
+        count = min(rounds, len(taken) // width)
+        taken = taken[: count * width].reshape(count, width)
         rounds -= count
         yield kept[taken] >> shifts
-        consumed = int(where[chain[count] - 1]) + 1 if count else 0
+        consumed = int(where[taken[-1, -1]]) + 1 if count else 0
         words = words[consumed:]
         spent += consumed
         while held and spent >= held[0][1]:
@@ -481,8 +505,12 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     closer, in those weights, to the liar's opinion.  The draws are those
     of the loop over single configurations that ``tests/oracle.py`` keeps,
     replayed by :func:`_bounded_draws`, and ``rng`` ends in that loop's
-    state.  A stage output is one flat truth-table gather at the issue
-    columns of its profile, read off a table of all S**3 profiles.
+    state.  Each block of configurations stacks its truthful and lied
+    profiles: one gather reads both profiles' issue columns off a table
+    of all S**3 profiles, and one truth-table gather at those columns
+    gives both stage outputs, v and u.  Their two distances to the
+    liar's opinion are one gather from a table of the distance from
+    every opinion to every correction of every point.
     """
     space = builtin_space("pref4")
     m, n = space.m, 3
@@ -497,13 +525,16 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     corrected = X[np.array([_correction_indices(space, wv, t) for t in ties for wv in weight_options])]
     # dist[k, d]: the total weight of the disagreement mask d under weights k
     dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
+    # far[c, x, p]: the distance from opinion X[x] to the correction c of point p, in c's weights
+    far = dist[(np.arange(len(corrected)) % W)[:, None, None], X[:, None] ^ corrected[:, None, :]]
     # truth[t << n | c]: bit c of table tabs[t]
     truth = engine.truth_bits(tabs, n).ravel()
     # columns[pid, j]: issue j's bits in the profile with id pid, voter 1 most significant
     columns = bits = engine.issue_bits(space.feasible, m).T.astype(np.uint8)
     for _ in range(n - 1):
         columns = (columns[:, None] << 1 | bits).reshape(-1, m)
-    place = 1 << np.arange(m - 1, -1, -1)
+    # a stage output, below 2**m, sums in uint8
+    place = (1 << np.arange(m - 1, -1, -1)).astype(np.uint8)
     stride = engine.strides(S, n)
 
     # one configuration's draws: m tables (``rng.choice(tabs)`` draws a
@@ -513,17 +544,17 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     hits = 0
     for drawn in _bounded_draws(rng, bounds, configs):
         tab = drawn[:, :m] << n
-        weight = drawn[:, m + 1]
-        correction = drawn[:, m] * W + weight
+        correction = drawn[:, m] * W + drawn[:, m + 1]
         rows = drawn[:, m + 2 : m + 2 + n]
         voter, lie = drawn[:, -2], drawn[:, -1]
         truthful = rows[np.arange(len(drawn)), voter]
         pid = rows @ stride
-        v = truth[tab + columns[pid]] @ place
-        u = truth[tab + columns[pid + (lie - truthful) * stride[voter]]] @ place
+        # the truthful and the lied profile, stacked, and their stage outputs v and u
+        both = np.concatenate((pid, pid + (lie - truthful) * stride[voter])).reshape(2, -1)
+        v, u = vu = truth[tab + columns[both]] @ place
         # a lie that leaves the opinion in place, or the corrected outcome, is never closer
-        x = X[truthful]
-        hit = dist[weight, x ^ corrected[correction, u]] < dist[weight, x ^ corrected[correction, v]]
+        gap = far[correction, truthful, vu]
+        hit = gap[1] < gap[0]
         hits += int(np.count_nonzero(hit))
         pairs.update(zip(v[hit].tolist(), u[hit].tolist()))
     return sorted(pairs), hits

@@ -7,7 +7,8 @@ instead.  The scanners evaluate the rule on every profile through them,
 walk every (profile, voter, lie) probe in canonical order, one stage at
 a time for sweeps, and decide each structural property profile by
 profile, and they apply one randomly drawn stage at a time in the lemma
-harvest and take its exhaustive half one witness at a time.  They are
+harvest, walk its draws' slots one word at a time, and take its
+exhaustive half one witness at a time.  They are
 slow and obviously correct, which is their job.
 """
 
@@ -340,6 +341,21 @@ def exhaustive_harvest(space, tie):
         pairs.add((stage_output(stage, w.profile), stage_output(stage, lied)))
         hits += 1
     return sorted(pairs), hits
+
+
+def slot_walk(thresholds, words, slot):
+    """(slot drawing next, accepted flags) after reading ``words`` one at a time from ``slot``.
+
+    Slot s draws a bound whose threshold is ``thresholds[s]``: it takes a
+    word exactly when the word is below that threshold, and then the next
+    slot, cyclically, draws.
+    """
+    accepted = []
+    for word in words:
+        accepted.append(word < thresholds[slot])
+        if accepted[-1]:
+            slot = (slot + 1) % len(thresholds)
+    return slot, accepted
 
 
 def random_harvest(configs, rng):

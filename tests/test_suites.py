@@ -75,6 +75,8 @@ def test_battery_fixtures_deterministic():
 # bound 1 rejects half the words (k = 1, and word >> 31 must be 0), as does
 # every power of two; 2**32 - 1 rejects one word in 2**32
 BOUNDS = st.one_of(st.sampled_from((1, 2, 3, 4, 20, 24, 2**31, 2**32 - 1)), st.integers(1, 2**32 - 1))
+# one lemma-harvest configuration: six tables, tie, weights, three rows, liar and lie
+HARVEST_BOUNDS = [20] * 6 + [4, 3, 24, 24, 24, 3, 24]
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,6 +99,13 @@ BOUNDS = st.one_of(st.sampled_from((1, 2, 3, 4, 20, 24, 2**31, 2**32 - 1)), st.i
 # fewer rounds than one bulk completes
 @example(7, [20, 4, 24], 3, engine.BLOCK_ELEMENTS)
 @example(8, [20] * 6 + [4, 3, 24, 24, 24, 3, 24], 1, engine.BLOCK_ELEMENTS)
+# the harvest's own bounds over many bulks, a round spanning several at block size 1
+@example(9, HARVEST_BOUNDS, 2500, 1)
+@example(9, HARVEST_BOUNDS, 2500, 97)
+# six distinct thresholds: the smallest group, four words
+@example(10, [1, 3, 5, 7, 9, 11], 2000, engine.BLOCK_ELEMENTS)
+# one word per bulk, never a whole group of eight: every round waits on carried words
+@example(11, [24], 20, 1)
 def test_bounded_draws_replay_randrange(seed, bounds, rounds, block_elements):
     ours, theirs = random.Random(seed), random.Random(seed)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
@@ -105,6 +114,34 @@ def test_bounded_draws_replay_randrange(seed, bounds, rounds, block_elements):
     assert values == [[theirs.randrange(b) for b in bounds] for _ in range(rounds)]
     assert all(block.shape[1] == len(bounds) for block in blocks)
     assert ours.getstate() == theirs.getstate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(BOUNDS, min_size=1, max_size=6, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=13)
+    )
+)
+# every bound at one threshold, 3 << 30: one class, every word accepted
+@example([3, 24, 6, 12, 3])
+@example(HARVEST_BOUNDS)
+@example([1, 3, 5, 7, 9, 11])
+def test_slot_automaton_matches_word_walk(bounds):
+    thresholds = [b << (32 - b.bit_length()) for b in bounds]
+    distinct = sorted(set(thresholds))
+    d, width = len(distinct), len(bounds)
+    g = suites._group_size(d)
+    assert d**g <= 4096 and (g == 8 or d ** (g + 1) > 4096)
+    nxt, accepted = suites._slot_automaton(tuple(distinct.index(t) for t in thresholds))
+    nxt, accepted = nxt.tolist(), accepted.tolist()
+    assert len(nxt) == len(accepted) == d**g * width
+    # a word of class c, with c distinct thresholds at or below it
+    word = [0] + distinct[:-1]
+    for p in range(d**g):
+        words = [word[p // d ** (g - 1 - j) % d] for j in range(g)]
+        for s in range(width):
+            flags = [bool(accepted[p * width + s] >> j & 1) for j in range(g)]
+            assert (nxt[p * width + s], flags) == oracle.slot_walk(thresholds, words, s)
 
 
 def _untempered(word):
@@ -176,8 +213,17 @@ def test_lemma_harvest_leaves_numpy_random_unimported():
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+def test_cli_import_builds_no_slot_automaton():
+    # the draws' tables are built on first use, so no command's start-up pays for them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import binagg.cli; from binagg import suites; print(suites._slot_automaton.cache_info().misses)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
 def test_random_harvest_memory_is_chunked():
-    # blocks trace about 0.8 MB here; all 40,000 configurations in one batch, over 13 MB
+    # blocks trace about 0.7 MB here; all 40,000 configurations in one batch, over 13 MB
     tracemalloc.start()
     try:
         suites._random_harvest(40_000, random.Random(fixtures.RANDOM_SWEEP_SEED))
