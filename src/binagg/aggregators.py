@@ -13,7 +13,10 @@ All rules are immutable values: applying one never mutates it, and the
 same inputs always produce the same output.  Each rule, and each stage,
 has one evaluator, an array gather over blocks of profiles; calling it
 on one profile is a one-row call of that evaluator.  Only
-:class:`TableRule` evaluates its function profile by profile.
+:class:`TableRule` evaluates its function profile by profile.  A rule
+whose outcomes are feasible evaluates to feasible indices, which become
+its outcome table's codes as they are; a stage or table rule evaluates
+to outcome masks.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .engine import (
     strides,
     truth_bits,
 )
-from .metric import TieOrder, nn_select, uniform_weights, validate_weights, weight_of
+from .metric import TieOrder, _correction_table, _feasible_distances, nn_select, uniform_weights, validate_weights
 from .spaces import EvaluationSpace, bit_at
 
 DEFAULT_BUDGET = 10**8
@@ -269,6 +272,10 @@ class Rule:
     on one profile is a one-row call of it.
     """
 
+    #: whether :meth:`block_evaluator` gives outcome masks, which may be
+    #: infeasible, rather than feasible indices
+    _gives_masks = False
+
     def __init__(self, space: EvaluationSpace, name: str):
         self.space = space
         self.name = name
@@ -283,7 +290,8 @@ class Rule:
         index = np.array([[self.space.index(r) for r in rows]], dtype=np.intp)
         if n not in self._evaluators:
             self._evaluators[n] = self.block_evaluator(n)
-        return int(self._evaluators[n](index)[0])
+        out = int(self._evaluators[n](index)[0])
+        return out if self._gives_masks else self.space.feasible[out]
 
     @property
     def anonymous(self) -> bool:
@@ -306,7 +314,11 @@ class Rule:
         return tuple(range(n))
 
     def block_evaluator(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Outcome masks for (B, n) blocks of feasible row indices."""
+        """Outcomes for (B, n) blocks of feasible row indices.
+
+        Feasible indices of the outcomes, or their masks where
+        ``_gives_masks`` says so (stage and table rules).
+        """
         raise NotImplementedError
 
     def __repr__(self):
@@ -328,12 +340,13 @@ class Dictator(Rule):
     def block_evaluator(self, n):
         if self.voter > n:
             raise ValueError(f"profile has {n} voters, dictator is voter {self.voter}")
-        xs = masks_array(self.space.feasible, self.space.m)
-        return lambda rows: xs[rows[:, self.voter - 1]]
+        return lambda rows: rows[:, self.voter - 1]
 
 
 class StageRule(Rule):
     """A bare per-issue stage used as the rule itself; may output infeasible."""
+
+    _gives_masks = True
 
     def __init__(self, space: EvaluationSpace, stage: IiaStage, name: str | None = None):
         if stage.m != space.m:
@@ -370,7 +383,6 @@ class Plurality(Rule):
     def block_evaluator(self, n):
         X = self.space.feasible
         S = len(X)
-        xs = masks_array(X, self.space.m)
         # priority among tied rows: the greater mask, or the better tie rank
         if self.tie is None:
             priority = np.arange(S)
@@ -382,7 +394,7 @@ class Plurality(Rule):
             at = np.arange(len(rows))
             for column in rows.T:
                 score[at, column] += S
-            return xs[np.argmax(score, axis=1)]
+            return np.argmax(score, axis=1)
 
         return evaluate
 
@@ -445,13 +457,12 @@ class Partition(Rule):
         bits = issue_bits(self.space.feasible, self.space.m)
         steps = self._automaton()
         owners = [v - 1 for v in self._owner]
-        xs = masks_array(self.space.feasible, self.space.m)
 
         def evaluate(rows):
             state = np.zeros(len(rows), dtype=np.intp)
             for j, step in enumerate(steps):
                 state = step[state, bits[j, rows[:, owners[j]]]]
-            return xs[state]
+            return state
 
         return evaluate
 
@@ -461,7 +472,11 @@ class NearestNeighborRule(Rule):
 
     Feasible stage outputs pass through unchanged; infeasible ones are
     replaced by their tie-order-minimal nearest neighbor under the
-    rule's weights.
+    rule's weights.  Once an evaluator has been handed at least 2**m
+    profiles, it reads the correction of every hypercube point from the
+    table that sweeps share (``metric._correction_table``), so building
+    that table never costs more than the profiles it serves; until then,
+    and past 20 issues, it snaps only the stage outputs seen.
     """
 
     def __init__(
@@ -500,11 +515,17 @@ class NearestNeighborRule(Rule):
 
     def block_evaluator(self, n):
         stage_outputs = self.stage.block_evaluator(self.space, n)
-        m = self.space.m
+        m, index = self.space.m, self.space.index
+        ranking = None if self.tie is None else self.tie.ranking
+        profiles = 0
 
         def evaluate(rows):
+            nonlocal profiles
+            profiles += len(rows)
+            if m <= 20 and profiles >= 1 << m:
+                return _correction_table(self.space, self.weights, ranking)[stage_outputs(rows)]
             distinct, inverse = np.unique(stage_outputs(rows), return_inverse=True)
-            return masks_array([self.correct(v) for v in distinct.tolist()], m)[inverse]
+            return np.array([index(self.correct(v)) for v in distinct.tolist()], dtype=np.intp)[inverse]
 
         return evaluate
 
@@ -529,17 +550,16 @@ class WelfareMaximizer(Rule):
     def block_evaluator(self, n):
         X, m = self.space.feasible, self.space.m
         S = len(X)
-        xs = masks_array(X, m)
         # key (total distance, tie rank or mask) packed as total * S + rank
         w = self.weights or uniform_weights(m)
-        dist = exact_array([[weight_of(a, b, w, m) for b in X] for a in X], headroom=n * S) * S
+        dist = exact_array(_feasible_distances(self.space, w), headroom=n * S) * S
         tie_key = np.arange(S) if self.tie is None else np.array([self.tie.rank(x) for x in X])
 
         def evaluate(rows):
             key = tie_key + dist[rows[:, 0]]
             for column in rows.T[1:]:
                 key += dist[column]
-            return xs[np.argmin(key, axis=1)]
+            return np.argmin(key, axis=1)
 
         return evaluate
 
@@ -550,6 +570,8 @@ class TableRule(Rule):
     ``fn`` maps a tuple of feasible rows to an outcome, so this is the one
     rule evaluated profile by profile.
     """
+
+    _gives_masks = True
 
     def __init__(self, space: EvaluationSpace, fn: Callable[[tuple[int, ...]], int], name: str):
         super().__init__(space, name)
@@ -751,8 +773,10 @@ def lattice_rows(space: EvaluationSpace, lattice: Lattice, pid: int) -> tuple[in
 def outcome_table(space: EvaluationSpace, rule: Rule, n: int, budget: int = DEFAULT_BUDGET) -> OutcomeTable:
     """Rule outcome for every profile, indexed by canonical profile id.
 
-    The table stores one narrow code per profile into its list of
-    distinct outcomes; indexing or iterating it yields outcome masks.
+    The table stores one narrow code per profile into its ``values``:
+    the feasible index of the outcome for a rule whose outcomes are
+    feasible, else its rank among the distinct outcomes (stage and
+    table rules).  Indexing or iterating it yields outcome masks.
     """
     return lattice_table(space, rule, search_lattice(space, n, None, 1, budget, "outcome table"))
 
@@ -788,12 +812,15 @@ def search_lattice(
 def lattice_table(space: EvaluationSpace, rule: Rule, lattice: Lattice) -> OutcomeTable:
     """Rule outcome for every profile of the lattice, indexed by its ids.
 
-    Searches build an ordered lattice's table through :func:`outcome_table`
-    instead, the layer ``bench/spans.py`` times and counts.
+    Codes are feasible indices over ``space.feasible`` for a rule whose
+    outcomes are feasible, and ranks among the distinct outcomes for a
+    stage or table rule.  Searches build an ordered lattice's table
+    through :func:`outcome_table` instead, the layer ``bench/spans.py``
+    times and counts.
     """
     if rule.space is not space and rule.space.feasible != space.feasible:
         raise ValueError(f"{rule!r} is bound to another space")
-    return build_table(space, lattice, rule.block_evaluator(lattice.n))
+    return build_table(space, lattice, rule.block_evaluator(lattice.n), indexed=not rule._gives_masks)
 
 
 # ---------------------------------------------------------------------------

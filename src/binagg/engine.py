@@ -37,6 +37,13 @@ lexicographic order is the order of the reduced ids, and voters and
 lies are probed in the same order on both lattices.  Budgets count
 S**k * n * S probes there.
 
+An *outcome table* (:func:`build_table`) holds one code per profile of
+a lattice.  For a rule whose outcomes are feasible (dictators,
+plurality, partitions, the welfare maximizer, ``nn(...)``) the code is
+the outcome's feasible index; for a stage or table rule, whose outcomes
+may be infeasible, it is the outcome's rank among the table's distinct
+outcomes.
+
 A *context* is one varying voter plus the other voters' rows: an
 (n-1)-multiset on the multiset lattice, or the profile of the other k-1
 varying voters on the ordered one.  Its *row* is the S outcome codes
@@ -120,10 +127,11 @@ def exact_array(rows, headroom: int = 1) -> np.ndarray:
     with other signed arrays without turning into floats), then Python
     ints: weights are arbitrary positive integers and ties must stay exact.
     """
-    a = np.array(rows, dtype=object)
+    # an integer array finds its maximum without boxing every entry
+    a = rows if isinstance(rows, np.ndarray) and rows.dtype != object else np.array(rows, dtype=object)
     top = int(a.max()) * headroom if a.size else 0
     if top >= 2**63:
-        return a
+        return a.astype(object)
     return a.astype(_unsigned(top) if top < 2**32 else np.int64)
 
 
@@ -329,9 +337,13 @@ def blocks(lattice: Lattice, width: int) -> Iterator[tuple[int, np.ndarray]]:
 class OutcomeTable(Sequence):
     """A rule's outcome for every profile, indexed by canonical profile id.
 
-    ``values`` lists the distinct outcomes in ascending mask order and
-    ``codes[pid]`` is the position of profile pid's outcome in it, stored
-    in the narrowest unsigned dtype that holds every position.
+    ``values`` lists outcome masks in ascending order and ``codes[pid]``
+    is the position of profile pid's outcome in it, stored in the
+    narrowest unsigned dtype that holds every position.  For a rule whose
+    outcomes are feasible, ``values`` is ``space.feasible`` and a code is
+    a feasible index, whether or not every evaluation is an outcome; for
+    a stage or table rule, ``values`` lists the distinct outcomes and a
+    code is an outcome's rank among them.
     """
 
     __slots__ = ("values", "codes")
@@ -351,16 +363,27 @@ class OutcomeTable(Sequence):
 
 
 def build_table(
-    space: EvaluationSpace, lattice: Lattice, block_masks: Callable[[np.ndarray], np.ndarray]
+    space: EvaluationSpace, lattice: Lattice, evaluate: Callable[[np.ndarray], np.ndarray], indexed: bool = False
 ) -> OutcomeTable:
-    """Outcome table over the lattice from a function mapping (B, n) row indices to B outcome masks."""
+    """Outcome table over the lattice from a function of (B, n) row indices.
+
+    With ``indexed``, ``evaluate`` returns B feasible indices, written
+    straight into the codes over ``space.feasible``.  Otherwise it returns
+    B outcome masks, feasible or not, coded by rank among the distinct
+    masks of the whole table.
+    """
     total = lattice.size
     # rules hold (n,), (S,) and (m,) temporaries per profile
     width = lattice.n + lattice.S + space.m
+    if indexed:
+        codes = np.empty(total, dtype=_unsigned(space.size - 1))
+        for start, rows in blocks(lattice, width):
+            codes[start : start + len(rows)] = evaluate(rows)
+        return OutcomeTable(space.feasible, codes)
     index: dict[int, int] = {}
     codes = np.empty(total, dtype=np.uint8)
     for start, rows in blocks(lattice, width):
-        distinct, inverse = np.unique(block_masks(rows), return_inverse=True)
+        distinct, inverse = np.unique(evaluate(rows), return_inverse=True)
         lookup = [index.setdefault(v, len(index)) for v in distinct.tolist()]
         if codes.dtype != _unsigned(len(index) - 1):
             codes = codes.astype(_unsigned(len(index) - 1))

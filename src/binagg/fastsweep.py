@@ -58,41 +58,8 @@ import numpy as np
 from . import engine
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from .manipulation import _hit_fn, _validate_kind, find_witness
-from .metric import TieOrder, nn_select, uniform_weights, validate_weights  # noqa: F401  bench/spans.py wraps nn_select
+from .metric import TieOrder, _correction_table, nn_select, validate_weights  # noqa: F401  bench/spans.py wraps nn_select
 from .spaces import EvaluationSpace
-
-
-def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
-    """Feasible index of ``nn_select(space, p, weights, tie)`` for every hypercube point p: per block of points,
-    the first nearest feasible evaluation in tie order (ascending without one), by exact distances."""
-    m = space.m
-    if m > 20:
-        raise ValueError("correction table is practical for m <= 20 only")
-    # weight[d]: the total weight of the disagreement mask d, exact (Python ints past int64)
-    weight = [0]
-    for wj in reversed(uniform_weights(m) if weights is None else weights):
-        weight += [d + wj for d in weight]
-    weight = engine.exact_array(weight)
-    ranking = space.feasible if tie is None else tie.ranking
-    ranked, index = np.array(ranking, dtype=np.intp), np.array([space.index(x) for x in ranking])
-    table = np.empty(1 << m, dtype=np.intp)
-    step = engine.block_size(space.size)
-    for at in range(0, 1 << m, step):
-        table[at : at + step] = index[weight[np.arange(at, min(at + step, 1 << m))[:, None] ^ ranked].argmin(axis=1)]
-    return table
-
-
-@lru_cache(maxsize=16)
-def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
-    """Read-only :func:`_correction_indices` under the tie order with this ranking (None: no tie order).
-
-    Keyed on the ranking, not the TieOrder: callers rebuild equal orders
-    for every stage.  Each sweep corrects once, so it builds its table
-    uncached.
-    """
-    table = _correction_indices(space, weights, None if ranking is None else TieOrder(space, ranking))
-    table.flags.writeable = False
-    return table
 
 
 def _bad_types(
@@ -100,7 +67,7 @@ def _bad_types(
 ) -> np.ndarray:
     """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
 
-    ``correct`` is the correction table (:func:`_correction_indices`).
+    ``correct`` is the correction table (:func:`metric._correction_indices`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
     voter's bit and 2 when it fixes it at 1.  ``types`` lists the type
@@ -232,7 +199,7 @@ def all_stage_products_hamming_free(
     S, m = space.size, space.m
     if weights is not None:
         weights = validate_weights(weights, m)
-    bad = _bad_types(space, weights, _correction_indices(space, weights, tie))
+    bad = _bad_types(space, weights, _correction_table(space, weights, None if tie is None else tie.ranking))
     if not bad.any():
         return None
     tabs = monotone_tables(n)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .aggregators import DEFAULT_BUDGET, Rule, lattice_rows, lattice_table, outcome_table, profile_count, search_lattice
-from .engine import HitFn, exact_array, masks_array, scan
-from .metric import uniform_weights, validate_weights, weight_of, weighted_hamming
+from .engine import HitFn, masks_array, scan
+from .metric import _distances, _feasible_distances, uniform_weights, validate_weights, weight_of, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
 
 KINDS = ("partial", "full", "hamming")
@@ -165,7 +165,10 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
     values = masks_array(outcomes, space.m)
     if kind == "hamming":
         # dist[k, s]: distance from outcome k to feasible opinion s
-        dist = exact_array([[weight_of(x, v, weights, space.m) for x in space.feasible] for v in outcomes])
+        if tuple(outcomes) == space.feasible:
+            dist = _feasible_distances(space, weights)
+        else:
+            dist = _distances(outcomes, space.feasible, weights, space.m)
         return lambda z, w, x, y: dist[w, x] < dist[z, x]
     if kind == "partial":
         return lambda z, w, x, y: (values[z] ^ xs[x]) & ~(values[w] ^ xs[x]) != 0

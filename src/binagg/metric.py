@@ -10,13 +10,23 @@ total order on the feasible set.  Selecting the order-minimal element of
 a nearest-neighbor set is a non-crossing selector: two infeasible points
 sharing two candidates can never be resolved in opposite directions.
 ``check_h2`` audits that non-crossing property for arbitrary selectors.
+
+Array forms of both serve the engine, each cached: per space and
+weights, :func:`_feasible_distances`, every distance between feasible
+evaluations; per space, weights and tie ranking,
+:func:`_correction_table`, the feasible index that ``nn_select`` picks
+for every hypercube point.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
+from .engine import _unsigned, block_size, exact_array, issue_bits
 from .spaces import EvaluationSpace, to_bits
 
 
@@ -130,6 +140,61 @@ def nn_select(
     if tie is None:
         return candidates[0]  # nn_set is ascending already
     return tie.best(candidates)
+
+
+def _distances(rows: Sequence[int], columns: Sequence[int], weights: tuple[int, ...], m: int) -> np.ndarray:
+    """(len(rows), len(columns)) weighted distances between masks on m issues, exact in :func:`engine.exact_array`'s dtype.
+
+    Summed issue by issue, in int64 while the total weight fits and in Python ints past it.
+    """
+    a, b = issue_bits(rows, m), issue_bits(columns, m)
+    dist = np.zeros((len(rows), len(columns)), dtype=np.int64 if sum(weights) < 2**63 else object)
+    for j, wj in enumerate(weights):
+        dist[a[j][:, None] != b[j]] += wj
+    return exact_array(dist)
+
+
+@lru_cache(maxsize=32)
+def _feasible_distances(space: EvaluationSpace, weights: tuple[int, ...]) -> np.ndarray:
+    """Read-only (S, S) weighted distances between feasible evaluations, under validated weights."""
+    dist = _distances(space.feasible, space.feasible, weights, space.m)
+    dist.flags.writeable = False
+    return dist
+
+
+def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
+    """Feasible index of ``nn_select(space, p, weights, tie)`` for every hypercube point p: per block of points,
+    the first nearest feasible evaluation in tie order (ascending without one), by exact distances.
+    Indices come in the narrowest unsigned dtype."""
+    m = space.m
+    if m > 20:
+        raise ValueError("correction table is practical for m <= 20 only")
+    # weight[d]: the total weight of the disagreement mask d, exact (Python ints past int64)
+    weight = [0]
+    for wj in reversed(uniform_weights(m) if weights is None else weights):
+        weight += [d + wj for d in weight]
+    weight = exact_array(weight)
+    ranking = space.feasible if tie is None else tie.ranking
+    ranked = np.array(ranking, dtype=np.intp)
+    index = np.array([space.index(x) for x in ranking], dtype=_unsigned(space.size - 1))
+    table = np.empty(1 << m, dtype=index.dtype)
+    step = block_size(space.size)
+    for at in range(0, 1 << m, step):
+        table[at : at + step] = index[weight[np.arange(at, min(at + step, 1 << m))[:, None] ^ ranked].argmin(axis=1)]
+    return table
+
+
+@lru_cache(maxsize=16)
+def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
+    """Read-only :func:`_correction_indices` under the tie order with this ranking (None: no tie order).
+
+    Keyed on the ranking, not the TieOrder: callers rebuild equal orders
+    for every stage.  Sweeps, their one-stage screens and ``nn(...)``
+    rules all read this one cache.
+    """
+    table = _correction_indices(space, weights, None if ranking is None else TieOrder(space, ranking))
+    table.flags.writeable = False
+    return table
 
 
 def check_h2(

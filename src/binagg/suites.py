@@ -34,9 +34,9 @@ from .aggregators import (
     outcome_table,
     swm_topk,
 )
-from .fastsweep import _correction_indices, all_stage_products_hamming_free, corrected_stage_free, stage_product_count
+from .fastsweep import all_stage_products_hamming_free, corrected_stage_free, stage_product_count
 from .manipulation import ManipulationWitness, _hit_fn, certify, classify_deviation, find_witness
-from .metric import TieOrder, uniform_weights, weight_of, weighted_hamming
+from .metric import TieOrder, _correction_indices, uniform_weights, weight_of, weighted_hamming
 from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
 

@@ -402,3 +402,113 @@ def test_type_step_matches_classify_deviation(case, block_elements):
             flags = engine.type_hits(rows, hit)
         expected = [[any(getattr(move, kind) for move in lies) for lies in row] for row in moves]
         assert flags.tolist() == expected, kind
+
+
+# ---------------------------------------------------------------------------
+# outcome tables coded by feasible index
+
+
+def feasible_rules(space, n, weights, tie):
+    """One rule of each class whose outcomes are feasible; plurality with and without a tie order."""
+    m = space.m
+    return (
+        Dictator(space, n),
+        Plurality(space),
+        Plurality(space, tie),
+        Partition(space, [{j + 1 for j in range(m) if j % n == v} for v in range(n)]),
+        WelfareMaximizer(space, weights, tie),
+        NearestNeighborRule(space, IiaStage.majority(n, m), weights, tie),
+    )
+
+
+def lattice_outcomes(full, lattice):
+    """The entries of a full-lattice outcome list at the profiles of ``lattice``, in its id order."""
+    pids = lattice.rows(0, lattice.size) @ engine.strides(lattice.S, lattice.n)
+    return [full[pid] for pid in pids.tolist()]
+
+
+def assert_indexed_tables(space, rule, n):
+    """The full, pinned and multiset tables of a feasible-valued rule hold the oracle's outcomes as feasible indices."""
+    full = oracle.outcome_list(space, rule, n)
+    S = space.size
+    tables = [(engine.ProfileLattice(S, n), outcome_table(space, rule, n))]
+    for lattice in (engine.ProfileLattice(S, n, (0, n - 1)), engine.MultisetLattice(S, n)):
+        tables.append((lattice, aggregators.lattice_table(space, rule, lattice)))
+    for lattice, table in tables:
+        assert table.values is space.feasible and table.codes.dtype == np.uint8, (rule, lattice)
+        assert list(table) == lattice_outcomes(full, lattice), (rule, lattice)
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
+def test_feasible_rules_write_feasible_indices(block_elements):
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        for name, weights in (("pref3", (1, 2, 3)), ("doctrinal", None), ("cycle6", (2, 1, 1))):
+            space = builtin_space(name)
+            for rule in feasible_rules(space, 3, weights, TieOrder.shuffled(space, 7)):
+                assert_indexed_tables(space, rule, 3)
+                if isinstance(rule, NearestNeighborRule) and block_elements == engine.BLOCK_ELEMENTS:
+                    # each table is one block of at least 2**3 profiles: the correction table serves it
+                    assert rule._snapped == {}
+
+
+SNAPPED_SPACES = (
+    EvaluationSpace(40, [0, (1 << 20) - 1, ((1 << 20) - 1) << 20, (1 << 40) - 1, 0x5555555555, 0xAAAAAAAAAA]),
+    EvaluationSpace(12, [0xF0F, 0x0FF, 0xFF0, 0xAAA, 0x555, 0xCCC]),
+)
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
+@pytest.mark.parametrize("space", SNAPPED_SPACES, ids=("m40", "m12"))
+def test_nearest_neighbor_snap_path_writes_feasible_indices(space, block_elements):
+    # 2**m hypercube points against at most 36 profiles: only the stage outputs seen are snapped
+    for tie in (None, TieOrder.descending(space)):
+        rule = NearestNeighborRule(space, IiaStage.majority(2, space.m), None, tie)
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements), mock.patch.object(
+            aggregators, "_correction_table", side_effect=AssertionError("correction table built")
+        ):
+            assert_indexed_tables(space, rule, 2)
+        assert rule._snapped
+
+
+#: stages of three voters on pref3 whose corrections never reach some
+#: feasible evaluation: issue 2 fixed at 0, or issue 1 fixed at 1 and issue 3 at 0
+UNREACHING_STAGES = (IiaStage.quota(3, (2, 4, 2)), IiaStage(3, [0xFF, IiaStage.majority(3, 1).tables[0], 0]))
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
+def test_feasible_indices_never_reached(pref3, block_elements):
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        for stage, weights, tie in itertools.product(
+            UNREACHING_STAGES, (None, (1, 2, 3)), (None, TieOrder.shuffled(pref3, 3))
+        ):
+            rule = NearestNeighborRule(pref3, stage, weights, tie)
+            table = outcome_table(pref3, rule, 3)
+            assert set(table.codes.tolist()) < set(range(pref3.size))
+            assert list(table) == oracle.outcome_list(pref3, rule, 3)
+            for kind in KINDS:
+                expected = next(oracle.iter_witnesses(pref3, rule, 3, kind, weights), None)
+                assert find_witness(pref3, rule, 3, kind, weights) == expected, (stage, kind)
+            for property in ("iia", "monotone", "anonymous", "dictatorial"):
+                assert check_structural(pref3, rule, 3, property) == oracle.check_structural(pref3, rule, 3, property)
+
+
+def test_rule_calls_return_masks(pref4):
+    tie = TieOrder.shuffled(pref4, 11)
+    rows = [tuple(pref4.feasible[(7 * k + 5 * i) % pref4.size] for i in range(3)) for k in range(40)]
+    # 40 one-row calls per rule, fewer than the 2**6 points of a correction table
+    with mock.patch.object(aggregators, "_correction_table", side_effect=AssertionError("correction table built")):
+        for rule in feasible_rules(pref4, 3, (3, 1, 2, 2, 1, 3), tie):
+            for profile in rows:
+                outcome = rule(profile)
+                assert outcome in pref4 and outcome == oracle.outcome(rule, profile), rule
+
+
+@pytest.mark.parametrize("weights", [(2**64 + 1, 2**64, 2**64 + 2), (2**60 + 1, 2**60, 2**59 + 2)])
+def test_weights_past_int64_stay_exact(pref3, weights):
+    # distances near 2**65, or welfare totals past 2**63, differ in their low
+    # bits only; floats or int64 would tie or wrap them
+    tie = TieOrder.descending(pref3)
+    for rule in (WelfareMaximizer(pref3, weights, tie), NearestNeighborRule(pref3, IiaStage.majority(2, 3), weights, tie)):
+        assert list(outcome_table(pref3, rule, 2)) == oracle.outcome_list(pref3, rule, 2)
+        expected = next(oracle.iter_witnesses(pref3, rule, 2, "hamming", weights), None)
+        assert find_witness(pref3, rule, 2, "hamming", weights) == expected

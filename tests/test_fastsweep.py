@@ -14,8 +14,6 @@ from binagg import engine
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from binagg.fastsweep import (
     _bad_types,
-    _correction_indices,
-    _correction_table,
     _least_stage,
     _shown_types,
     all_stage_products_hamming_free,
@@ -24,7 +22,7 @@ from binagg.fastsweep import (
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
 from binagg.manipulation import classify_deviation, find_witness
-from binagg.metric import TieOrder, nn_select, weighted_hamming
+from binagg.metric import TieOrder, _correction_indices, _correction_table, nn_select, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
 
@@ -61,6 +59,18 @@ def test_sweep_witness_matches_find_witness_on_pref4():
         found = all_stage_products_hamming_free(space, 3, tie=tie)
         assert found is not None
         _assert_agrees_with_find_witness(space, 3, None, tie, found, found[0])
+
+
+def test_sweep_witness_reads_the_sweeps_correction_table():
+    # the found stage's nn rule reads the table its sweep built, not a second one
+    space, tie = builtin_space("pref4"), four_candidate_tie_order()
+    _correction_table.cache_clear()
+    with mock.patch("binagg.fastsweep._correction_table", wraps=_correction_table) as swept, mock.patch(
+        "binagg.aggregators.nn_select", side_effect=AssertionError("snapped point by point")
+    ):
+        found = all_stage_products_hamming_free(space, 3, (1, 2, 3, 1, 2, 3), tie)
+    info = _correction_table.cache_info()
+    assert found is not None and swept.call_count == 1 and info.misses == 1 and info.hits >= 1
 
 
 def test_sweep_free_verdict_matches_find_witness_on_pref3():
@@ -438,7 +448,7 @@ def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     assert first is not again
     stage = IiaStage.majority(3, 3)
     _correction_table.cache_clear()
-    with mock.patch("binagg.fastsweep._correction_indices", wraps=_correction_indices) as build:
+    with mock.patch("binagg.metric._correction_indices", wraps=_correction_indices) as build:
         for tie in (first, again):
             corrected_stage_free(pref3, stage, 3, (1, 1, 1), tie)
         assert build.call_count == 1

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from binagg.fixtures import four_candidate_tie_order
 from binagg.metric import (
     TieOrder,
+    _distances,
+    _feasible_distances,
     check_h2,
     nn_select,
     nn_set,
@@ -39,6 +41,21 @@ def test_weight_validation():
     with pytest.raises(ValueError):
         validate_weights((1, 1), 3)
     assert uniform_weights(4) == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1, 2, 3, 4, 5, 6), (2**31, 1, 2**40, 3, 2**33, 7), (2**64, 2**64 + 1, 1, 2**70, 5, 2**63)],
+    ids=("narrow", "int64", "past-int64"),
+)
+def test_distance_matrices_are_exact(pref4, weights):
+    X = pref4.feasible
+    dist = _feasible_distances(pref4, weights)
+    assert dist.tolist() == [[weighted_hamming(a, b, weights) for b in X] for a in X]
+    # one matrix per space and weights, shared read-only
+    assert _feasible_distances(pref4, weights) is dist and not dist.flags.writeable
+    outcomes = [0, 63, X[3]]
+    assert _distances(outcomes, X, weights, 6).tolist() == [[weighted_hamming(v, x, weights) for x in X] for v in outcomes]
 
 
 @given(masks6, masks6, weights6)
