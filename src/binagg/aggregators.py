@@ -596,29 +596,32 @@ def _committee_size(space: EvaluationSpace) -> int:
     return k
 
 
-def column_sums(rows: Sequence[int], m: int) -> tuple[int, ...]:
-    return tuple(sum((r >> (m - j)) & 1 for r in rows) for j in range(1, m + 1))
-
-
 def swm_topk(space: EvaluationSpace, rows: Sequence[int], candidate_order: Sequence[int] | None = None) -> int:
     """Committee of the k most-approved candidates (fixed-size spaces only).
 
     Ties between equally approved candidates go to the earlier candidate
     in ``candidate_order`` (1-based; identity by default).  Equals the
     welfare maximizer under uniform weights with the induced tie order.
+    A one-row call of :func:`_topk_block`.
     """
+    return int(_topk_block(space, np.array([rows], dtype=np.uint64), candidate_order)[0])
+
+
+def _topk_block(space: EvaluationSpace, rows: np.ndarray, candidate_order: Sequence[int] | None = None) -> np.ndarray:
+    """(B,) uint64 :func:`swm_topk` committees of a (B, n) array of evaluation masks, one profile per row."""
     k = _committee_size(space)
     m = space.m
     order = tuple(candidate_order) if candidate_order else tuple(range(1, m + 1))
     if sorted(order) != list(range(1, m + 1)):
         raise ValueError("candidate order must be a permutation of 1..m")
-    priority = {j: p for p, j in enumerate(order)}
-    sums = column_sums(rows, m)
-    ranked = sorted(range(1, m + 1), key=lambda j: (-sums[j - 1], priority[j]))
-    mask = 0
-    for j in ranked[:k]:
-        mask |= 1 << (m - j)
-    return mask
+    # approvals[b, j]: the rows of profile b approving candidate j + 1
+    approvals = issue_bits(rows.ravel(), m).reshape(m, *rows.shape).sum(axis=2).T
+    # later[j]: the candidates after candidate j + 1 in the order, so keys are distinct
+    # and rank by approvals first, then by the order
+    later = np.empty(m, dtype=np.int64)
+    later[np.array(order) - 1] = np.arange(m - 1, -1, -1)
+    top = np.argsort(-(approvals * m + later), axis=1)[:, :k]
+    return (np.uint64(1) << (m - 1 - top).astype(np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def committee_tie_order(space: EvaluationSpace, candidate_order: Sequence[int] | None = None) -> TieOrder:

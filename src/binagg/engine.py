@@ -447,16 +447,30 @@ def _grown(array: np.ndarray, size: int) -> np.ndarray:
 def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[int, int, int, int]]:
     """Every probe of the lattice where ``hit`` holds, in canonical order.
 
-    Each hit is (id, voter index, lie index, id of the lied profile).
+    Each hit is (id, voter index, lie index, id of the lied profile), one
+    per entry of the arrays that :func:`_hit_blocks` lists for a block, so
+    a generator over the hits stops within the block where its caller does.
+    """
+    for pids, voters, lies in _hit_blocks(lattice, table, hit):
+        for pid, voter, lie in zip(pids.tolist(), voters.tolist(), lies.tolist()):
+            yield pid, voter, lie, lattice.lied(pid, voter, lie)
+
+
+def _hit_blocks(
+    lattice: Lattice, table: OutcomeTable, hit: HitFn
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ids, voter indices, lie indices) of each block's hits, in canonical order.
 
     A lie equal to the liar's true opinion is probed too: it leaves the
     outcome unchanged, and every predicate is false there.  A block keys
     each distinct context it is first to reach once, and each distinct
     context row, a *type*, is tested once; a (profile, voter) is then one
     lookup, and its lies are listed only when that lookup flags a hit.
+    Blocks without a hit yield nothing.
     """
     S, n = lattice.S, lattice.n
     lies = np.arange(S)
+    voters = np.array(lattice.voters, dtype=np.intp)
     codes = table.codes
     lied_codes = lattice.lied_codes(codes)
     # at[c]: S times the type of context c, or `unseen` until a block
@@ -493,8 +507,5 @@ def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[in
         b, j = np.nonzero(flagged)
         lied = type_rows[block_at[b, j, None] + lies]
         hits = hit(codes[start + b, None, None], lied[:, None, :], opinions[b, j, None, None], lies)
-        pids, positions = (start + b).tolist(), j.tolist()
-        for flat in np.flatnonzero(hits).tolist():
-            f, lie = divmod(flat, S)
-            pid, voter = pids[f], lattice.voters[positions[f]]
-            yield pid, voter, lie, lattice.lied(pid, voter, lie)
+        f, lie = np.divmod(np.flatnonzero(hits), S)
+        yield start + b[f], voters[j[f]], lie

@@ -42,10 +42,12 @@ truthful outcome is the correction of F | (x & D) and the lied one that
 of F | (y & D).  Whether a probe hits is therefore a function of (F, D),
 x and y, under one correction.  So the corrected stage has a witness
 exactly when some (voter, context) shows it a type at which some x
-gains by some y: a bad type.  The types a stage shows do not depend on
-the correction, so :func:`corrected_stage_free` walks them once per
-stage and caches them.  It then tests only those types against each
-correction, whose table is cached by its weights and tie ranking.
+gains by some y: a bad type.  The sweep and :func:`corrected_stage_free`
+read one type table per correction and kind, the bad flags of all 3^m
+types, cached by weights and tie ranking (:func:`_type_table`).  A
+correction without a bad type frees every corrected monotone stage at
+once, and the screen walks no stage.  Otherwise it walks the types the
+stage shows, once per stage and cached, and looks them up.
 """
 
 from __future__ import annotations
@@ -62,31 +64,36 @@ from .metric import TieOrder, _correction_table, nn_select, validate_weights  # 
 from .spaces import EvaluationSpace
 
 
-def _bad_types(
-    space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming", types: np.ndarray | None = None
-) -> np.ndarray:
+def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
     """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
 
     ``correct`` is the correction table (:func:`metric._correction_indices`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
-    voter's bit and 2 when it fixes it at 1.  ``types`` lists the type
-    numbers to test, every type by default.
+    voter's bit and 2 when it fixes it at 1.
     """
     S, m = space.size, space.m
     masks = np.array(space.feasible, dtype=np.intp)
     place = 1 << np.arange(m - 1, -1, -1)
     digit = 3 ** np.arange(m - 1, -1, -1)
     hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
-    count = 3**m if types is None else len(types)
     step = engine.block_size(S * S)
     bad = []
-    for at in range(0, count, step):
-        numbers = np.arange(at, min(at + step, count)) if types is None else types[at : at + step]
-        digits = numbers[:, None] // digit % 3
+    for at in range(0, 3**m, step):
+        digits = np.arange(at, min(at + step, 3**m))[:, None] // digit % 3
         rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
         bad.append(engine.type_hits(rows, hit).any(axis=1))
     return np.concatenate(bad)
+
+
+@lru_cache(maxsize=16)
+def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> np.ndarray:
+    """Read-only :func:`_bad_types` of every pivot type under the correction with these
+    weights and tie ranking (None: no tie order), cached like that correction table."""
+    # the correction table comes first: past 20 issues it refuses, before type numbers could overflow
+    bad = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
+    bad.flags.writeable = False
+    return bad
 
 
 def _pivot_kinds(truth: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -135,9 +142,11 @@ def corrected_stage_free(
 
     Where ``find_witness(space, NearestNeighborRule(space, stage, weights,
     tie), n, "full", weights)`` stays within its search budget, exactly
-    whether that is None; decided from the pivot types the stage shows
-    and the cached correction table.  It charges no budget: it walks the
-    S^(n-1) contexts of each voter in blocks of ``engine.block_size``.
+    whether that is None.  It charges no budget.  It tests all 3^m pivot
+    types once per correction, as the sweep does, and refuses past 20
+    issues.  Only when some type is bad does it walk the S^(n-1) contexts
+    of each voter, in blocks of ``engine.block_size``, for the types the
+    stage shows (once per stage).
     """
     if stage.m != space.m:
         raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
@@ -145,9 +154,8 @@ def corrected_stage_free(
         raise ValueError(f"stage arity is {stage.n}, profile has {n} rows")
     if weights is not None:
         weights = validate_weights(weights, space.m)
-    # built first: past 20 issues it refuses, before type numbers could overflow
-    correct = _correction_table(space, weights, None if tie is None else tie.ranking)
-    return not _bad_types(space, weights, correct, "full", _shown_types(space, stage, n)).any()
+    bad = _type_table(space, weights, None if tie is None else tie.ranking, "full")
+    return not bad.any() or not bad[_shown_types(space, stage, n)].any()
 
 
 def _first_positions(n: int) -> np.ndarray:
@@ -199,7 +207,7 @@ def all_stage_products_hamming_free(
     S, m = space.size, space.m
     if weights is not None:
         weights = validate_weights(weights, m)
-    bad = _bad_types(space, weights, _correction_table(space, weights, None if tie is None else tie.ranking))
+    bad = _type_table(space, weights, None if tie is None else tie.ranking, "hamming")
     if not bad.any():
         return None
     tabs = monotone_tables(n)

@@ -10,7 +10,6 @@ timing lives in the report object but never in the rendered text.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -27,12 +26,12 @@ from .aggregators import (
     StageRule,
     TableRule,
     WelfareMaximizer,
+    _topk_block,
     check_structural,
     committee_tie_order,
     issuewise_majority,
     monotone_tables,
     outcome_table,
-    swm_topk,
 )
 from .fastsweep import all_stage_products_hamming_free, corrected_stage_free, stage_product_count
 from .manipulation import ManipulationWitness, _hit_fn, certify, classify_deviation, find_witness
@@ -372,15 +371,18 @@ def _lemma_harvest() -> dict[str, tuple[list[tuple[int, int]], int]]:
 def _exhaustive_harvest(space, tie: TieOrder) -> tuple[list[tuple[int, int]], int]:
     """Sorted stage-output pairs and count of the hamming witnesses of the three-voter majority,
     corrected under uniform weights and ``tie``: the engine scans the stage's own outcome table,
-    each code standing for its correction, and a hit's pair is the table at (profile, lied profile)."""
+    each code standing for its correction, and a hit's pair is the table at (profile, lied profile).
+    The hits are read as the scan's block arrays, and every lied profile id is one stride sum."""
     uniform = uniform_weights(space.m)
     lattice = engine.ProfileLattice(space.size, 3)
     stage = engine.build_table(space, lattice, IiaStage.majority(3, space.m).block_evaluator(space, 3))
     correct = _correction_indices(space, uniform, tie)[list(stage.values)].tolist()
     hit = _hit_fn(space, [space.feasible[i] for i in correct], "hamming", uniform)
-    probes = np.array([(pid, lied) for pid, _, _, lied in engine.scan(lattice, stage, hit)]).reshape(-1, 2)
-    v, u = np.array(stage.values)[stage.codes[probes]].T
-    return sorted(set(zip(v.tolist(), u.tolist()))), len(probes)
+    pids, voters, lies = (np.concatenate(a) for a in zip(*engine._hit_blocks(lattice, stage, hit)))
+    stride = engine.strides(space.size, 3)[voters]
+    lied = pids + (lies - pids // stride % space.size) * stride
+    v, u = np.array(stage.values)[stage.codes[np.stack((pids, lied))]]
+    return sorted(set(zip(v.tolist(), u.tolist()))), len(pids)
 
 
 def _group_size(distinct: int) -> int:
@@ -694,12 +696,12 @@ def _suite_claim58() -> list[CheckResult]:
                 "exhaustive hunt, 0 witnesses" if cert.free else _witness_line(cert.witness),
             )
         )
-        mismatches = 0
-        count = 0
-        for rows, outcome in zip(itertools.product(space.feasible, repeat=3), outcome_table(space, rule, 3)):
-            count += 1
-            if outcome != swm_topk(space, rows):
-                mismatches += 1
+        table = outcome_table(space, rule, 3)
+        count = len(table)
+        # every ordered profile's rows as masks, in canonical id order
+        profiles = engine.masks_array(space.feasible, space.m)[engine.row_indices(0, count, space.size, 3)]
+        outcomes = engine.masks_array(table.values, space.m)[table.codes]
+        mismatches = int(np.count_nonzero(outcomes != _topk_block(space, profiles)))
         checks.append(
             CheckResult(
                 f"welfare maximizer matches top-approval selection on {name}",

@@ -2,7 +2,8 @@
 
 These are the original one-profile-at-a-time loops.  The reference
 evaluators are the per-profile rule bodies, :func:`outcome` and
-:func:`stage_output`, which the library evaluates in array blocks
+:func:`stage_output`, and the top-k committee selection,
+:func:`swm_topk`, which the library evaluates in array blocks
 instead.  The scanners evaluate the rule on every profile through them,
 walk every (profile, voter, lie) probe in canonical order, one stage at
 a time for sweeps, and decide each structural property profile by
@@ -85,6 +86,16 @@ def outcome(rule, rows):
         return min(space.feasible, key=key)
     assert isinstance(rule, TableRule), rule
     return rule._fn(tuple(rows))
+
+
+def swm_topk(space, rows, candidate_order=None):
+    """The k most-approved candidates of one profile, sorted by (approvals, candidate order)."""
+    m = space.m
+    order = tuple(candidate_order) if candidate_order else tuple(range(1, m + 1))
+    priority = {j: p for p, j in enumerate(order)}
+    sums = [sum((r >> (m - j)) & 1 for r in rows) for j in range(1, m + 1)]
+    ranked = sorted(range(1, m + 1), key=lambda j: (-sums[j - 1], priority[j]))
+    return sum(1 << (m - j) for j in ranked[: space.feasible[0].bit_count()])
 
 
 @lru_cache(maxsize=4096)

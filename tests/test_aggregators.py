@@ -369,6 +369,23 @@ def test_swm_topk_rejects_other_spaces(pref3):
         swm_topk(pref3, (0b110,))
 
 
+@pytest.mark.parametrize("name", ("choose4-2", "choose5-2"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_block_topk_matches_the_per_profile_selection(name, n):
+    space = builtin_space(name)
+    shuffled = tuple(random.Random(n).sample(range(1, space.m + 1), space.m))
+    profiles = engine.masks_array(space.feasible, space.m)[engine.row_indices(0, space.size**n, space.size, n)]
+    for order in (None, shuffled):
+        expected = [oracle.swm_topk(space, rows, order) for rows in profiles.tolist()]
+        assert aggregators._topk_block(space, profiles, order).tolist() == expected
+        assert [swm_topk(space, rows, order) for rows in profiles.tolist()] == expected
+
+
+def test_swm_topk_rejects_orders_that_are_not_permutations():
+    with pytest.raises(ValueError, match="candidate order must be a permutation of 1..m"):
+        swm_topk(choose_space(4, 2), (0b1100,), (1, 1, 2, 3))
+
+
 def test_committee_tie_order_is_descending_for_identity():
     sp = choose_space(4, 2)
     assert committee_tie_order(sp).ranking == tuple(reversed(sp.feasible))

@@ -372,6 +372,30 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     assert found and found == expected
 
 
+def _hit_cases():
+    pref3 = builtin_space("pref3")
+    plurality = Plurality(pref3)
+    partition = Partition(pref3, [set(), {1, 2}, set(), {3}])
+    return {
+        "full": (plurality, engine.ProfileLattice(6, 3)),
+        "pinned": (partition, engine.ProfileLattice(6, 4, partition.influential(4))),
+        "multiset": (plurality, engine.MultisetLattice(6, 3)),
+    }
+
+
+@pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
+@pytest.mark.parametrize("lattice_name", ("full", "pinned", "multiset"))
+def test_hit_blocks_list_the_scan_hits_in_order(lattice_name, block_elements):
+    rule, lattice = _hit_cases()[lattice_name]
+    table = aggregators.lattice_table(rule.space, rule, lattice)
+    hit = manipulation._hit_fn(rule.space, table.values, "partial", None)
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        blocks = list(engine._hit_blocks(lattice, table, hit))
+        expected = [(pid, voter, lie) for pid, voter, lie, _ in engine.scan(lattice, table, hit)]
+    assert expected and all(len(pids) for pids, _, _ in blocks)
+    assert list(zip(*(np.concatenate(column).tolist() for column in zip(*blocks)))) == expected
+
+
 @st.composite
 def type_cases(draw):
     """An explicit space of 1-5 issues, outcome masks, rows of codes into them, and weights."""

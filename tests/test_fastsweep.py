@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from binagg import engine
+from binagg import engine, suites
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from binagg.fastsweep import (
     _bad_types,
     _least_stage,
     _shown_types,
+    _type_table,
     all_stage_products_hamming_free,
     corrected_stage_free,
     stage_product_count,
@@ -361,6 +363,43 @@ def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
                     assert corrected_stage_free(space, stage, 3, wv, tie) == free
 
 
+def _seeded_stages(n, m, count, seed=2012):
+    """Majority and ``count`` stages of seeded positive DNFs: monotone at any arity, where
+    ``monotone_tables`` stops at 4."""
+    rng = random.Random(seed)
+
+    def table():
+        terms = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
+        return sum(1 << c for c in range(1 << n) if any(c & t == t for t in terms))
+
+    return (IiaStage.majority(n, m),) + tuple(IiaStage(n, [table() for _ in range(m)]) for _ in range(count))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_corrected_stage_screen_matches_find_witness_for_two_to_five_voters(n):
+    for name in ("doctrinal", "pref3"):
+        space = builtin_space(name)
+        for stage in _seeded_stages(n, space.m, 4):
+            for tie in tie_battery(space):
+                for wv in weight_battery(space.m):
+                    rule = NearestNeighborRule(space, stage, wv, tie)
+                    free = find_witness(space, rule, n, "full", wv) is None
+                    assert corrected_stage_free(space, stage, n, wv, tie) == free
+
+
+def test_thm42_builds_one_type_table_per_correction_and_walks_no_stage():
+    _type_table.cache_clear()
+    with mock.patch("binagg.fastsweep._bad_types", wraps=_bad_types) as built, mock.patch(
+        "binagg.fastsweep._shown_types", wraps=_shown_types
+    ) as walked:
+        assert all(check.passed for check in suites._suite_thm42())
+    # 3 tie orders x 3 weight vectors per space, shared by its 6 stages; no type is bad
+    spaces = [space for _, space in battery_spaces()]
+    assert Counter(call.args[0] for call in built.call_args_list) == Counter(spaces * 9)
+    assert {call.args[3] for call in built.call_args_list} == {"full"}
+    assert walked.call_count == 0
+
+
 def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
     stage = IiaStage.majority(3, 3)
     with pytest.raises(ValueError, match="stage arity is 3, profile has 2 rows"):
@@ -396,7 +435,7 @@ def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         expected = _old_bad_types(space, weights, tie)
         assert np.array_equal(_bad_types(space, weights, correct), expected)
-        assert np.array_equal(_bad_types(space, weights, correct, "hamming", every), expected)
+        assert np.array_equal(_bad_types(space, weights, correct, "hamming")[every], expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,7 +453,7 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         outcome = {y: nn_select(space, fixed | (y & copied), weights, tie) for y in X}
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
-    assert _bad_types(space, weights, _correction_indices(space, weights, tie), kind, types).tolist() == expected
+    assert _bad_types(space, weights, _correction_indices(space, weights, tie), kind)[types].tolist() == expected
 
 
 @st.composite
@@ -448,6 +487,7 @@ def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     assert first is not again
     stage = IiaStage.majority(3, 3)
     _correction_table.cache_clear()
+    _type_table.cache_clear()
     with mock.patch("binagg.metric._correction_indices", wraps=_correction_indices) as build:
         for tie in (first, again):
             corrected_stage_free(pref3, stage, 3, (1, 1, 1), tie)
