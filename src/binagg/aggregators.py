@@ -764,10 +764,6 @@ def parse_rule(text: str) -> RuleSpec:
 # exhaustive profile machinery
 
 
-def profile_count(space: EvaluationSpace, n: int) -> int:
-    return space.size**n
-
-
 def lattice_rows(space: EvaluationSpace, lattice: Lattice, pid: int) -> tuple[int, ...]:
     """The feasible rows of the lattice's profile ``pid``."""
     return tuple(space.feasible[r] for r in lattice.rows(pid, pid + 1)[0].tolist())
@@ -793,10 +789,7 @@ def search_lattice(
     hit of ``rule`` walks the multiset lattice when the rule is anonymous,
     else the ordered profiles of the voters it reads (see
     :mod:`binagg.engine`).  The search makes ``per_profile`` probes per
-    profile.  A lattice of S**n ids holds every ordered profile by its
-    canonical id (the multiset lattice reaches that size only when n or
-    S is 1, where it is the ordered one), so searches build its table
-    through :func:`outcome_table`.
+    profile, and builds the lattice's table with :func:`lattice_table`.
     """
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")
@@ -817,9 +810,9 @@ def lattice_table(space: EvaluationSpace, rule: Rule, lattice: Lattice) -> Outco
 
     Codes are feasible indices over ``space.feasible`` for a rule whose
     outcomes are feasible, and ranks among the distinct outcomes for a
-    stage or table rule.  Searches build an ordered lattice's table
-    through :func:`outcome_table` instead, the layer ``bench/spans.py``
-    times and counts.
+    stage or table rule.  Every search and structural check builds its
+    one table here; :func:`outcome_table` is this table over every
+    ordered profile.
     """
     if rule.space is not space and rule.space.feasible != space.feasible:
         raise ValueError(f"{rule!r} is bound to another space")
@@ -871,8 +864,7 @@ def check_structural(
     if property == "anonymous" and rule.anonymous:
         # anonymous by construction: no table to walk
         return StructuralReport(property, True)
-    full = lattice.size == profile_count(space, n)
-    table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
+    table = lattice_table(space, rule, lattice)
     m = space.m
     X = space.feasible
     codes = table.codes

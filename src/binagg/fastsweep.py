@@ -46,8 +46,9 @@ gains by some y: a bad type.  The sweep and :func:`corrected_stage_free`
 read one type table per correction and kind, the bad flags of all 3^m
 types, cached by weights and tie ranking (:func:`_type_table`).  A
 correction without a bad type frees every corrected monotone stage at
-once, and the screen walks no stage.  Otherwise it walks the types the
-stage shows, once per stage and cached, and looks them up.
+once, and the screen walks no stage.  Theorem 4.2 says no correction
+has a bad full type; should one turn up, the screen hunts that one
+stage with :func:`binagg.manipulation.find_witness`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .spaces import EvaluationSpace
 def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
     """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
 
-    ``correct`` is the correction table (:func:`metric._correction_indices`).
+    ``correct`` is the correction table (:func:`metric._correction_table`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
     voter's bit and 2 when it fixes it at 1.
@@ -113,24 +114,6 @@ def _context_columns(space: EvaluationSpace, n: int, width: int) -> Iterator[np.
         yield bits[:, rows] @ voter_bits
 
 
-@lru_cache(maxsize=64)
-def _shown_types(space: EvaluationSpace, stage: IiaStage, n: int) -> np.ndarray:
-    """Ascending numbers of the pivot types the stage shows some voter in some context."""
-    m = space.m
-    truth = engine.truth_bits(stage.tables, n)
-    digit = 3 ** np.arange(m - 1, -1, -1)
-    # scaled[i][j, c]: issue j's type towards voter i in column c, times 3^(m-1-j)
-    scaled = [_pivot_kinds(truth, n, i) * digit[:, None] for i in range(n)]
-    shown = [
-        engine._distinct(np.take_along_axis(kinds, columns, axis=1).sum(axis=0))
-        for columns in _context_columns(space, n, m * n)
-        for kinds in scaled
-    ]
-    shown = engine._distinct(np.concatenate(shown))
-    shown.flags.writeable = False
-    return shown
-
-
 def corrected_stage_free(
     space: EvaluationSpace,
     stage: IiaStage,
@@ -142,11 +125,12 @@ def corrected_stage_free(
 
     Where ``find_witness(space, NearestNeighborRule(space, stage, weights,
     tie), n, "full", weights)`` stays within its search budget, exactly
-    whether that is None.  It charges no budget.  It tests all 3^m pivot
-    types once per correction, as the sweep does, and refuses past 20
-    issues.  Only when some type is bad does it walk the S^(n-1) contexts
-    of each voter, in blocks of ``engine.block_size``, for the types the
-    stage shows (once per stage).
+    whether that is None.  It tests all 3^m pivot types once per
+    correction, as the sweep does, and refuses past 20 issues.  By
+    Theorem 4.2 no correction has a bad full type (the tests hold this as
+    a property), so every corrected stage is free with no budget
+    charged.  Only when some type is bad does it run that
+    ``find_witness``, which charges its default budget.
     """
     if stage.m != space.m:
         raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
@@ -154,8 +138,9 @@ def corrected_stage_free(
         raise ValueError(f"stage arity is {stage.n}, profile has {n} rows")
     if weights is not None:
         weights = validate_weights(weights, space.m)
-    bad = _type_table(space, weights, None if tie is None else tie.ranking, "full")
-    return not bad.any() or not bad[_shown_types(space, stage, n)].any()
+    if not _type_table(space, weights, None if tie is None else tie.ranking, "full").any():
+        return True
+    return find_witness(space, NearestNeighborRule(space, stage, weights, tie), n, "full", weights) is None
 
 
 def _first_positions(n: int) -> np.ndarray:

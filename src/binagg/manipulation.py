@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .aggregators import DEFAULT_BUDGET, Rule, lattice_rows, lattice_table, outcome_table, profile_count, search_lattice
+from .aggregators import DEFAULT_BUDGET, Rule, lattice_rows, lattice_table, search_lattice
+from .aggregators import outcome_table  # noqa: F401  bench/spans.py wraps outcome_table here
 from .engine import HitFn, masks_array, scan
 from .metric import _distances, _feasible_distances, uniform_weights, validate_weights, weight_of, weighted_hamming
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
@@ -123,7 +124,7 @@ class ManipulationWitness:
 
 def search_size(space: EvaluationSpace, n: int) -> int:
     """Number of (profile, voter, lie) probes in one exhaustive scan of every ordered profile."""
-    return profile_count(space, n) * n * space.size
+    return space.size**n * n * space.size
 
 
 def _validate_kind(kind: str, weights, m: int):
@@ -149,8 +150,7 @@ def iter_witnesses(
 def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Iterator[ManipulationWitness]:
     w = _validate_kind(kind, weights, space.m)
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
-    full = lattice.size == profile_count(space, n)
-    table = outcome_table(space, rule, n, budget) if full else lattice_table(space, rule, lattice)
+    table = lattice_table(space, rule, lattice)
     for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table.values, kind, w)):
         rows = lattice_rows(space, lattice, pid)
         yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], table[pid], table[lied_pid], kind, w)

@@ -15,7 +15,9 @@ Array forms of both serve the engine, each cached: per space and
 weights, :func:`_feasible_distances`, every distance between feasible
 evaluations; per space, weights and tie ranking,
 :func:`_correction_table`, the feasible index that ``nn_select`` picks
-for every hypercube point.
+for every hypercube point.  That table is the one correction built
+anywhere: ``nn(...)`` rules, sweeps, stage screens and both halves of
+the lemma harvest read it.
 """
 
 from __future__ import annotations
@@ -162,10 +164,17 @@ def _feasible_distances(space: EvaluationSpace, weights: tuple[int, ...]) -> np.
     return dist
 
 
-def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -> np.ndarray:
-    """Feasible index of ``nn_select(space, p, weights, tie)`` for every hypercube point p: per block of points,
-    the first nearest feasible evaluation in tie order (ascending without one), by exact distances.
-    Indices come in the narrowest unsigned dtype."""
+@lru_cache(maxsize=16)
+def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
+    """Read-only feasible index of ``nn_select(space, p, weights, tie)`` for every hypercube point p,
+    under the tie order with this ranking (None: no tie order): per block of points, the first nearest
+    feasible evaluation in ranking order (ascending without one), by exact distances.  Indices come in
+    the narrowest unsigned dtype.
+
+    Keyed on the ranking, not the TieOrder: callers rebuild equal orders
+    for every stage.  Sweeps, their one-stage screens, ``nn(...)`` rules
+    and the lemma harvest all read this one cache.
+    """
     m = space.m
     if m > 20:
         raise ValueError("correction table is practical for m <= 20 only")
@@ -174,25 +183,13 @@ def _correction_indices(space: EvaluationSpace, weights, tie: TieOrder | None) -
     for wj in reversed(uniform_weights(m) if weights is None else weights):
         weight += [d + wj for d in weight]
     weight = exact_array(weight)
-    ranking = space.feasible if tie is None else tie.ranking
+    ranking = space.feasible if ranking is None else ranking
     ranked = np.array(ranking, dtype=np.intp)
     index = np.array([space.index(x) for x in ranking], dtype=_unsigned(space.size - 1))
     table = np.empty(1 << m, dtype=index.dtype)
     step = block_size(space.size)
     for at in range(0, 1 << m, step):
         table[at : at + step] = index[weight[np.arange(at, min(at + step, 1 << m))[:, None] ^ ranked].argmin(axis=1)]
-    return table
-
-
-@lru_cache(maxsize=16)
-def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
-    """Read-only :func:`_correction_indices` under the tie order with this ranking (None: no tie order).
-
-    Keyed on the ranking, not the TieOrder: callers rebuild equal orders
-    for every stage.  Sweeps, their one-stage screens and ``nn(...)``
-    rules all read this one cache.
-    """
-    table = _correction_indices(space, weights, None if ranking is None else TieOrder(space, ranking))
     table.flags.writeable = False
     return table
 

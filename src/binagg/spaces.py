@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_ISSUES = 64
-#: most strict orders ``preference_space`` enumerates (8!); each more alternative multiplies the walk
+#: most members ``preference_space`` (strict orders) and ``choose_space`` (committees) enumerate: 8!
 MAX_ORDERS = math.factorial(8)
 
 
@@ -217,8 +217,8 @@ def preference_space(
     else:
         pairs = []
         for p, q in orientation:
-            pi = name_to_idx[p] if isinstance(p, str) else p
-            qi = name_to_idx[q] if isinstance(q, str) else q
+            pi = name_to_idx.get(p, -1) if isinstance(p, str) else p
+            qi = name_to_idx.get(q, -1) if isinstance(q, str) else q
             if not (0 <= pi < k and 0 <= qi < k) or pi == qi:
                 raise ValueError(f"bad pair in orientation: {(p, q)}")
             pairs.append((pi, qi))
@@ -248,10 +248,12 @@ def preference_space(
 
 
 def choose_space(m: int, k: int) -> EvaluationSpace:
-    """All evaluations selecting exactly k of m candidates."""
+    """All evaluations selecting exactly k of m candidates; more than ``MAX_ORDERS`` are refused before enumerating."""
     if not 0 < k <= m:
         raise ValueError(f"need 0 < k <= m, got k={k}, m={m}")
     _check_issue_count(m)
+    if math.comb(m, k) > MAX_ORDERS:
+        raise ValueError(f"choose({m},{k}) has {math.comb(m, k)} members; enumeration stops at {MAX_ORDERS}")
     # C(m, k) members, without walking the 2**m masks
     members = [sum(1 << j for j in chosen) for chosen in itertools.combinations(range(m), k)]
     labels = tuple(f"c{j}" for j in range(1, m + 1))

@@ -35,7 +35,7 @@ from .aggregators import (
 )
 from .fastsweep import all_stage_products_hamming_free, corrected_stage_free, stage_product_count
 from .manipulation import ManipulationWitness, _hit_fn, certify, classify_deviation, find_witness
-from .metric import TieOrder, _correction_indices, uniform_weights, weight_of, weighted_hamming
+from .metric import TieOrder, _correction_table, _feasible_distances, uniform_weights, weighted_hamming
 from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
 
@@ -376,7 +376,7 @@ def _exhaustive_harvest(space, tie: TieOrder) -> tuple[list[tuple[int, int]], in
     uniform = uniform_weights(space.m)
     lattice = engine.ProfileLattice(space.size, 3)
     stage = engine.build_table(space, lattice, IiaStage.majority(3, space.m).block_evaluator(space, 3))
-    correct = _correction_indices(space, uniform, tie)[list(stage.values)].tolist()
+    correct = _correction_table(space, uniform, tie.ranking)[list(stage.values)].tolist()
     hit = _hit_fn(space, [space.feasible[i] for i in correct], "hamming", uniform)
     pids, voters, lies = (np.concatenate(a) for a in zip(*engine._hit_blocks(lattice, stage, hit)))
     stride = engine.strides(space.size, 3)[voters]
@@ -516,19 +516,17 @@ def _random_harvest(configs: int, rng: random.Random) -> tuple[list[tuple[int, i
     """
     space = builtin_space("pref4")
     m, n = space.m, 3
-    X = np.array(space.feasible, dtype=np.int64)
-    S = len(X)
+    S = space.size
     tabs = monotone_tables(n)
     IiaStage(n, tabs)  # every table a configuration can draw is monotone
     ties = fixtures.tie_battery(space, extra=fixtures.four_candidate_tie_order())
     weight_options = fixtures.weight_battery(m)
     W = len(weight_options)
-    # corrected[t * W + k, p]: the correction of hypercube point p under tie t and weights k
-    corrected = X[np.array([_correction_indices(space, wv, t) for t in ties for wv in weight_options])]
-    # dist[k, d]: the total weight of the disagreement mask d under weights k
-    dist = engine.exact_array([[weight_of(0, d, wv, m) for d in range(1 << m)] for wv in weight_options])
-    # far[c, x, p]: the distance from opinion X[x] to the correction c of point p, in c's weights
-    far = dist[(np.arange(len(corrected)) % W)[:, None, None], X[:, None] ^ corrected[:, None, :]]
+    # far[t * W + k, x, p]: the distance, in weights k, from feasible opinion x to the correction
+    # of point p under tie t and weights k
+    far = np.stack(
+        [_feasible_distances(space, wv)[:, _correction_table(space, wv, t.ranking)] for t in ties for wv in weight_options]
+    )
     # truth[t << n | c]: bit c of table tabs[t]
     truth = engine.truth_bits(tabs, n).ravel()
     # columns[pid, j]: issue j's bits in the profile with id pid, voter 1 most significant

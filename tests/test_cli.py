@@ -274,6 +274,22 @@ def test_space_past_order_limit_exits_at_once(tmp_path):
     assert done.stderr.startswith("error:") and "orders; enumeration stops at 40320" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        # 30 issues are within the issue limit, but C(30, 15) = 155,117,520 committees are not enumerated
+        ("choose 30 15", "choose(30,15) has 155117520 members; enumeration stops at 40320"),
+        ("pref 3 a>b b>c x>a", "bad pair in orientation: ('x', 'a')"),
+    ],
+)
+def test_space_refused_by_its_generator_exits_1(tmp_path, generator, message):
+    path = tmp_path / "space.txt"
+    path.write_text(f"space {generator}\n", encoding="utf-8")
+    done = cli_process("space", "info", "--space", str(path), timeout=2)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and message in done.stderr and "Traceback" not in done.stderr
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, "hunt", "--space", "pref3")[0] == 1
 

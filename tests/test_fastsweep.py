@@ -16,7 +16,6 @@ from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from binagg.fastsweep import (
     _bad_types,
     _least_stage,
-    _shown_types,
     _type_table,
     all_stage_products_hamming_free,
     corrected_stage_free,
@@ -24,7 +23,7 @@ from binagg.fastsweep import (
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
 from binagg.manipulation import classify_deviation, find_witness
-from binagg.metric import TieOrder, _correction_indices, _correction_table, nn_select, weighted_hamming
+from binagg.metric import TieOrder, _correction_table, nn_select, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
 
@@ -36,6 +35,11 @@ def _witness_probe(space, witness):
     for i, row in enumerate(witness.profile):
         pid += space.index(row) * S ** (n - 1 - i)
     return pid, witness.voter - 1, space.index(witness.lie)
+
+
+def _correction(space, weights, tie):
+    """The correction table built afresh, under whatever block size is patched in, not read from the cache."""
+    return _correction_table.__wrapped__(space, weights, None if tie is None else tie.ranking)
 
 
 def _hunt(space, stage, weights=None, tie=None):
@@ -164,7 +168,7 @@ def stage_cases(draw):
 def test_stage_is_free_exactly_when_it_shows_no_bad_pivot_type(case):
     """The type lemma the sweep rests on."""
     space, stage, weights, tie = case
-    bad = _bad_types(space, weights, _correction_indices(space, weights, tie))
+    bad = _bad_types(space, weights, _correction(space, weights, tie))
     shown = [_type_number(t) for t in oracle.pivot_types(space, stage)]
     assert (_hunt(space, stage, weights, tie) is None) == (not bad[shown].any())
 
@@ -340,17 +344,36 @@ def screen_cases(draw):
     return space, stage, weights, tie
 
 
+def _flag_every_type(space):
+    """Patch the type tables to flag every type bad, so the screen takes its ``find_witness`` path."""
+    return mock.patch("binagg.fastsweep._type_table", return_value=np.ones(3**space.m, dtype=bool))
+
+
 @settings(max_examples=120, deadline=None)
 @given(screen_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
 def test_corrected_stage_screen_matches_oracle(case, block_elements):
     space, stage, weights, tie = case
     rule = NearestNeighborRule(space, stage, weights, tie)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        _shown_types.cache_clear()
-        shown = _shown_types(space, stage, stage.n).tolist()
-        assert shown == sorted(_type_number(t) for t in oracle.pivot_types(space, stage))
         free = next(oracle.iter_witnesses(space, rule, stage.n, "full", weights), None) is None
         assert corrected_stage_free(space, stage, stage.n, weights, tie) == free
+        # the path a bad type would take
+        with _flag_every_type(space):
+            assert corrected_stage_free(space, stage, stage.n, weights, tie) == free
+
+
+def test_corrected_stage_screen_hunts_the_stage_when_a_type_is_bad(doctrinal):
+    majority = IiaStage.majority(3, 3)
+    # no corrected monotone stage is full-manipulable, so the manipulable one negates majority
+    with mock.patch("binagg.aggregators._is_monotone_table", return_value=True):
+        negated = IiaStage(3, [~t & 0xFF for t in majority.tables])
+    tie = TieOrder.descending(doctrinal)
+    for stage, free in ((majority, True), (negated, False)):
+        rule = NearestNeighborRule(doctrinal, stage, (1, 2, 1), tie)
+        assert (next(oracle.iter_witnesses(doctrinal, rule, 3, "full"), None) is None) == free
+        with _flag_every_type(doctrinal), mock.patch("binagg.fastsweep.find_witness", wraps=find_witness) as hunted:
+            assert corrected_stage_free(doctrinal, stage, 3, (1, 2, 1), tie) == free
+        assert hunted.call_count == 1
 
 
 def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
@@ -390,14 +413,14 @@ def test_corrected_stage_screen_matches_find_witness_for_two_to_five_voters(n):
 def test_thm42_builds_one_type_table_per_correction_and_walks_no_stage():
     _type_table.cache_clear()
     with mock.patch("binagg.fastsweep._bad_types", wraps=_bad_types) as built, mock.patch(
-        "binagg.fastsweep._shown_types", wraps=_shown_types
-    ) as walked:
+        "binagg.fastsweep.find_witness", wraps=find_witness
+    ) as hunted:
         assert all(check.passed for check in suites._suite_thm42())
     # 3 tie orders x 3 weight vectors per space, shared by its 6 stages; no type is bad
     spaces = [space for _, space in battery_spaces()]
     assert Counter(call.args[0] for call in built.call_args_list) == Counter(spaces * 9)
     assert {call.args[3] for call in built.call_args_list} == {"full"}
-    assert walked.call_count == 0
+    assert hunted.call_count == 0
 
 
 def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
@@ -431,7 +454,7 @@ def _old_bad_types(space, weights, tie):
 def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
     space, _, weights, tie = case
     every = np.arange(3**space.m)
-    correct = _correction_indices(space, weights, tie)
+    correct = _correction(space, weights, tie)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         expected = _old_bad_types(space, weights, tie)
         assert np.array_equal(_bad_types(space, weights, correct), expected)
@@ -453,7 +476,7 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         outcome = {y: nn_select(space, fixed | (y & copied), weights, tie) for y in X}
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
-    assert _bad_types(space, weights, _correction_indices(space, weights, tie), kind)[types].tolist() == expected
+    assert _bad_types(space, weights, _correction(space, weights, tie), kind)[types].tolist() == expected
 
 
 @st.composite
@@ -477,8 +500,17 @@ THREE_POINTS = EvaluationSpace(3, {0b001, 0b110, 0b011})
 def test_correction_indices_match_nn_select(case, block_elements):
     space, weights, tie = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        table = _correction_indices(space, weights, tie)
+        table = _correction(space, weights, tie)
     assert table.tolist() == [space.index(nn_select(space, p, weights, tie)) for p in range(1 << space.m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(correction_cases())
+def test_no_correction_has_a_bad_full_type(case):
+    """Theorem 4.2: every monotone stage, corrected to its nearest neighbour, is free of full
+    manipulation, whatever the space, weights, tie order and number of voters."""
+    space, weights, tie = case
+    assert not _type_table(space, weights, None if tie is None else tie.ranking, "full").any()
 
 
 def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
@@ -488,13 +520,12 @@ def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     stage = IiaStage.majority(3, 3)
     _correction_table.cache_clear()
     _type_table.cache_clear()
-    with mock.patch("binagg.metric._correction_indices", wraps=_correction_indices) as build:
-        for tie in (first, again):
-            corrected_stage_free(pref3, stage, 3, (1, 1, 1), tie)
-        assert build.call_count == 1
-        table = _correction_table(pref3, (1, 1, 1), again.ranking)
-        assert build.call_count == 1 and not table.flags.writeable
-        # majority's infeasible outputs 000 and 111 tie between three orders each
-        ascending = _correction_table(pref3, (1, 1, 1), TieOrder.ascending(pref3).ranking)
-        assert build.call_count == 2 and not np.array_equal(ascending, table)
-        assert np.array_equal(table, _correction_indices(pref3, (1, 1, 1), first))
+    for tie in (first, again):
+        corrected_stage_free(pref3, stage, 3, (1, 1, 1), tie)
+    assert _correction_table.cache_info().misses == 1
+    table = _correction_table(pref3, (1, 1, 1), again.ranking)
+    assert _correction_table.cache_info().misses == 1 and not table.flags.writeable
+    # majority's infeasible outputs 000 and 111 tie between three orders each
+    ascending = _correction_table(pref3, (1, 1, 1), TieOrder.ascending(pref3).ranking)
+    assert _correction_table.cache_info().misses == 2 and not np.array_equal(ascending, table)
+    assert np.array_equal(table, _correction(pref3, (1, 1, 1), first))

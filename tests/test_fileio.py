@@ -51,6 +51,7 @@ def test_space_file_errors(tmp_path):
         ("space nosuch\n", 1, "unknown generator"),
         ("space cycle 5\n", 1, "even"),
         ("space pref 3 a>b b>c\n", 1, "exactly once"),
+        ("space pref 3 a>b b>c x>a\n", 1, "bad pair in orientation: ('x', 'a')"),
         ("space choose 4\n", 1, "choose needs"),
         ("space doctrinal\n111\n", 2, "no body"),
         ("space explicit 5\n110\n", 1, "takes no arguments"),

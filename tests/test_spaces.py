@@ -187,6 +187,13 @@ def test_generators_check_the_issue_count_before_enumerating(build, m):
         build()
 
 
+def test_choose_checks_the_member_count_before_enumerating():
+    assert choose_space(16, 8).size == 12870
+    # C(30, 15) = 155,117,520 committees are refused, not walked
+    with pytest.raises(ValueError, match=r"choose\(30,15\) has 155117520 members; enumeration stops at 40320"):
+        choose_space(30, 15)
+
+
 def test_preference_space_checks_the_order_count_before_enumerating():
     assert preference_space(8).size == MAX_ORDERS
     for k in (9, 10, 11):
