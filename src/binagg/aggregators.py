@@ -879,7 +879,9 @@ def check_structural(
             true, lie, lied = xs[x], xs[y], values[w]
             return ((true ^ lie) & (values[z] ^ lied) & (lie ^ lied)) != 0
 
-        for pid, i, y, lied_pid in scan(lattice, table, violated):
+        for block in scan(lattice, table, violated):
+            # the first hit of the first block with one
+            pid, i, y, lied_pid = (int(a[0]) for a in block)
             rows = lattice_rows(space, lattice, pid)
             other = rows[:i] + (X[y],) + rows[i + 1 :]
             res, res2 = table[pid], table[lied_pid]

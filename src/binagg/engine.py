@@ -46,8 +46,10 @@ outcomes.
 
 A *context* is one varying voter plus the other voters' rows: an
 (n-1)-multiset on the multiset lattice, or the profile of the other k-1
-varying voters on the ordered one.  Its *row* is the S outcome codes
-the voter's lies reach there, and its truthful outcome is the row's
+varying voters on the ordered one.  Each lattice has one lie map,
+``lied(ids, lies)``, from context ids and lies (broadcast together) to
+the ids of the profiles the voter reaches.  A context's *row* is the S
+outcome codes at those profiles, and its truthful outcome is the row's
 entry at the voter's opinion.  Every probe predicate (:data:`HitFn`)
 depends only on the row, the opinion and the lie, so :func:`scan`
 tests each distinct row, a *type*, once for all S opinions and S lies.
@@ -60,9 +62,10 @@ the scan lists lies only where that lookup flags a hit.
 The engine never builds a (P, n, S) array, nor any (P, n) one.  It
 walks a lattice in blocks of whole profiles, sized from S, n and m so
 that each block's temporaries stay within BLOCK_ELEMENTS elements (a
-megabyte or less), and it reports hits in C order.  The first hit is
-therefore the canonically first probe, and a generator over the hits
-stops as soon as its caller does.  The scan's memo holds one narrow
+megabyte or less).  :func:`scan` yields each block's hits as the
+arrays (ids, voters, lies, lied ids), in C order, so the first entry of
+its first block is the canonically first probe, and a caller that stops
+early stops within that block.  The scan's memo holds one narrow
 entry per context, k * P / S of them for k varying voters on the
 ordered lattice and C(S+n-2, n-1) <= n * P / S on the multiset one, in
 the narrowest unsigned dtype holding S times that count.  Its type
@@ -143,20 +146,14 @@ def strides(S: int, n: int) -> np.ndarray:
     return place
 
 
-def row_indices(start: int, stop: int, S: int, n: int) -> np.ndarray:
-    """(B, n) feasible row indices of the profiles with ids start..stop-1."""
-    pids = np.arange(start, stop, dtype=np.int64)
-    return (pids[:, None] // strides(S, n)) % S
-
-
 class ProfileLattice:
     """The ordered profiles of n voters, by canonical id over the voters that vary.
 
     By default every voter varies and the lattice holds all S**n profiles.
     Given ``voters`` (0-based, ascending), only those vary and every other
     voter is pinned to feasible index 0: the S**k profiles are named by
-    their canonical ids over the k varying voters, and a pinned voter's
-    lie leaves the profile where it is.
+    their canonical ids over the k varying voters.  Only varying voters
+    have contexts: a pinned voter's lie leaves the profile where it is.
     """
 
     def __init__(self, S: int, n: int, voters: Sequence[int] | None = None):
@@ -174,19 +171,13 @@ class ProfileLattice:
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """(B, n) feasible row indices of the profiles with ids start..stop-1, 0 where pinned."""
-        varying = row_indices(start, stop, self.S, len(self.voters))
+        pids = np.arange(start, stop, dtype=np.int64)
+        varying = (pids[:, None] // strides(self.S, len(self.voters))) % self.S
         if len(self.voters) == self.n:
             return varying
         rows = np.zeros((stop - start, self.n), dtype=varying.dtype)
         rows[:, self.voters] = varying
         return rows
-
-    def lied(self, pid: int, voter: int, lie: int) -> int:
-        """Id of profile pid with the voter's row replaced by feasible index ``lie``."""
-        if voter not in self.voters:
-            return pid
-        stride = self.S ** (len(self.voters) - 1 - self.voters.index(voter))
-        return pid + (lie - pid // stride % self.S) * stride
 
     def contexts(self, start: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, k) context ids and true opinions of each profile's k varying voters.
@@ -199,19 +190,13 @@ class ProfileLattice:
         drop, offsets = _context_weights(self.S, len(self.voters))
         return opinions @ drop + offsets, opinions
 
-    def lied_codes(self, codes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Map (F,) context ids to their (F, S) lied outcome codes, one per lie."""
-        S, per_voter = self.S, self.size // self.S
-        voter_strides, lies = strides(S, len(self.voters)), np.arange(S)
-
-        def lied(ids):
-            j, context = np.divmod(ids, per_voter)
-            stride = voter_strides[j]
-            hi, lo = np.divmod(context, stride)
-            # the profile hi/lo with the j-th varying voter's row replaced by each lie
-            return codes[(hi * (S * stride) + lo)[:, None] + stride[:, None] * lies]
-
-        return lied
+    def lied(self, ids: np.ndarray, lies: np.ndarray) -> np.ndarray:
+        """Ids of the profiles that context ``ids``' voter reaches with feasible index ``lies`` (broadcast)."""
+        j, context = np.divmod(ids, self.size // self.S)
+        stride = strides(self.S, len(self.voters))[j]
+        hi, lo = np.divmod(context, stride)
+        # the other voters' rows hi/lo with the j-th varying voter's row set to each lie
+        return hi * (self.S * stride) + lo + stride * lies
 
 
 class MultisetLattice:
@@ -240,19 +225,13 @@ class MultisetLattice:
         """(B, n) sorted feasible row indices of the multisets with ids start..stop-1."""
         return self._tables[0][start:stop].astype(np.intp)
 
-    def lied(self, k: int, voter: int, lie: int) -> int:
-        """Id of the multiset k with position ``voter`` replaced by feasible index ``lie``."""
-        _, remove, add = self._tables
-        return int(add[remove[k, voter], lie])
-
     def contexts(self, start: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, n) context ids and true opinions: the (n-1)-multiset left without each position."""
         return self._tables[1][start : start + len(rows)].astype(np.intp), rows
 
-    def lied_codes(self, codes: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Map (F,) context ids to their (F, S) lied outcome codes, one per lie."""
-        add = self._tables[2]
-        return lambda ids: codes[add[ids]]
+    def lied(self, ids: np.ndarray, lies: np.ndarray) -> np.ndarray:
+        """Ids of the multisets that (n-1)-multisets ``ids`` reach with feasible index ``lies`` (broadcast)."""
+        return self._tables[2][ids, lies]
 
 
 Lattice = ProfileLattice | MultisetLattice
@@ -407,10 +386,10 @@ def build_table(
 #: result broadcasts to (T, S, S) or (T, 1, S).  A hit depends on these
 #: alone and is false wherever w == z: a lie that leaves the outcome in
 #: place is never a hit.  ``manipulation._hit_fn`` builds one per
-#: manipulation kind.  The witness searches call it through :func:`scan`,
-#: which tests each new context row with :func:`type_hits` and then lists
-#: the lies of each flagged (profile, voter); ``fastsweep._bad_types``
-#: calls it through :func:`type_hits` alone.
+#: manipulation kind.  Searches, the monotone check and the harvest call
+#: it through :func:`scan`, which tests each new context row with
+#: :func:`type_hits`, then lists the hits as block arrays with lied ids;
+#: ``fastsweep._bad_types`` calls it through :func:`type_hits` alone.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -444,35 +423,21 @@ def _grown(array: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate((array, np.zeros(max(size, 2 * len(array)) - len(array), dtype=array.dtype)))
 
 
-def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[int, int, int, int]]:
-    """Every probe of the lattice where ``hit`` holds, in canonical order.
-
-    Each hit is (id, voter index, lie index, id of the lied profile), one
-    per entry of the arrays that :func:`_hit_blocks` lists for a block, so
-    a generator over the hits stops within the block where its caller does.
-    """
-    for pids, voters, lies in _hit_blocks(lattice, table, hit):
-        for pid, voter, lie in zip(pids.tolist(), voters.tolist(), lies.tolist()):
-            yield pid, voter, lie, lattice.lied(pid, voter, lie)
-
-
-def _hit_blocks(
-    lattice: Lattice, table: OutcomeTable, hit: HitFn
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ids, voter indices, lie indices) of each block's hits, in canonical order.
+def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[np.ndarray, ...]]:
+    """(ids, voter indices, lie indices, lied ids) of each block's hits, in canonical order.
 
     A lie equal to the liar's true opinion is probed too: it leaves the
     outcome unchanged, and every predicate is false there.  A block keys
     each distinct context it is first to reach once, and each distinct
     context row, a *type*, is tested once; a (profile, voter) is then one
     lookup, and its lies are listed only when that lookup flags a hit.
-    Blocks without a hit yield nothing.
+    Blocks without a hit yield nothing, so a caller that stops early
+    stops within the block that holds the hit it wanted.
     """
     S, n = lattice.S, lattice.n
     lies = np.arange(S)
     voters = np.array(lattice.voters, dtype=np.intp)
     codes = table.codes
-    lied_codes = lattice.lied_codes(codes)
     # at[c]: S times the type of context c, or `unseen` until a block
     # reaches c; there are no more types than contexts
     unseen = lattice.context_count * S
@@ -490,7 +455,7 @@ def _hit_blocks(
         fresh = block_at == unseen
         if fresh.any():
             fresh_ids = _distinct(ids[fresh])
-            keys = lied_codes(fresh_ids).view(row_key).ravel().tolist()
+            keys = codes[lattice.lied(fresh_ids[:, None], lies)].view(row_key).ravel().tolist()
             known = len(types) * S
             new = [key for key in dict.fromkeys(keys) if key not in types]
             types.update(zip(new, range(known, known + len(new) * S, S)))
@@ -508,4 +473,5 @@ def _hit_blocks(
         lied = type_rows[block_at[b, j, None] + lies]
         hits = hit(codes[start + b, None, None], lied[:, None, :], opinions[b, j, None, None], lies)
         f, lie = np.divmod(np.flatnonzero(hits), S)
-        yield start + b[f], voters[j[f]], lie
+        b, j = b[f], j[f]
+        yield start + b, voters[j], lie, lattice.lied(ids[b, j], lie)

@@ -132,10 +132,7 @@ def corrected_stage_free(
     charged.  Only when some type is bad does it run that
     ``find_witness``, which charges its default budget.
     """
-    if stage.m != space.m:
-        raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
-    if n != stage.n:
-        raise ValueError(f"stage arity is {stage.n}, profile has {n} rows")
+    stage._check_shape(space.m, n)
     if weights is not None:
         weights = validate_weights(weights, space.m)
     if not _type_table(space, weights, None if tie is None else tie.ranking, "full").any():

@@ -12,7 +12,9 @@ The search scans all (profile, voter, lie) triples in canonical order -
 profiles lexicographic by rows, voters ascending, lies in ascending
 mask order - through the chunked numpy scan of :mod:`binagg.engine`, so
 the first witness found is a deterministic function of the inputs,
-independent of how the scan is chunked.  :func:`find_witness` scans an
+independent of how the scan is chunked.  Witnesses are built one at a
+time from the scan's block arrays of hits, so :func:`find_witness` stops
+within the block that holds the first hit.  :func:`find_witness` scans an
 anonymous rule on the multiset lattice, and any other rule on the
 ordered profiles of the voters it reads, whose first hits are that same
 first witness; :func:`iter_witnesses` always walks every ordered profile.
@@ -151,9 +153,10 @@ def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Itera
     w = _validate_kind(kind, weights, space.m)
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
     table = lattice_table(space, rule, lattice)
-    for pid, i, yi, lied_pid in scan(lattice, table, _hit_fn(space, table.values, kind, w)):
-        rows = lattice_rows(space, lattice, pid)
-        yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], table[pid], table[lied_pid], kind, w)
+    for block in scan(lattice, table, _hit_fn(space, table.values, kind, w)):
+        for pid, i, yi, lied_pid in zip(*(a.tolist() for a in block)):
+            rows = lattice_rows(space, lattice, pid)
+            yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], table[pid], table[lied_pid], kind, w)
 
 
 def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights) -> HitFn:

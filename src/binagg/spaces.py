@@ -148,6 +148,8 @@ class EvaluationSpace:
             raise ValueError(f"not feasible: {to_bits(mask, self.m)}") from None
 
     def infeasible(self) -> tuple[int, ...]:
+        if self.m > 20:
+            raise ValueError(f"{self.m} issues have 2^{self.m} masks; infeasible points are listed up to 20 issues")
         return tuple(x for x in range(1 << self.m) if x not in self._members)
 
     def mipes(self) -> tuple[PartialEvaluation, ...]:

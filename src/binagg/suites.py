@@ -371,16 +371,14 @@ def _lemma_harvest() -> dict[str, tuple[list[tuple[int, int]], int]]:
 def _exhaustive_harvest(space, tie: TieOrder) -> tuple[list[tuple[int, int]], int]:
     """Sorted stage-output pairs and count of the hamming witnesses of the three-voter majority,
     corrected under uniform weights and ``tie``: the engine scans the stage's own outcome table,
-    each code standing for its correction, and a hit's pair is the table at (profile, lied profile).
-    The hits are read as the scan's block arrays, and every lied profile id is one stride sum."""
+    each code standing for its correction, and a hit's pair is the table at (profile, lied profile),
+    both read off the scan's block arrays."""
     uniform = uniform_weights(space.m)
     lattice = engine.ProfileLattice(space.size, 3)
     stage = engine.build_table(space, lattice, IiaStage.majority(3, space.m).block_evaluator(space, 3))
     correct = _correction_table(space, uniform, tie.ranking)[list(stage.values)].tolist()
     hit = _hit_fn(space, [space.feasible[i] for i in correct], "hamming", uniform)
-    pids, voters, lies = (np.concatenate(a) for a in zip(*engine._hit_blocks(lattice, stage, hit)))
-    stride = engine.strides(space.size, 3)[voters]
-    lied = pids + (lies - pids // stride % space.size) * stride
+    pids, _, _, lied = (np.concatenate(a) for a in zip(*engine.scan(lattice, stage, hit)))
     v, u = np.array(stage.values)[stage.codes[np.stack((pids, lied))]]
     return sorted(set(zip(v.tolist(), u.tolist()))), len(pids)
 
@@ -697,7 +695,7 @@ def _suite_claim58() -> list[CheckResult]:
         table = outcome_table(space, rule, 3)
         count = len(table)
         # every ordered profile's rows as masks, in canonical id order
-        profiles = engine.masks_array(space.feasible, space.m)[engine.row_indices(0, count, space.size, 3)]
+        profiles = engine.masks_array(space.feasible, space.m)[engine.ProfileLattice(space.size, 3).rows(0, count)]
         outcomes = engine.masks_array(table.values, space.m)[table.codes]
         mismatches = int(np.count_nonzero(outcomes != _topk_block(space, profiles)))
         checks.append(

@@ -374,7 +374,7 @@ def test_swm_topk_rejects_other_spaces(pref3):
 def test_block_topk_matches_the_per_profile_selection(name, n):
     space = builtin_space(name)
     shuffled = tuple(random.Random(n).sample(range(1, space.m + 1), space.m))
-    profiles = engine.masks_array(space.feasible, space.m)[engine.row_indices(0, space.size**n, space.size, n)]
+    profiles = engine.masks_array(space.feasible, space.m)[engine.ProfileLattice(space.size, n).rows(0, space.size**n)]
     for order in (None, shuffled):
         expected = [oracle.swm_topk(space, rows, order) for rows in profiles.tolist()]
         assert aggregators._topk_block(space, profiles, order).tolist() == expected

@@ -226,17 +226,14 @@ def test_pinned_lattice_tables():
                 expected = expected[(expected[:, pinned] == 0).all(axis=1)]
                 assert rows.tolist() == expected.tolist()
                 pid = {tuple(r): q for q, r in enumerate(rows.tolist())}
-                codes = np.arange(lattice.size, dtype=np.uint16)
                 ids, opinions = lattice.contexts(0, rows)
                 assert opinions.tolist() == rows[:, voters].tolist()
                 assert_contexts(lattice, rows, ids)
-                lied = lattice.lied_codes(codes)(ids.ravel()).reshape(len(rows), k, S)
+                lied = lattice.lied(ids[..., None], np.arange(S))
+                assert lied.shape == (len(rows), k, S)
                 for p, row in enumerate(rows.tolist()):
-                    for i, y in itertools.product(range(n), range(S)):
-                        target = pid[tuple(row[:i] + [y] + row[i + 1 :])] if i in voters else p
-                        assert lattice.lied(p, i, y) == target
-                        if i in voters:
-                            assert lied[p, voters.index(i), y] == target
+                    for (j, i), y in itertools.product(enumerate(voters), range(S)):
+                        assert lied[p, j, y] == pid[tuple(row[:i] + [y] + row[i + 1 :])]
 
 
 def assert_contexts(lattice, rows, ids):
@@ -266,10 +263,11 @@ def test_multiset_lattice_tables():
         ids, opinions = lattice.contexts(0, rows)
         assert opinions.tolist() == rows.tolist()
         assert_contexts(lattice, rows, ids)
-        lied = lattice.lied_codes(np.arange(lattice.size))(ids.ravel()).reshape(len(rows), n, S)
+        lied = lattice.lied(ids[..., None], np.arange(S))
+        assert lied.shape == (len(rows), n, S)
         for k, ms in enumerate(multisets):
             for i, y in itertools.product(range(n), range(S)):
-                assert lattice.lied(k, i, y) == lied[k, i, y] == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
+                assert lied[k, i, y] == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
 
 
 def test_outcome_codes_are_narrow(pref4):
@@ -300,20 +298,16 @@ def test_nearest_neighbor_correction_snaps_only_outputs_seen():
     assert len(rule._snapped) <= space.size**2
 
 
-def recording_lied_codes(lattice):
-    """Make the lattice's lied-code maps record each call's context ids in the returned list."""
-    calls, lied_codes = [], lattice.lied_codes
+def recording_keyed_contexts(lattice):
+    """Make the lattice's lie map record the context ids of each keying call: a column of ids by all S lies."""
+    calls, lied = [], lattice.lied
 
-    def recorded(codes):
-        lied = lied_codes(codes)
+    def recorded(ids, lies):
+        if np.ndim(ids) == 2 and np.size(lies) == lattice.S:
+            calls.append(np.ravel(ids).tolist())
+        return lied(ids, lies)
 
-        def keyed(ids):
-            calls.append(ids.tolist())
-            return lied(ids)
-
-        return keyed
-
-    lattice.lied_codes = recorded
+    lattice.lied = recorded
     return calls
 
 
@@ -344,7 +338,7 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
         cells += hits.size
         return hits
 
-    calls = recording_lied_codes(lattice)
+    calls = recording_keyed_contexts(lattice)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         assert list(engine.scan(lattice, table, counting)) == []
     assert_each_context_keyed_once(lattice, calls)
@@ -358,12 +352,16 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     lattice = engine.ProfileLattice(6, 4, rule.influential(4))
     table = aggregators.lattice_table(rule.space, rule, lattice)
     hit = manipulation._hit_fn(rule.space, table.values, "partial", None)
-    calls = recording_lied_codes(lattice)
+    calls = recording_keyed_contexts(lattice)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         hits = list(engine.scan(lattice, table, hit))
     assert_each_context_keyed_once(lattice, calls)
     X = rule.space.feasible
-    found = [(tuple(X[r] for r in lattice.rows(pid, pid + 1)[0]), voter + 1, X[lie]) for pid, voter, lie, _ in hits]
+    found = [
+        (tuple(X[r] for r in lattice.rows(pid, pid + 1)[0]), voter + 1, X[lie])
+        for block in hits
+        for pid, voter, lie, _ in zip(*(a.tolist() for a in block))
+    ]
     expected = [
         (w.profile, w.voter, w.lie)
         for w in oracle.iter_witnesses(rule.space, rule, 4, "partial")
@@ -386,14 +384,29 @@ def _hit_cases():
 @pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
 @pytest.mark.parametrize("lattice_name", ("full", "pinned", "multiset"))
 def test_hit_blocks_list_the_scan_hits_in_order(lattice_name, block_elements):
+    """The scan's blocks are non-empty, list the oracle's probes in order, and name each lied profile."""
     rule, lattice = _hit_cases()[lattice_name]
-    table = aggregators.lattice_table(rule.space, rule, lattice)
-    hit = manipulation._hit_fn(rule.space, table.values, "partial", None)
+    space, n = rule.space, lattice.n
+    X = space.feasible
+    table = aggregators.lattice_table(space, rule, lattice)
+    hit = manipulation._hit_fn(space, table.values, "partial", None)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        blocks = list(engine._hit_blocks(lattice, table, hit))
-        expected = [(pid, voter, lie) for pid, voter, lie, _ in engine.scan(lattice, table, hit)]
-    assert expected and all(len(pids) for pids, _, _ in blocks)
-    assert list(zip(*(np.concatenate(column).tolist() for column in zip(*blocks)))) == expected
+        blocks = list(engine.scan(lattice, table, hit))
+    assert all(len(pids) for pids, _, _, _ in blocks)
+    pids, voters, lies, lied = (np.concatenate(column).tolist() for column in zip(*blocks))
+    rows = [lattice.rows(pid, pid + 1)[0].tolist() for pid in pids]
+    found = [(tuple(X[r] for r in row), i + 1, X[y]) for row, i, y in zip(rows, voters, lies)]
+    # the oracle walks every ordered profile: keep those the lattice names
+    index = {tuple(row): pid for pid, row in enumerate(lattice.rows(0, lattice.size).tolist())}
+    expected = [
+        (w.profile, w.voter, w.lie)
+        for w in oracle.iter_witnesses(space, rule, n, "partial")
+        if tuple(X.index(x) for x in w.profile) in index
+    ]
+    assert found and found == expected
+    for row, i, y, target in zip(rows, voters, lies, lied):
+        other = row[:i] + [y] + row[i + 1 :]
+        assert index[tuple(sorted(other) if isinstance(lattice, engine.MultisetLattice) else other)] == target
 
 
 @st.composite

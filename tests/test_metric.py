@@ -1,5 +1,7 @@
 """Distances, nearest-neighbor sets, tie orders and the crossing audit."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,7 @@ from binagg.metric import (
     validate_weights,
     weighted_hamming,
 )
-from binagg.spaces import builtin_space, from_bits, interval
+from binagg.spaces import EvaluationSpace, builtin_space, from_bits, interval
 
 masks6 = st.integers(0, 63)
 weights6 = st.tuples(*([st.integers(1, 5)] * 6))
@@ -206,3 +208,14 @@ def test_h2_rejects_non_nearest_selector():
     p3 = builtin_space("pref3")
     with pytest.raises(ValueError, match="not a nearest-neighbor selector"):
         check_h2(lambda p: 0b001, p3)
+
+
+def test_h2_refuses_a_wide_cube_before_enumerating():
+    # 2^30 masks would take minutes and gigabytes to list
+    space = EvaluationSpace(30, [0, 1])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"30 issues have 2\^30 masks; infeasible points are listed up to 20 issues"):
+        check_h2(lambda p: 0, space)
+    with pytest.raises(ValueError, match="30 issues"):
+        space.infeasible()
+    assert time.perf_counter() - start < 1
