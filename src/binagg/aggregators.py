@@ -805,6 +805,12 @@ def search_lattice(
     return lattice
 
 
+def check_bound(space: EvaluationSpace, rule: Rule) -> None:
+    """Refuse a rule built for a space with other feasible evaluations."""
+    if rule.space is not space and rule.space.feasible != space.feasible:
+        raise ValueError(f"{rule!r} is bound to another space")
+
+
 def lattice_table(space: EvaluationSpace, rule: Rule, lattice: Lattice) -> OutcomeTable:
     """Rule outcome for every profile of the lattice, indexed by its ids.
 
@@ -814,8 +820,7 @@ def lattice_table(space: EvaluationSpace, rule: Rule, lattice: Lattice) -> Outco
     one table here; :func:`outcome_table` is this table over every
     ordered profile.
     """
-    if rule.space is not space and rule.space.feasible != space.feasible:
-        raise ValueError(f"{rule!r} is bound to another space")
+    check_bound(space, rule)
     return build_table(space, lattice, rule.block_evaluator(lattice.n), indexed=not rule._gives_masks)
 
 

@@ -265,6 +265,22 @@ def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
             longer[at : at + count, 1:] = rows[len(rows) - count :]
             at += count
         rows = longer
+    remove = _remove_ranks(rows, S, smaller)
+    # every (n-1)-multiset plus a lie is some multiset k less one of its positions
+    add = np.empty((smaller, S), dtype=_unsigned(size - 1))
+    ids = np.arange(size, dtype=add.dtype)
+    spot = np.empty(size, dtype=np.intp)
+    for i in range(n):
+        spot[:] = remove[:, i]
+        spot *= S
+        spot += rows[:, i]
+        add.reshape(-1)[spot] = ids
+    return rows, remove, add
+
+
+def _remove_ranks(rows: np.ndarray, S: int, smaller: int) -> np.ndarray:
+    """(size, n) ranks among the C(S+n-2, n-1) sorted (n-1)-tuples of each sorted row less each position."""
+    size, n = rows.shape
     # A sorted (n-1)-tuple t ranks after every sorted tuple that agrees with
     # it before position j and holds some v with t[j-1] <= v < t[j] there;
     # those number C(S-v+tail-1, tail) for each v, with tail = n-2-j entries
@@ -276,31 +292,31 @@ def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         tail = n - 2 - j
         below[j, 1:] = np.cumsum([math.comb(S - v + tail - 1, tail) for v in range(S)])
     below = below.astype(rank_dtype)
-    # remove[:, i] ranks a row less position i.  Less position i+1 instead, the
-    # rest differs only at position i, which holds r[i] rather than r[i+1],
-    # so only terms i and i+1 of the rank change.  Unsigned sums wrap, and
-    # every final rank is in range.
-    columns = rows.T
+    # remove[:, k] ranks a row less position k.  Less position k instead of
+    # k-1, the rest differs only at position k-1, which holds r[k-1] rather
+    # than r[k], so only terms k-1 and k of the rank change.  ``first`` sums
+    # remove[:, 0] and ``shift`` the changes up to k; each term
+    # below[j, r[k]], j in k-1..k+1, is gathered once, from one intp column
+    # at a time.  Unsigned sums wrap, and every final rank is in range.
     remove = np.empty((size, n), dtype=rank_dtype)
-    rank = np.zeros(size, dtype=rank_dtype)
-    for j in range(n - 1):
-        rank += below[j, columns[j + 1]]
-        if j:
-            rank -= below[j, columns[j]]
-    remove[:, 0] = rank
-    for i in range(n - 1):
-        rank += below[i, columns[i]]
-        rank -= below[i, columns[i + 1]]
-        if i < n - 2:
-            rank += below[i + 1, columns[i + 1]]
-            rank -= below[i + 1, columns[i]]
-        remove[:, i + 1] = rank
-    # every (n-1)-multiset plus a lie is some multiset k less one of its positions
-    add = np.empty((smaller, S), dtype=_unsigned(size - 1))
-    ids = np.arange(size)
-    for i in range(n):
-        add[remove[:, i], rows[:, i]] = ids
-    return rows, remove, add
+    first = np.zeros(size, dtype=rank_dtype)
+    shift = np.zeros(size, dtype=rank_dtype)
+    for k in range(n):
+        column = rows[:, k].astype(np.intp)
+        at = below[k][column] if k < n - 1 else 0
+        if k:
+            after = below[k - 1][column]
+            first += after
+            first -= at
+            shift -= after
+            shift += at
+            remove[:, k] = shift
+        shift += at
+        if k < n - 2:
+            shift -= below[k + 1][column]
+    remove[:, 0] = 0
+    remove += first[:, None]
+    return remove
 
 
 def blocks(lattice: Lattice, width: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -389,7 +405,7 @@ def build_table(
 #: manipulation kind.  Searches, the monotone check and the harvest call
 #: it through :func:`scan`, which tests each new context row with
 #: :func:`type_hits`, then lists the hits as block arrays with lied ids;
-#: ``fastsweep._bad_types`` calls it through :func:`type_hits` alone.
+#: ``manipulation._bad_types`` calls it through :func:`type_hits` alone.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 

@@ -15,7 +15,7 @@ depends on the type alone.  A type is itself a context row: the
 corrected outcome of each lie, read off the 2^m correction table.  One
 walk over the type numbers, in blocks, flags the *bad* ones with the
 engine's type step (``engine.type_hits``) under the probe scan's own
-gain test (``manipulation._hit_fn``).
+gain test (``manipulation._bad_types``, next to ``manipulation._hit_fn``).
 
 A stage is manipulable exactly when some (voter, context) shows it a
 bad type.  The stages showing type b at (i, c) form a product over
@@ -44,11 +44,14 @@ x and y, under one correction.  So the corrected stage has a witness
 exactly when some (voter, context) shows it a type at which some x
 gains by some y: a bad type.  The sweep and :func:`corrected_stage_free`
 read one type table per correction and kind, the bad flags of all 3^m
-types, cached by weights and tie ranking (:func:`_type_table`).  A
-correction without a bad type frees every corrected monotone stage at
+types, cached by weights and tie ranking (``manipulation._type_table``).
+A correction without a bad type frees every corrected monotone stage at
 once, and the screen walks no stage.  Theorem 4.2 says no correction
 has a bad full type; should one turn up, the screen hunts that one
-stage with :func:`binagg.manipulation.find_witness`.
+stage with :func:`binagg.manipulation.find_witness`.  Full hunts of
+``nn(...)`` rules read the same cached table before they scan, behind a
+cost gate (see :mod:`binagg.manipulation`); the screen reads it at any
+cost, since its configurations share few tables.
 """
 
 from __future__ import annotations
@@ -58,43 +61,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import engine
+from . import engine, manipulation
 from .aggregators import IiaStage, NearestNeighborRule, monotone_tables
-from .manipulation import _hit_fn, _validate_kind, find_witness
-from .metric import TieOrder, _correction_table, nn_select, validate_weights  # noqa: F401  bench/spans.py wraps nn_select
+from .manipulation import find_witness
+from .metric import TieOrder, nn_select, validate_weights  # noqa: F401  bench/spans.py wraps nn_select
 from .spaces import EvaluationSpace
-
-
-def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
-    """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
-
-    ``correct`` is the correction table (:func:`metric._correction_table`).
-    Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
-    entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
-    voter's bit and 2 when it fixes it at 1.
-    """
-    S, m = space.size, space.m
-    masks = np.array(space.feasible, dtype=np.intp)
-    place = 1 << np.arange(m - 1, -1, -1)
-    digit = 3 ** np.arange(m - 1, -1, -1)
-    hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
-    step = engine.block_size(S * S)
-    bad = []
-    for at in range(0, 3**m, step):
-        digits = np.arange(at, min(at + step, 3**m))[:, None] // digit % 3
-        rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
-        bad.append(engine.type_hits(rows, hit).any(axis=1))
-    return np.concatenate(bad)
-
-
-@lru_cache(maxsize=16)
-def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> np.ndarray:
-    """Read-only :func:`_bad_types` of every pivot type under the correction with these
-    weights and tie ranking (None: no tie order), cached like that correction table."""
-    # the correction table comes first: past 20 issues it refuses, before type numbers could overflow
-    bad = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
-    bad.flags.writeable = False
-    return bad
 
 
 def _pivot_kinds(truth: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -135,18 +106,20 @@ def corrected_stage_free(
     stage._check_shape(space.m, n)
     if weights is not None:
         weights = validate_weights(weights, space.m)
-    if not _type_table(space, weights, None if tie is None else tie.ranking, "full").any():
+    if not manipulation._type_table(space, weights, None if tie is None else tie.ranking, "full").any():
         return True
     return find_witness(space, NearestNeighborRule(space, stage, weights, tie), n, "full", weights) is None
 
 
+@lru_cache(maxsize=8)
 def _first_positions(n: int) -> np.ndarray:
-    """(n, 2**(n-1), 3): [i, c, k] is the least position in ``monotone_tables(n)``
-    of a decider with pivot type k towards voter i where the others' bits pack to c."""
+    """(n, 2**(n-1), 3): [i, c, k] is the least position in ``monotone_tables(n)`` of a decider
+    with pivot type k towards voter i where the others' bits pack to c (read-only: it is shared)."""
     truth = engine.truth_bits(monotone_tables(n), n)
     first = np.empty((n, 1 << (n - 1), 3), dtype=np.int64)
     for i in range(n):
         first[i] = (_pivot_kinds(truth, n, i)[:, :, None] == np.arange(3)).argmax(axis=0)
+    first.flags.writeable = False
     return first
 
 
@@ -189,7 +162,7 @@ def all_stage_products_hamming_free(
     S, m = space.size, space.m
     if weights is not None:
         weights = validate_weights(weights, m)
-    bad = _type_table(space, weights, None if tie is None else tie.ranking, "hamming")
+    bad = manipulation._type_table(space, weights, None if tie is None else tie.ranking, "hamming")
     if not bad.any():
         return None
     tabs = monotone_tables(n)

@@ -18,17 +18,50 @@ within the block that holds the first hit.  :func:`find_witness` scans an
 anonymous rule on the multiset lattice, and any other rule on the
 ordered profiles of the voters it reads, whose first hits are that same
 first witness; :func:`iter_witnesses` always walks every ordered profile.
+
+One hunt needs no scan.  A monotone stage corrected to its nearest
+feasible neighbour (``NearestNeighborRule``) has a full witness only
+where some voter, in some context, meets a *bad* pivot type of the
+correction (see :mod:`binagg.fastsweep`), and Theorem 4.2 says the
+correction has none.  So a full hunt of such a rule first reads the
+correction's cached type table (:func:`_type_table`): no bad type means
+no witness, for any number of voters, with no outcome table built.  The
+hunt is first charged to the budget and its rule checked, as a scan
+would be, and the table is read only when m <= 20 and its 3^m * S^2
+cells are no more than the probes the scan would make.  Otherwise the
+scan runs as above.  Hamming and partial hunts always scan: their
+tables usually have bad types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .aggregators import DEFAULT_BUDGET, Rule, lattice_rows, lattice_table, search_lattice
+import numpy as np
+
+from . import engine
+from .aggregators import (
+    DEFAULT_BUDGET,
+    NearestNeighborRule,
+    Rule,
+    check_bound,
+    lattice_rows,
+    lattice_table,
+    search_lattice,
+)
 from .aggregators import outcome_table  # noqa: F401  bench/spans.py wraps outcome_table here
-from .engine import HitFn, masks_array, scan
-from .metric import _distances, _feasible_distances, uniform_weights, validate_weights, weight_of, weighted_hamming
+from .engine import HitFn, Lattice, masks_array, scan
+from .metric import (
+    _correction_table,
+    _distances,
+    _feasible_distances,
+    uniform_weights,
+    validate_weights,
+    weight_of,
+    weighted_hamming,
+)
 from .spaces import EvaluationSpace, bit_at, is_between, to_bits
 
 KINDS = ("partial", "full", "hamming")
@@ -152,6 +185,8 @@ def iter_witnesses(
 def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Iterator[ManipulationWitness]:
     w = _validate_kind(kind, weights, space.m)
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
+    if kind == "full" and isinstance(rule, NearestNeighborRule) and _free_by_types(space, rule, lattice):
+        return
     table = lattice_table(space, rule, lattice)
     for block in scan(lattice, table, _hit_fn(space, table.values, kind, w)):
         for pid, i, yi, lied_pid in zip(*(a.tolist() for a in block)):
@@ -181,6 +216,56 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
         return (w != z) & ((lied ^ xs[x]) & (lied ^ values[z]) == 0)
 
     return full
+
+
+def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
+    """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
+
+    ``correct`` is the correction table (:func:`metric._correction_table`).
+    Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
+    entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
+    voter's bit and 2 when it fixes it at 1.
+    """
+    S, m = space.size, space.m
+    masks = np.array(space.feasible, dtype=np.intp)
+    place = 1 << np.arange(m - 1, -1, -1)
+    digit = 3 ** np.arange(m - 1, -1, -1)
+    hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
+    step = engine.block_size(S * S)
+    bad = []
+    for at in range(0, 3**m, step):
+        digits = np.arange(at, min(at + step, 3**m))[:, None] // digit % 3
+        rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
+        bad.append(engine.type_hits(rows, hit).any(axis=1))
+    return np.concatenate(bad)
+
+
+@lru_cache(maxsize=16)
+def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> np.ndarray:
+    """Read-only :func:`_bad_types` of every pivot type under the correction with these
+    weights and tie ranking (None: no tie order), cached like that correction table."""
+    # the correction table comes first: past 20 issues it refuses, before type numbers could overflow
+    bad = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
+    bad.flags.writeable = False
+    return bad
+
+
+def _free_by_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lattice) -> bool:
+    """Whether the correction's full type table frees the rule on the lattice's voters, with no scan.
+
+    A corrected monotone stage has a full witness only where some
+    (voter, context) shows it a bad pivot type (:mod:`binagg.fastsweep`),
+    so no bad type means no witness, for any n.  The rule's space and
+    stage arity are checked first, as the scan's table build checks them,
+    and the table is read only when its 3^m * S^2 cells are no more than
+    the scan's n * S probes per profile: timed cold for m = 6-12, the two
+    cost about the same near that line (README).
+    """
+    check_bound(space, rule)
+    rule.stage._check_shape(space.m, lattice.n)
+    if space.m > 20 or 3**space.m * space.size > lattice.size * lattice.n:
+        return False
+    return not _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, "full").any()
 
 
 def find_witness(

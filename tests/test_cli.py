@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,23 @@ def test_hunt_budget_counts_multisets_for_anonymous_rules(capsys):
         capsys, "hunt", "--space", "pref4", "--aggregator", "partition:1;2;3;4;5;6", "-n", "6", "--kind", "partial"
     )
     assert code == 2 and "24^6 profiles" in err
+
+
+def test_hunt_full_of_a_corrected_stage_answers_at_the_arity_limit(capsys):
+    # C(43, 20) * 20 * 24 probes, far past any scan: the correction's type table answers
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "hunt", "--space", "pref4", "-n", "20", "--aggregator", "nn(majority)", "--kind", "full",
+        "--budget", str(10**15),
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (0, "FREE\n", "") and elapsed < 2
+    # the budget is still charged first, as the scan charges it
+    code, out, err = run(
+        capsys, "hunt", "--space", "pref4", "-n", "8", "--aggregator", "nn(majority)", "--kind", "full",
+        "--budget", "10",
+    )
+    assert code == 2 and not out and "budget is 10" in err
 
 
 def test_check_property(capsys):

@@ -14,15 +14,14 @@ import oracle
 from binagg import engine, suites
 from binagg.aggregators import IiaStage, NearestNeighborRule, monotone_tables
 from binagg.fastsweep import (
-    _bad_types,
+    _first_positions,
     _least_stage,
-    _type_table,
     all_stage_products_hamming_free,
     corrected_stage_free,
     stage_product_count,
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
-from binagg.manipulation import classify_deviation, find_witness
+from binagg.manipulation import _bad_types, _type_table, classify_deviation, find_witness
 from binagg.metric import TieOrder, _correction_table, nn_select, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
@@ -71,7 +70,7 @@ def test_sweep_witness_reads_the_sweeps_correction_table():
     # the found stage's nn rule reads the table its sweep built, not a second one
     space, tie = builtin_space("pref4"), four_candidate_tie_order()
     _correction_table.cache_clear()
-    with mock.patch("binagg.fastsweep._correction_table", wraps=_correction_table) as swept, mock.patch(
+    with mock.patch("binagg.manipulation._correction_table", wraps=_correction_table) as swept, mock.patch(
         "binagg.aggregators.nn_select", side_effect=AssertionError("snapped point by point")
     ):
         found = all_stage_products_hamming_free(space, 3, (1, 2, 3, 1, 2, 3), tie)
@@ -149,6 +148,12 @@ def test_leader_walk_matches_oracle(n, m, leaders, block_elements):
             bad[types] = True
             first = next(sid for sid, shown in walk if bad[shown].any())
             assert _least_stage(space, n, bad) == first
+
+
+def test_first_positions_are_shared_read_only():
+    # every sweep of n voters reads one table, which depends on n alone
+    first = _first_positions(3)
+    assert _first_positions(3) is first and not first.flags.writeable
 
 
 @st.composite
@@ -345,8 +350,9 @@ def screen_cases(draw):
 
 
 def _flag_every_type(space):
-    """Patch the type tables to flag every type bad, so the screen takes its ``find_witness`` path."""
-    return mock.patch("binagg.fastsweep._type_table", return_value=np.ones(3**space.m, dtype=bool))
+    """Patch the type tables to flag every type bad, so the screen takes its ``find_witness`` path
+    and that hunt its scan."""
+    return mock.patch("binagg.manipulation._type_table", return_value=np.ones(3**space.m, dtype=bool))
 
 
 @settings(max_examples=120, deadline=None)
@@ -376,14 +382,22 @@ def test_corrected_stage_screen_hunts_the_stage_when_a_type_is_bad(doctrinal):
         assert hunted.call_count == 1
 
 
+def _scanned(space, rule, n, weights):
+    """The first full witness by the probe scan, with the type-table certificate shut: the
+    reference that the type lemma, and so the certificate, are checked against."""
+    with mock.patch("binagg.manipulation._free_by_types", return_value=False):
+        return find_witness(space, rule, n, "full", weights)
+
+
 def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
     for _, space in battery_spaces():
         for stage in (IiaStage.majority(3, space.m),) + sampled_stages(3, space.m, 2):
             for tie in tie_battery(space):
                 for wv in weight_battery(space.m):
                     rule = NearestNeighborRule(space, stage, wv, tie)
-                    free = find_witness(space, rule, 3, "full", wv) is None
-                    assert corrected_stage_free(space, stage, 3, wv, tie) == free
+                    scanned = _scanned(space, rule, 3, wv)
+                    assert corrected_stage_free(space, stage, 3, wv, tie) == (scanned is None)
+                    assert find_witness(space, rule, 3, "full", wv) == scanned
 
 
 def _seeded_stages(n, m, count, seed=2012):
@@ -406,13 +420,14 @@ def test_corrected_stage_screen_matches_find_witness_for_two_to_five_voters(n):
             for tie in tie_battery(space):
                 for wv in weight_battery(space.m):
                     rule = NearestNeighborRule(space, stage, wv, tie)
-                    free = find_witness(space, rule, n, "full", wv) is None
-                    assert corrected_stage_free(space, stage, n, wv, tie) == free
+                    scanned = _scanned(space, rule, n, wv)
+                    assert corrected_stage_free(space, stage, n, wv, tie) == (scanned is None)
+                    assert find_witness(space, rule, n, "full", wv) == scanned
 
 
 def test_thm42_builds_one_type_table_per_correction_and_walks_no_stage():
     _type_table.cache_clear()
-    with mock.patch("binagg.fastsweep._bad_types", wraps=_bad_types) as built, mock.patch(
+    with mock.patch("binagg.manipulation._bad_types", wraps=_bad_types) as built, mock.patch(
         "binagg.fastsweep.find_witness", wraps=find_witness
     ) as hunted:
         assert all(check.passed for check in suites._suite_thm42())

@@ -1,8 +1,12 @@
-"""Manipulation predicates, the exhaustive scanner and the issue partition."""
+"""Manipulation predicates, the exhaustive scanner, the full type certificate and the issue partition."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import oracle
 from binagg.aggregators import (
     BudgetExceededError,
     Dictator,
@@ -11,6 +15,9 @@ from binagg.aggregators import (
     Partition,
     Plurality,
     WelfareMaximizer,
+    lattice_table,
+    monotone_tables,
+    search_lattice,
 )
 from binagg.fixtures import four_candidate_case, four_candidate_tie_order, plurality_scenarios
 from binagg.manipulation import (
@@ -27,8 +34,8 @@ from binagg.manipulation import (
     relation_string,
     search_size,
 )
-from binagg.metric import weighted_hamming
-from binagg.spaces import builtin_space, from_bits
+from binagg.metric import TieOrder, weighted_hamming
+from binagg.spaces import EvaluationSpace, builtin_space, from_bits
 
 masks6 = st.integers(0, 63)
 weights6 = st.tuples(*([st.integers(1, 4)] * 6))
@@ -238,5 +245,103 @@ def test_full_freeness_extends_to_four_voters(pref3):
     assert certify(pref3, almost_dictator, 4, "full").free
     corrected = NearestNeighborRule(pref3, IiaStage.majority(4, 3))
     assert certify(pref3, corrected, 4, "full").free
+    # the same verdict from the probe scan, not the correction's type table
+    with mock.patch("binagg.manipulation._free_by_types", return_value=False):
+        assert certify(pref3, corrected, 4, "full").free
     doc = builtin_space("doctrinal")
     assert certify(doc, WelfareMaximizer(doc), 4, "full").free
+
+
+# ---------------------------------------------------------------------------
+# full hunts of corrected stages, answered from the correction's type table
+
+MAX_ORACLE_PROBES = 30_000
+
+
+@st.composite
+def corrected_stage_hunts(draw):
+    """An nn(stage) rule of n = 1-4 voters on an explicit space of 1-5 issues, small enough for the oracle."""
+    m = draw(st.integers(1, 5))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    S = space.size
+    n = draw(st.sampled_from([n for n in (1, 2, 3, 4) if S**n * n * S <= MAX_ORACLE_PROBES]))
+    stage = IiaStage(n, draw(st.lists(st.sampled_from(monotone_tables(n)), min_size=m, max_size=m)))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    return space, NearestNeighborRule(space, stage, weights, tie), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrected_stage_hunts())
+def test_full_hunts_of_corrected_stages_match_the_oracle(case):
+    space, rule, n = case
+    first = next(oracle.iter_witnesses(space, rule, n, "full"), None)
+    with mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built:
+        assert find_witness(space, rule, n, "full") == first
+    # the table answers only when its 3^m * S^2 cells are no more than the scan's probes
+    lattice = search_lattice(space, n, rule, n * space.size, 10**30, "hunt")
+    assert built.called == (3**space.m * space.size**2 > lattice.size * n * space.size)
+    # with every type flagged bad, the hunt scans and finds the canonical first witness
+    every = np.ones(3**space.m, dtype=bool)
+    with mock.patch("binagg.manipulation._type_table", return_value=every), mock.patch(
+        "binagg.manipulation.lattice_table", wraps=lattice_table
+    ) as built:
+        assert find_witness(space, rule, n, "full") == first
+    assert built.called
+
+
+MAX_SCAN_PROBES = 600_000
+
+
+@st.composite
+def gated_corrected_stage_hunts(draw):
+    """An nn(stage) rule of n = 1-7 voters on 2-5 issues whose full hunt passes the cost gate,
+    with a positive-DNF monotone stage (``monotone_tables`` stops at 4 voters).  The gate is
+    first read off the multiset lattice, the largest a rule of n voters is hunted on."""
+    m = draw(st.integers(2, 5))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
+    S = space.size
+    sizes = {n: search_lattice(space, n, NearestNeighborRule(space, IiaStage.majority(n, m)), 1, 10**30, "hunt").size
+             for n in range(1, 8)}
+    gated = [n for n, size in sizes.items() if 3**m * S <= size * n and size * n * S <= MAX_SCAN_PROBES]
+    assume(gated)
+    n = draw(st.sampled_from(gated))
+    terms = st.lists(st.integers(0, (1 << n) - 1), max_size=3)
+    tables = [sum(1 << c for c in range(1 << n) if any(c & t == t for t in ts)) for ts in draw(st.lists(terms, min_size=m, max_size=m))]
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    rule = NearestNeighborRule(space, IiaStage(n, tables), weights, tie)
+    # a stage that ignores voters is hunted on the smaller lattice of the voters it reads
+    assume(3**m * S <= search_lattice(space, n, rule, 1, 10**30, "hunt").size * n)
+    return space, rule, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(gated_corrected_stage_hunts())
+def test_gated_full_hunts_of_corrected_stages_match_the_scan(case):
+    space, rule, n = case
+    with mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built:
+        certified = find_witness(space, rule, n, "full")
+    # by Theorem 4.2 no type is bad, so the table answers with no outcome table
+    assert not built.called
+    with mock.patch("binagg.manipulation._free_by_types", return_value=False):
+        assert find_witness(space, rule, n, "full") == certified
+
+
+def test_certified_full_hunt_builds_no_table(pref4):
+    rule = NearestNeighborRule(pref4, IiaStage.majority(4, 6), (1, 2, 3, 1, 2, 3), four_candidate_tie_order())
+    with mock.patch("binagg.manipulation.lattice_table", side_effect=AssertionError("outcome table built")):
+        assert find_witness(pref4, rule, 4, "full") is None
+        assert certify(pref4, rule, 4, "full").free
+        assert list(iter_witnesses(pref4, rule, 4, "full")) == []
+
+
+def test_certified_full_hunt_raises_what_the_scan_raises(pref4):
+    # both hunts pass the cost gate, so the certificate itself must refuse them
+    with pytest.raises(ValueError, match="stage arity is 3, profile has 4 rows"):
+        find_witness(pref4, NearestNeighborRule(pref4, IiaStage.majority(3, 6)), 4, "full")
+    other = EvaluationSpace(6, pref4.feasible[1:])
+    with pytest.raises(ValueError, match="bound to another space"):
+        find_witness(other, NearestNeighborRule(pref4, IiaStage.majority(4, 6)), 4, "full")
+    with pytest.raises(BudgetExceededError):
+        find_witness(pref4, NearestNeighborRule(pref4, IiaStage.majority(4, 6)), 4, "full", budget=10)
