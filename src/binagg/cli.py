@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .aggregators import BudgetExceededError, DEFAULT_BUDGET, check_structural, parse_rule
-from .fileio import ParseError, read_profile, read_space, read_tie_order, read_weights
+from .fileio import read_profile, read_space, read_tie_order, read_weights
 from .manipulation import find_witness
 from .spaces import EvaluationSpace, builtin_space, builtin_space_names, to_bits
 from .suites import format_report, run_suite, suite_names
@@ -49,45 +49,48 @@ def _budget(text: str) -> int:
     return budget
 
 
-@lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+@lru_cache(maxsize=None)
+def _build_parser(command: str | None) -> _Parser:
+    """The parser with ``command``'s subparser alone (all for None), cached: parsing leaves it unchanged."""
     parser = _Parser(prog="binagg", description="aggregation of binary evaluations over constrained spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_space = sub.add_parser("space", help="inspect a space")
-    space_sub = p_space.add_subparsers(dest="space_command", required=True)
-    for name, help_text in (("info", "issue count, size, provenance, labels"), ("mipes", "canonical MIPE list")):
-        sp = space_sub.add_parser(name, help=help_text)
-        sp.add_argument("--space", required=True, help="built-in alias or space file")
+    def add(name: str, help_text: str) -> _Parser | None:
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
-    p_run = sub.add_parser("run", help="apply a rule to a profile")
-    p_run.add_argument("--space", required=True)
-    p_run.add_argument("--aggregator", required=True, help="rule spec, e.g. nn(majority) or partition:1,2;3")
-    p_run.add_argument("--profile", required=True, help="profile file")
-    p_run.add_argument("--weights", help="weights file")
-    p_run.add_argument("--tieorder", help="tie-order file")
+    if p_space := add("space", "inspect a space"):
+        space_sub = p_space.add_subparsers(dest="space_command", required=True)
+        for name, help_text in (("info", "issue count, size, provenance, labels"), ("mipes", "canonical MIPE list")):
+            sp = space_sub.add_parser(name, help=help_text)
+            sp.add_argument("--space", required=True, help="built-in alias or space file")
 
-    p_hunt = sub.add_parser("hunt", help="exhaustive manipulation search")
-    p_hunt.add_argument("--space", required=True)
-    p_hunt.add_argument("--aggregator", required=True)
-    p_hunt.add_argument("-n", type=int, required=True, help="number of voters")
-    p_hunt.add_argument("--kind", required=True, choices=("partial", "full", "hamming"))
-    p_hunt.add_argument("--weights", help="weights file")
-    p_hunt.add_argument("--tieorder", help="tie-order file")
-    p_hunt.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="probe budget")
+    if p_run := add("run", "apply a rule to a profile"):
+        p_run.add_argument("--space", required=True)
+        p_run.add_argument("--aggregator", required=True, help="rule spec, e.g. nn(majority) or partition:1,2;3")
+        p_run.add_argument("--profile", required=True, help="profile file")
+        p_run.add_argument("--weights", help="weights file")
+        p_run.add_argument("--tieorder", help="tie-order file")
 
-    p_check = sub.add_parser("check", help="exhaustive structural property check")
-    p_check.add_argument("--space", required=True)
-    p_check.add_argument("--aggregator", required=True)
-    p_check.add_argument("-n", type=int, required=True)
-    p_check.add_argument("--property", required=True, choices=("iia", "monotone", "anonymous", "dictatorial"))
-    p_check.add_argument("--weights", help="weights file")
-    p_check.add_argument("--tieorder", help="tie-order file")
-    p_check.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    if p_hunt := add("hunt", "exhaustive manipulation search"):
+        p_hunt.add_argument("--space", required=True)
+        p_hunt.add_argument("--aggregator", required=True)
+        p_hunt.add_argument("-n", type=int, required=True, help="number of voters")
+        p_hunt.add_argument("--kind", required=True, choices=("partial", "full", "hamming"))
+        p_hunt.add_argument("--weights", help="weights file")
+        p_hunt.add_argument("--tieorder", help="tie-order file")
+        p_hunt.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="probe budget")
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--suite", required=True, help="one of: " + ", ".join(suite_names()))
+    if p_check := add("check", "exhaustive structural property check"):
+        p_check.add_argument("--space", required=True)
+        p_check.add_argument("--aggregator", required=True)
+        p_check.add_argument("-n", type=int, required=True)
+        p_check.add_argument("--property", required=True, choices=("iia", "monotone", "anonymous", "dictatorial"))
+        p_check.add_argument("--weights", help="weights file")
+        p_check.add_argument("--tieorder", help="tie-order file")
+        p_check.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+
+    if p_verify := add("verify", "run a named verification suite"):
+        p_verify.add_argument("--suite", required=True, help="one of: " + ", ".join(suite_names()))
     return parser
 
 
@@ -158,28 +161,19 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
+_HANDLERS = {"space": _cmd_space, "run": _cmd_run, "hunt": _cmd_hunt, "check": _cmd_check, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)  # a command takes the rest
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "space": _cmd_space,
-            "run": _cmd_run,
-            "hunt": _cmd_hunt,
-            "check": _cmd_check,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _HANDLERS[args.command](args)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:  # a ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

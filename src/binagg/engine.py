@@ -405,7 +405,7 @@ def build_table(
 #: manipulation kind.  Searches, the monotone check and the harvest call
 #: it through :func:`scan`, which tests each new context row with
 #: :func:`type_hits`, then lists the hits as block arrays with lied ids;
-#: ``manipulation._bad_types`` calls it through :func:`type_hits` alone.
+#: ``manipulation._bad_types`` calls it on every (z, w, x) with y None, which no kind reads.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 

@@ -12,10 +12,11 @@ stage then fixes the output at 0, copies voter i's bit, or fixes it at
 1.  Every lie y therefore yields the stage output F | (y & D) for one
 of 3^m *pivot types* (F, D), and whether some opinion gains by some lie
 depends on the type alone.  A type is itself a context row: the
-corrected outcome of each lie, read off the 2^m correction table.  One
-walk over the type numbers, in blocks, flags the *bad* ones with the
-engine's type step (``engine.type_hits``) under the probe scan's own
-gain test (``manipulation._bad_types``, next to ``manipulation._hit_fn``).
+corrected outcome of each lie, read off the 2^m correction table.  It is
+*bad* when some opinion x gains, by the probe scan's own test
+(``manipulation._hit_fn``), by moving from row[x] to an outcome the row
+reaches: one walk over the types, in blocks, flags them from S^3 gain
+bit masks (``manipulation._bad_types``), 3^m * S * ceil(S/64) word ANDs.
 
 A stage is manipulable exactly when some (voter, context) shows it a
 bad type.  The stages showing type b at (i, c) form a product over

@@ -27,10 +27,10 @@ correction has none.  So a full hunt of such a rule first reads the
 correction's cached type table (:func:`_type_table`): no bad type means
 no witness, for any number of voters, with no outcome table built.  The
 hunt is first charged to the budget and its rule checked, as a scan
-would be, and the table is read only when m <= 20 and its 3^m * S^2
-cells are no more than the probes the scan would make.  Otherwise the
-scan runs as above.  Hamming and partial hunts always scan: their
-tables usually have bad types.
+would be, and the table is read only when m <= 20 and twice its
+3^m * S * ceil(S / 64) word cells are at most the scan's probes plus
+5,000.  Otherwise the scan runs as above.  Hamming and partial hunts
+always scan: their tables usually have bad types.
 """
 
 from __future__ import annotations
@@ -219,25 +219,59 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
 
 
 def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
-    """Bool per pivot type: can some opinion gain by some lie of this kind, ``hamming`` or ``full``?
+    """Bool per pivot type: can some opinion gain by some lie of this kind?
 
     ``correct`` is the correction table (:func:`metric._correction_table`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
-    voter's bit and 2 when it fixes it at 1.
+    voter's bit and 2 when it fixes it at 1.  A type is bad when some
+    opinion x gains by moving from its row[x] to an outcome the row reaches.
     """
     S, m = space.size, space.m
-    masks = np.array(space.feasible, dtype=np.intp)
-    place = 1 << np.arange(m - 1, -1, -1)
-    digit = 3 ** np.arange(m - 1, -1, -1)
+    masks, codes = np.array(space.feasible, dtype=np.intp), np.arange(S)
     hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
-    step = engine.block_size(S * S)
-    bad = []
-    for at in range(0, 3**m, step):
-        digits = np.arange(at, min(at + step, 3**m))[:, None] // digit % 3
-        rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
-        bad.append(engine.type_hits(rows, hit).any(axis=1))
-    return np.concatenate(bad)
+    k, low_fixed, low_copied, single = _type_blocks(m, S, engine.block_size(S))
+    # gain[j, z * S + x]: word j of the mask of the outcomes x gains by from z (no kind reads the lie)
+    gain = np.empty((len(single), S * S), dtype=single.dtype)
+    for at in range(0, S, step := engine.block_size(S * S)):
+        gains = _bit_masks(hit(codes[at : at + step, None, None], codes, codes[:, None], None))
+        gain[:, at * S : (at + step) * S] = gains.reshape(-1, len(gain)).T
+    bad = np.zeros(3**m, dtype=bool)
+    for high in range(3 ** (m - k)):
+        # types high * 3^k + low, low < 3^k: the first m - k issues' masks from high, the last k from low
+        fixed, copied = _pivot_masks(high, m - k)
+        outcomes = (fixed << k | low_fixed)[:, None] | (masks & (copied << k | low_copied)[:, None])
+        rows = correct[outcomes].astype(np.intp)
+        at, block = rows * S + codes, bad[high * 3**k : (high + 1) * 3**k]
+        for gain_word, single_word in zip(gain, single):
+            block |= (gain_word[at] & np.bitwise_or.reduce(single_word[rows], axis=1)[:, None]).any(axis=1)
+    return bad
+
+
+@lru_cache(maxsize=16)
+def _type_blocks(m: int, S: int, step: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(k, fixed, copied, single), read-only, to walk the 3^m types of S outcomes in blocks of 3^k <= step:
+    the last k issues' masks of types 0..3^k - 1, and single[j, w], word j of outcome w's bit mask."""
+    k = next(k for k in range(m, -1, -1) if 3**k <= step)
+    layout = (*_pivot_masks(np.arange(3**k), k), _bit_masks(np.eye(S, dtype=bool)).T.copy())
+    for array in layout:
+        array.flags.writeable = False
+    return (k, *layout)
+
+
+def _pivot_masks(types, m: int):
+    """(fixed, copied) issue masks of the pivot types numbered ``types``, an int or an array, on m issues."""
+    fixed = copied = 0 * types
+    for j in range(m):
+        types, digit = divmod(types, 3)
+        fixed, copied = fixed | (digit == 2) << j, copied | (digit == 1) << j
+    return fixed, copied
+
+
+def _bit_masks(flags: np.ndarray) -> np.ndarray:
+    """(..., ceil(S / 64)) uint64 words whose bit k is ``flags[..., k]``, from (..., S) bools."""
+    pad = np.zeros(flags.shape[:-1] + (-flags.shape[-1] % 64,), dtype=bool)
+    return np.packbits(np.concatenate((flags, pad), axis=-1), axis=-1, bitorder="little").view("<u8")
 
 
 @lru_cache(maxsize=16)
@@ -257,13 +291,14 @@ def _free_by_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: L
     (voter, context) shows it a bad pivot type (:mod:`binagg.fastsweep`),
     so no bad type means no witness, for any n.  The rule's space and
     stage arity are checked first, as the scan's table build checks them,
-    and the table is read only when its 3^m * S^2 cells are no more than
-    the scan's n * S probes per profile: timed cold for m = 6-12, the two
-    cost about the same near that line (README).
+    and the table is read only when twice its 3^m * S * ceil(S / 64) word
+    cells are at most the scan's probes plus 5,000, its fixed cost: timed
+    cold for m = 3-12, that picks the faster path in 168 of 173 cases (README).
     """
     check_bound(space, rule)
     rule.stage._check_shape(space.m, lattice.n)
-    if space.m > 20 or 3**space.m * space.size > lattice.size * lattice.n:
+    S = space.size
+    if space.m > 20 or 2 * 3**space.m * S * -(-S // 64) > lattice.size * lattice.n * S + 5000:
         return False
     return not _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, "full").any()
 

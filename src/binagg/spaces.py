@@ -206,10 +206,10 @@ def preference_space(
     """
     if k < 2:
         raise ValueError(f"need at least two alternatives, got {k}")
+    _check_issue_count(k * (k - 1) // 2)  # before naming k alternatives: a huge k must fail at once
     alts = tuple(alternatives) if alternatives else _default_alternatives(k)
     if len(alts) != k or len(set(alts)) != k:
         raise ValueError("alternative names must be distinct and match k")
-    _check_issue_count(k * (k - 1) // 2)
     if math.factorial(k) > MAX_ORDERS:
         raise ValueError(f"pref({k}) has {k}! = {math.factorial(k)} orders; enumeration stops at {MAX_ORDERS}")
     name_to_idx = {a: i for i, a in enumerate(alts)}

@@ -10,14 +10,19 @@ a time for sweeps, and decide each structural property profile by
 profile, and they apply one randomly drawn stage at a time in the lemma
 harvest, walk its draws' slots one word at a time, and take its
 exhaustive half one witness at a time.  They are
-slow and obviously correct, which is their job.
+slow and obviously correct, which is their job.  :func:`bad_types`
+flags a correction's bad pivot types with the probe scan's own numpy
+type step, all S opinions by all S lies of each type: the reference
+for the library's gain-mask kernel.
 """
 
 import itertools
 from collections import Counter
 from functools import lru_cache
 
-from binagg import fixtures, manipulation
+import numpy as np
+
+from binagg import engine, fixtures, manipulation
 from binagg.aggregators import (
     Dictator,
     IiaStage,
@@ -318,6 +323,23 @@ def pivot_types(space, stage):
             no, yes = (stage_output(stage, others[:i] + (row,) + others[i:]) for row in (0, (1 << m) - 1))
             types.add(tuple(((no >> (m - 1 - j)) & 1) + ((yes >> (m - 1 - j)) & 1) for j in range(m)))
     return types
+
+
+def bad_types(space, weights, correct, kind="hamming"):
+    """``manipulation._bad_types`` by the probe scan's type step: every type's row of S lied
+    outcomes, tested for all S opinions and S lies in one broadcast (``engine.type_hits``)."""
+    S, m = space.size, space.m
+    masks = np.array(space.feasible, dtype=np.intp)
+    place = 1 << np.arange(m - 1, -1, -1)
+    digit = 3 ** np.arange(m - 1, -1, -1)
+    hit = manipulation._hit_fn(space, space.feasible, kind, manipulation._validate_kind(kind, weights, m))
+    step = engine.block_size(S * S)
+    bad = []
+    for at in range(0, 3**m, step):
+        digits = np.arange(at, min(at + step, 3**m))[:, None] // digit % 3
+        rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
+        bad.append(engine.type_hits(rows, hit).any(axis=1))
+    return np.concatenate(bad)
 
 
 def first_manipulable_stage(space, n, weights=None, tie=None):

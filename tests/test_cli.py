@@ -1,13 +1,17 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import contextlib
+import io
 import itertools
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from binagg.aggregators import check_structural, parse_rule
 from binagg import cli
@@ -313,8 +317,8 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_repeated_calls_match_first_calls(capsys):
-    # main builds its parser once per process; later calls, after a usage
-    # error too, print and exit exactly as a first call does
+    # main builds each command's parser once per process; later calls,
+    # after a usage error too, print and exit exactly as a first call does
     commands = [
         ("space", "info", "--space", "pref3"),
         ("hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--kind", "hamming"),
@@ -322,12 +326,103 @@ def test_repeated_calls_match_first_calls(capsys):
         ("check", "--space", "doctrinal", "--aggregator", "majority", "-n", "3", "--property", "monotone"),
         ("hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--kind", "full", "--budget", "10"),
         ("verify", "--suite", "tables"),
+        ("bogus",),
     ]
     first = []
     for argv in commands:
         cli._build_parser.cache_clear()
         first.append(run(capsys, *argv)[:2])
-    assert [code for code, _ in first] == [0, 0, 1, 0, 2, 0]
+    assert [code for code, _ in first] == [0, 0, 1, 0, 2, 0, 1]
     cli._build_parser.cache_clear()
     assert [run(capsys, *argv)[:2] for argv in commands * 2] == first * 2
-    assert cli._build_parser.cache_info().misses == 1
+    # one parser per command named, and one with every command for the line that names none
+    assert cli._build_parser.cache_info().misses == 5
+
+
+def test_import_builds_no_parser_and_a_command_builds_its_own_alone():
+    # each ArgumentParser built, subparsers included, is counted in a fresh interpreter
+    count = (
+        "import argparse, sys; built = []; init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k): built.append(k.get('prog')); init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from binagg import cli\n"
+        "print(built)\n"
+        "status = cli.main(sys.argv[1:]); print(status, built)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["hunt", "--space", "pref3", "--aggregator", "plurality", "-n", "2", "--kind", "full"]
+    done = subprocess.run([sys.executable, "-c", count, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "[]"
+    assert done.stdout.splitlines()[-1] == "0 ['binagg', 'binagg hunt']"
+
+
+def test_help_and_usage_errors_of_a_line_without_a_command():
+    done = cli_process("-h", timeout=60)
+    assert done.returncode == 0 and "{space,run,hunt,check,verify}" in done.stdout
+    for help_line in ("inspect a space", "apply a rule to a profile", "exhaustive manipulation search",
+                      "exhaustive structural property check", "run a named verification suite"):
+        assert help_line in done.stdout
+    done = cli_process("hunt", "-h", timeout=60)
+    assert done.returncode == 0 and done.stdout.startswith("usage: binagg hunt [-h] --space SPACE")
+    assert "--kind {partial,full,hamming}" in done.stdout and "probe budget" in done.stdout
+    for argv, error in (
+        (("bogus",), "error: argument command: invalid choice: 'bogus' (choose from 'space', 'run', 'hunt', 'check', 'verify')\n"),
+        ((), "error: the following arguments are required: command\n"),
+    ):
+        done = cli_process(*argv, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", error)
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+_WORDS = [
+    "space", "explicit", "pref", "choose", "cycle", "doctrinal", "profile", "0", "1", "2", "3", "4", "6", "-1", "64",
+    "65", "99999999999999999999", "a>b", "b>c", "c>a", "a>x", ">", "a>b>c", "000", "011", "101", "110", "111",
+    "0101", "1a0", "1" * 70, "é", "\t",
+]
+_HEADERS = ["", "space explicit\n", "space pref ", "space choose ", "space cycle ", "profile 3 3\n", "profile 2 3\n"]
+_CONTENTS = st.builds(
+    lambda head, lines: (head + "\n".join(lines)).encode(),
+    st.sampled_from(_HEADERS),
+    st.lists(st.lists(st.sampled_from(_WORDS), max_size=5).map(" ".join), max_size=6),
+) | st.binary(max_size=40)
+_GOOD_PROFILE = b"profile 3 3\n110\n011\n101\n"
+
+
+def _run_with_file(flag, content):
+    """(status, stdout, stderr) of a CLI call reading ``content`` as its ``flag`` file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(content)
+        if flag == "--space":
+            argv = ["space", "info", "--space", str(path)]
+        else:
+            profile = Path(tmp) / "profile.txt"
+            profile.write_bytes(_GOOD_PROFILE)
+            argv = ["run", "--space", "pref3", "--aggregator", "nn(majority)", "--profile", str(profile), flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("--space", "--profile", "--weights", "--tieorder")), _CONTENTS)
+@example("--space", b"space pref 99999999999999999999")
+@example("--space", b"space cycle 99999999999999999999")
+@example("--space", b"space choose 99999999999999999999 2")
+@example("--space", b"space explicit\n" + b"1" * 70)
+@example("--profile", b"profile 99999999999999999999 3\n110")
+@example("--weights", b"99999999999999999999 0 1")
+@example("--weights", b"1" * 5000)
+@example("--tieorder", b"110\n110\n011\n101\n100\n010\n001")
+def test_malformed_input_files_end_in_one_error_line(flag, content):
+    """Whatever a file holds, the CLI reads it or exits 1 or 2 with one ``error:`` line, never a traceback."""
+    status, out, err = _run_with_file(flag, content)
+    if status == 0:
+        return  # the draw happened to be a well-formed file
+    assert status in (1, 2) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -21,7 +21,7 @@ from binagg.fastsweep import (
     stage_product_count,
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
-from binagg.manipulation import _bad_types, _type_table, classify_deviation, find_witness
+from binagg.manipulation import KINDS, _bad_types, _type_table, classify_deviation, find_witness
 from binagg.metric import TieOrder, _correction_table, nn_select, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
@@ -492,6 +492,42 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
     assert _bad_types(space, weights, _correction(space, weights, tie), kind)[types].tolist() == expected
+
+
+@st.composite
+def type_table_cases(draw):
+    """An explicit space of 2-7 issues and 2-100 points, with weights (some summing past 2**63) or none,
+    and with or without a shuffled tie order."""
+    m = draw(st.integers(2, 7))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=2, max_size=min(100, 1 << m))))
+    weights = draw(st.none() | st.tuples(*[st.integers(1, 4)] * m) | st.tuples(*[st.integers(2**62, 2**63)] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    return space, weights, tie
+
+
+PREF4 = builtin_space("pref4")
+# 64 and 65 points: one 64-bit word of outcomes per mask, then two.  On the 65 points some
+# hamming types are bad only through the outcome in the second word
+WORD64, WORD65 = (EvaluationSpace(7, random.Random(seed).sample(range(128), S)) for seed, S in ((0, 64), (14, 65)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(type_table_cases(), st.sampled_from(KINDS), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+@example((PREF4, (1, 2, 3, 1, 2, 3), four_candidate_tie_order()), "full", engine.BLOCK_ELEMENTS)
+@example((PREF4, (1, 2, 3, 1, 2, 3), four_candidate_tie_order()), "hamming", 97)
+@example((WORD64, (3, 1, 4, 1, 5, 2, 6), None), "hamming", engine.BLOCK_ELEMENTS)
+@example((WORD64, None, TieOrder.descending(WORD64)), "partial", 97)
+@example((WORD65, None, None), "hamming", engine.BLOCK_ELEMENTS)
+@example((WORD65, (2**63,) * 7, TieOrder.descending(WORD65)), "hamming", 1)
+@example((WORD65, (1, 2, 1, 2, 1, 2, 1), None), "full", engine.BLOCK_ELEMENTS)
+def test_bad_types_match_the_broadcast_reference(case, kind, block_elements):
+    """The gain-mask kernel flags the types that the scan's S x S type step flags, and never runs that step."""
+    space, weights, tie = case
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        correct = _correction(space, weights, tie)
+        expected = oracle.bad_types(space, weights, correct, kind)
+        with mock.patch.object(engine, "type_hits", side_effect=AssertionError("type_hits called")):
+            assert np.array_equal(_bad_types(space, weights, correct, kind), expected)
 
 
 @st.composite

@@ -258,6 +258,13 @@ def test_full_freeness_extends_to_four_voters(pref3):
 MAX_ORACLE_PROBES = 30_000
 
 
+def passes_gate(space, lattice_size, n):
+    """Whether a full hunt over a lattice of this size reads the type table: twice its
+    3^m * S * ceil(S / 64) word cells are at most the scan's probes plus 5,000."""
+    S = space.size
+    return 2 * 3**space.m * S * -(-S // 64) <= lattice_size * n * S + 5000
+
+
 @st.composite
 def corrected_stage_hunts(draw):
     """An nn(stage) rule of n = 1-4 voters on an explicit space of 1-5 issues, small enough for the oracle."""
@@ -278,9 +285,9 @@ def test_full_hunts_of_corrected_stages_match_the_oracle(case):
     first = next(oracle.iter_witnesses(space, rule, n, "full"), None)
     with mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built:
         assert find_witness(space, rule, n, "full") == first
-    # the table answers only when its 3^m * S^2 cells are no more than the scan's probes
+    # the table answers only when twice its word cells are at most the scan's probes plus 5,000
     lattice = search_lattice(space, n, rule, n * space.size, 10**30, "hunt")
-    assert built.called == (3**space.m * space.size**2 > lattice.size * n * space.size)
+    assert built.called != passes_gate(space, lattice.size, n)
     # with every type flagged bad, the hunt scans and finds the canonical first witness
     every = np.ones(3**space.m, dtype=bool)
     with mock.patch("binagg.manipulation._type_table", return_value=every), mock.patch(
@@ -303,7 +310,7 @@ def gated_corrected_stage_hunts(draw):
     S = space.size
     sizes = {n: search_lattice(space, n, NearestNeighborRule(space, IiaStage.majority(n, m)), 1, 10**30, "hunt").size
              for n in range(1, 8)}
-    gated = [n for n, size in sizes.items() if 3**m * S <= size * n and size * n * S <= MAX_SCAN_PROBES]
+    gated = [n for n, size in sizes.items() if passes_gate(space, size, n) and size * n * S <= MAX_SCAN_PROBES]
     assume(gated)
     n = draw(st.sampled_from(gated))
     terms = st.lists(st.integers(0, (1 << n) - 1), max_size=3)
@@ -311,8 +318,10 @@ def gated_corrected_stage_hunts(draw):
     weights = draw(st.none() | st.tuples(*[st.integers(1, 4)] * m))
     tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
     rule = NearestNeighborRule(space, IiaStage(n, tables), weights, tie)
-    # a stage that ignores voters is hunted on the smaller lattice of the voters it reads
-    assume(3**m * S <= search_lattice(space, n, rule, 1, 10**30, "hunt").size * n)
+    # a stage that ignores voters is hunted on the smaller lattice of the voters it reads, and one
+    # that is not anonymous on the larger ordered lattice
+    size = search_lattice(space, n, rule, 1, 10**30, "hunt").size
+    assume(passes_gate(space, size, n) and size * n * S <= MAX_SCAN_PROBES)
     return space, rule, n
 
 
