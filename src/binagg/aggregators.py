@@ -472,11 +472,12 @@ class NearestNeighborRule(Rule):
 
     Feasible stage outputs pass through unchanged; infeasible ones are
     replaced by their tie-order-minimal nearest neighbor under the
-    rule's weights.  Once an evaluator has been handed at least 2**m
-    profiles, it reads the correction of every hypercube point from the
-    table that sweeps share (``metric._correction_table``), so building
-    that table never costs more than the profiles it serves; until then,
-    and past 20 issues, it snaps only the stage outputs seen.
+    rule's weights.  Once an evaluator, or a hunt's pivot-type walk, has
+    been handed at least 2**m points (:meth:`indexer`), it reads the
+    correction of every hypercube point from the table that sweeps share
+    (``metric._correction_table``), so building that table never costs
+    more than the points it serves; until then, and past 20 issues, it
+    snaps only the points seen.
     """
 
     def __init__(
@@ -513,21 +514,31 @@ class NearestNeighborRule(Rule):
     def influential(self, n):
         return self.stage.influential(n)
 
-    def block_evaluator(self, n):
-        stage_outputs = self.stage.block_evaluator(self.space, n)
+    def indexer(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Feasible indices of the corrections of an array of hypercube points, in its shape.
+
+        Once it has been handed at least 2**m points, it reads the shared
+        correction table; until then, and past 20 issues, it snaps only
+        the distinct points seen.
+        """
         m, index = self.space.m, self.space.index
         ranking = None if self.tie is None else self.tie.ranking
-        profiles = 0
+        points_seen = 0
 
-        def evaluate(rows):
-            nonlocal profiles
-            profiles += len(rows)
-            if m <= 20 and profiles >= 1 << m:
-                return _correction_table(self.space, self.weights, ranking)[stage_outputs(rows)]
-            distinct, inverse = np.unique(stage_outputs(rows), return_inverse=True)
-            return np.array([index(self.correct(v)) for v in distinct.tolist()], dtype=np.intp)[inverse]
+        def indices(points):
+            nonlocal points_seen
+            points_seen += points.size
+            if m <= 20 and points_seen >= 1 << m:
+                return _correction_table(self.space, self.weights, ranking)[points]
+            distinct, inverse = np.unique(points, return_inverse=True)
+            snapped = np.array([index(self.correct(v)) for v in distinct.tolist()], dtype=np.intp)
+            return snapped[inverse].reshape(points.shape)
 
-        return evaluate
+        return indices
+
+    def block_evaluator(self, n):
+        stage_outputs, indices = self.stage.block_evaluator(self.space, n), self.indexer()
+        return lambda rows: indices(stage_outputs(rows))
 
 
 class WelfareMaximizer(Rule):
@@ -789,7 +800,8 @@ def search_lattice(
     hit of ``rule`` walks the multiset lattice when the rule is anonymous,
     else the ordered profiles of the voters it reads (see
     :mod:`binagg.engine`).  The search makes ``per_profile`` probes per
-    profile, and builds the lattice's table with :func:`lattice_table`.
+    profile, and builds the lattice's table with :func:`lattice_table`,
+    unless it walks pivot types (hunts of ``nn(...)`` rules).
     """
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")

@@ -10,9 +10,11 @@ Two lattices name the profiles a scan walks.  :class:`ProfileLattice`
 holds all S**n ordered profiles, or those of some voters with the rest
 pinned.  :class:`MultisetLattice` holds the C(S+n-1, n) non-decreasing
 rows, in lexicographic order: one representative per multiset of
-opinions.  Searches and the monotone check of a rule that is anonymous
-by construction (quota and majority stages, ``nn(...)`` of them,
-plurality, the welfare maximizer) walk the multiset lattice.  Its first
+opinions.  Both compute each block's rows from its ids, so a walk that
+stops early has built one block of rows, not the lattice.  Searches and
+the monotone check of a rule that is anonymous by construction (quota
+and majority stages, ``nn(...)`` of them, plurality, the welfare
+maximizer) walk the multiset lattice.  Its first
 hit is the canonical first probe of the ordered lattice.  Every probe
 predicate depends only on the multiset, the liar's opinion and the lie,
 so each permutation of a profile with a hit has a hit too.  The sorted
@@ -58,6 +60,12 @@ row's bytes, under an exact type id (two contexts share a type exactly
 when their rows are equal) that then goes to all its (profile, voter)
 pairs.  Each (profile, voter) is one lookup of its type and opinion, and
 the scan lists lies only where that lookup flags a hit.
+
+Hunts of a monotone stage corrected to its nearest neighbour do not
+scan: they walk the same lattice blocks and read each (profile, voter)'s
+pivot type off the issue columns (``manipulation._pivot_hits``), with no
+outcome table and no contexts.  Hunts of every other rule, the
+structural checks and the exhaustive lemma harvest scan.
 
 The engine never builds a (P, n, S) array, nor any (P, n) one.  It
 walks a lattice in blocks of whole profiles, sized from S, n and m so
@@ -202,10 +210,14 @@ class ProfileLattice:
 class MultisetLattice:
     """The C(S+n-1, n) profiles whose rows are non-decreasing, in lexicographic order.
 
-    Each stands for every ordering of its multiset of opinions.  The lied
-    profile of (k, voter i, lie y) is ``add[remove[k, i], y]``: ``remove``
-    maps a profile and a position to the (n-1)-multiset left without it,
-    and ``add`` maps an (n-1)-multiset and a lie back to a profile here.
+    Each stands for every ordering of its multiset of opinions.  Rows are
+    unranked block by block from prefix sums of tuple counts (the
+    combinatorial number system, :func:`_tuple_counts`).  A scan's
+    contexts and lie map read two tables built on first use: the lied
+    profile of (k, voter i, lie y) is ``add[remove[k, i], y]``, where
+    ``remove`` maps a profile and a position to the (n-1)-multiset left
+    without it, and ``add`` maps an (n-1)-multiset and a lie back to a
+    profile here.
     """
 
     def __init__(self, S: int, n: int):
@@ -218,20 +230,20 @@ class MultisetLattice:
         return f"{self.size} multisets of {self.n} opinions from {self.S}"
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         return _multiset_tables(self.S, self.n)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """(B, n) sorted feasible row indices of the multisets with ids start..stop-1."""
-        return self._tables[0][start:stop].astype(np.intp)
+        return _unrank(self.S, self.n, start, stop)
 
     def contexts(self, start: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, n) context ids and true opinions: the (n-1)-multiset left without each position."""
-        return self._tables[1][start : start + len(rows)].astype(np.intp), rows
+        return self._tables[0][start : start + len(rows)].astype(np.intp), rows
 
     def lied(self, ids: np.ndarray, lies: np.ndarray) -> np.ndarray:
         """Ids of the multisets that (n-1)-multisets ``ids`` reach with feasible index ``lies`` (broadcast)."""
-        return self._tables[2][ids, lies]
+        return self._tables[1][ids, lies]
 
 
 Lattice = ProfileLattice | MultisetLattice
@@ -250,21 +262,46 @@ def _context_weights(S: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
+def _tuple_counts(S: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (below, steps), (k, S + 1) int64 prefix sums ranking the sorted k-tuples from 0..S-1.
+
+    ``below[j, a]`` counts the sorted tuples that agree with a given one
+    before position j and hold some v < a there, with v no less than the
+    entry before: the sum over v < a of C(S-v+tail-1, tail), tail = k-1-j
+    entries after position j.  So the rank of a sorted tuple t sums
+    ``below[j, t[j]] - below[j, t[j-1]]`` over j (t[-1] = 0), and
+    ``steps[j] = below[j + 1] - below[j]`` (0 past the last position)
+    moves those partial sums from one position to the next.
+    """
+    below = np.zeros((k, S + 1), dtype=np.int64)
+    for j in range(k):
+        tail = k - 1 - j
+        below[j, 1:] = np.cumsum([math.comb(S - v + tail - 1, tail) for v in range(S)])
+    steps = np.diff(below, axis=0, append=np.zeros((1, S + 1), dtype=np.int64))
+    below.flags.writeable = steps.flags.writeable = False
+    return below, steps
+
+
+def _unrank(S: int, n: int, start: int, stop: int) -> np.ndarray:
+    """(B, n) intp rows of the sorted n-tuples from 0..S-1 of ranks start..stop-1."""
+    below, steps = _tuple_counts(S, n)
+    # rank: each tuple's rank plus below[j, its entry before position j]
+    rank = np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((n, len(rank)), dtype=np.intp)
+    for j in range(n):
+        # the largest entry v with below[j, v] <= rank
+        rows[j] = entry = below[j, 1:].searchsorted(rank, "right")
+        rank += steps[j].take(entry)
+    return rows.T
+
+
+@lru_cache(maxsize=8)
+def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
     size, smaller = math.comb(S + n - 1, n), math.comb(S + n - 2, n - 1)
-    # The sorted k-tuples that start with a are a followed by the sorted
-    # (k-1)-tuples that start at a or later: the last C(S-a+k-2, k-1) of them.
-    rows = np.arange(S, dtype=_unsigned(S - 1))[:, None]
-    for k in range(2, n + 1):
-        counts = [math.comb(S - a + k - 2, k - 1) for a in range(S)]
-        longer = np.empty((sum(counts), k), dtype=rows.dtype)
-        longer[:, 0] = np.repeat(np.arange(S, dtype=rows.dtype), counts)
-        at = 0
-        for count in counts:
-            longer[at : at + count, 1:] = rows[len(rows) - count :]
-            at += count
-        rows = longer
+    rows = np.empty((size, n), dtype=_unsigned(S - 1))
+    for start in range(0, size, step := block_size(n)):
+        rows[start : start + step] = _unrank(S, n, start, min(start + step, size))
     remove = _remove_ranks(rows, S, smaller)
     # every (n-1)-multiset plus a lie is some multiset k less one of its positions
     add = np.empty((smaller, S), dtype=_unsigned(size - 1))
@@ -275,23 +312,15 @@ def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         spot *= S
         spot += rows[:, i]
         add.reshape(-1)[spot] = ids
-    return rows, remove, add
+    return remove, add
 
 
 def _remove_ranks(rows: np.ndarray, S: int, smaller: int) -> np.ndarray:
     """(size, n) ranks among the C(S+n-2, n-1) sorted (n-1)-tuples of each sorted row less each position."""
     size, n = rows.shape
-    # A sorted (n-1)-tuple t ranks after every sorted tuple that agrees with
-    # it before position j and holds some v with t[j-1] <= v < t[j] there;
-    # those number C(S-v+tail-1, tail) for each v, with tail = n-2-j entries
-    # after position j.  below[j, a] sums them over v < a, so the rank of t
-    # sums below[j, t[j]] - below[j, t[j-1]] over j.
+    # ranks of sorted (n-1)-tuples, as :func:`_tuple_counts` sums them
     rank_dtype = _unsigned(smaller - 1)
-    below = np.zeros((n - 1, S + 1), dtype=np.int64)
-    for j in range(n - 1):
-        tail = n - 2 - j
-        below[j, 1:] = np.cumsum([math.comb(S - v + tail - 1, tail) for v in range(S)])
-    below = below.astype(rank_dtype)
+    below = _tuple_counts(S, n - 1)[0].astype(rank_dtype)
     # remove[:, k] ranks a row less position k.  Less position k instead of
     # k-1, the rest differs only at position k-1, which holds r[k-1] rather
     # than r[k], so only terms k-1 and k of the rank change.  ``first`` sums
@@ -405,7 +434,9 @@ def build_table(
 #: manipulation kind.  Searches, the monotone check and the harvest call
 #: it through :func:`scan`, which tests each new context row with
 #: :func:`type_hits`, then lists the hits as block arrays with lied ids;
-#: ``manipulation._bad_types`` calls it on every (z, w, x) with y None, which no kind reads.
+#: ``manipulation._bad_types`` calls it on (z, w, x) tiles with y None,
+#: which no kind reads, and the pivot-type walk of a corrected stage
+#: (``manipulation._pivot_hits``) on its flagged (T, 1, S) rows.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -433,10 +464,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
-    """``array`` zero-padded to at least ``size`` entries, at least doubling it."""
+    """``array`` zero-padded along its first axis to at least ``size`` entries, at least doubling it."""
     if size <= len(array):
         return array
-    return np.concatenate((array, np.zeros(max(size, 2 * len(array)) - len(array), dtype=array.dtype)))
+    pad = np.zeros((max(size, 2 * len(array)) - len(array),) + array.shape[1:], dtype=array.dtype)
+    return np.concatenate((array, pad))
 
 
 def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[np.ndarray, ...]]:

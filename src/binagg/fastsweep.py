@@ -15,8 +15,9 @@ depends on the type alone.  A type is itself a context row: the
 corrected outcome of each lie, read off the 2^m correction table.  It is
 *bad* when some opinion x gains, by the probe scan's own test
 (``manipulation._hit_fn``), by moving from row[x] to an outcome the row
-reaches: one walk over the types, in blocks, flags them from S^3 gain
-bit masks (``manipulation._bad_types``), 3^m * S * ceil(S/64) word ANDs.
+reaches: one walk over the types, in blocks, flags each type's opinions
+from S^3 gain bit masks (``manipulation._bad_types``), 3^m * S *
+ceil(S/64) word ANDs.
 
 A stage is manipulable exactly when some (voter, context) shows it a
 bad type.  The stages showing type b at (i, c) form a product over
@@ -44,15 +45,18 @@ of F | (y & D).  Whether a probe hits is therefore a function of (F, D),
 x and y, under one correction.  So the corrected stage has a witness
 exactly when some (voter, context) shows it a type at which some x
 gains by some y: a bad type.  The sweep and :func:`corrected_stage_free`
-read one type table per correction and kind, the bad flags of all 3^m
-types, cached by weights and tie ranking (``manipulation._type_table``).
+read one type table per correction and kind, the rows and per-opinion
+bad flags of all 3^m types, cached by weights and tie ranking
+(``manipulation._type_table``), and ask only whether a type is bad.
 A correction without a bad type frees every corrected monotone stage at
 once, and the screen walks no stage.  Theorem 4.2 says no correction
 has a bad full type; should one turn up, the screen hunts that one
-stage with :func:`binagg.manipulation.find_witness`.  Full hunts of
-``nn(...)`` rules read the same cached table before they scan, behind a
-cost gate (see :mod:`binagg.manipulation`); the screen reads it at any
-cost, since its configurations share few tables.
+stage with :func:`binagg.manipulation.find_witness`.  Hunts of
+``nn(...)`` rules of every kind walk these types instead of scanning,
+and read the same cached table behind a cost gate (see
+:mod:`binagg.manipulation`); the screen reads it at any cost, since its
+configurations share few tables.  Hunts of every other rule, bare
+stages included, scan.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def corrected_stage_free(
     stage._check_shape(space.m, n)
     if weights is not None:
         weights = validate_weights(weights, space.m)
-    if not manipulation._type_table(space, weights, None if tie is None else tie.ranking, "full").any():
+    if not manipulation._type_table(space, weights, None if tie is None else tie.ranking, "full").bad.any():
         return True
     return find_witness(space, NearestNeighborRule(space, stage, weights, tie), n, "full", weights) is None
 
@@ -163,7 +167,7 @@ def all_stage_products_hamming_free(
     S, m = space.size, space.m
     if weights is not None:
         weights = validate_weights(weights, m)
-    bad = manipulation._type_table(space, weights, None if tie is None else tie.ranking, "hamming")
+    bad = manipulation._type_table(space, weights, None if tie is None else tie.ranking, "hamming").bad.any(axis=1)
     if not bad.any():
         return None
     tabs = monotone_tables(n)

@@ -19,25 +19,32 @@ anonymous rule on the multiset lattice, and any other rule on the
 ordered profiles of the voters it reads, whose first hits are that same
 first witness; :func:`iter_witnesses` always walks every ordered profile.
 
-One hunt needs no scan.  A monotone stage corrected to its nearest
-feasible neighbour (``NearestNeighborRule``) has a full witness only
-where some voter, in some context, meets a *bad* pivot type of the
-correction (see :mod:`binagg.fastsweep`), and Theorem 4.2 says the
-correction has none.  So a full hunt of such a rule first reads the
-correction's cached type table (:func:`_type_table`): no bad type means
-no witness, for any number of voters, with no outcome table built.  The
-hunt is first charged to the budget and its rule checked, as a scan
-would be, and the table is read only when m <= 20 and twice its
-3^m * S * ceil(S / 64) word cells are at most the scan's probes plus
-5,000.  Otherwise the scan runs as above.  Hamming and partial hunts
-always scan: their tables usually have bad types.
+Hunts of a monotone stage corrected to its nearest feasible neighbour
+(``NearestNeighborRule``), of every kind, need no scan.  Each
+(profile, voter) shows such a stage a pivot type (see
+:mod:`binagg.fastsweep`), which fixes the truthful outcome and every
+lied one, so :func:`_pivot_hits` walks the same lattice blocks, reads
+each pair's type off the profile's issue columns, and lists lies only
+where the type flags the voter's opinion: the scan's canonical hits,
+with no outcome table and no contexts.  The flags come from the
+correction's cached type table (:func:`_type_table`) when m <= 20, a
+hamming hunt weighs distances as the correction does, and twice the
+table's 3^m * S * ceil(S / 64) word cells are at most the scan's probes
+plus 5,000; a table with no bad type answers no witness, for any
+number of voters, with no walk (for full hunts Theorem 4.2 says there is
+none).  Otherwise the walk computes each type as its blocks first meet
+it.  The hunt is first charged to the budget and its rule checked, as a
+scan would be.  Every other rule - dictators, plurality, partitions,
+the welfare maximizer, bare stages, table rules, and a corrected stage
+with a decider that is not monotone - is scanned as above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +53,7 @@ from .aggregators import (
     DEFAULT_BUDGET,
     NearestNeighborRule,
     Rule,
+    _is_monotone_table,
     check_bound,
     lattice_rows,
     lattice_table,
@@ -185,13 +193,19 @@ def iter_witnesses(
 def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Iterator[ManipulationWitness]:
     w = _validate_kind(kind, weights, space.m)
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
-    if kind == "full" and isinstance(rule, NearestNeighborRule) and _free_by_types(space, rule, lattice):
-        return
-    table = lattice_table(space, rule, lattice)
-    for block in scan(lattice, table, _hit_fn(space, table.values, kind, w)):
-        for pid, i, yi, lied_pid in zip(*(a.tolist() for a in block)):
+    if _walks_types(rule):
+        values, hits = space.feasible, _pivot_hits(space, rule, lattice, kind, w)
+    else:
+        table = lattice_table(space, rule, lattice)
+        values, codes = table.values, table.codes
+        hits = (
+            (ids, voters, lies, codes[ids], codes[lied])
+            for ids, voters, lies, lied in scan(lattice, table, _hit_fn(space, values, kind, w))
+        )
+    for block in hits:
+        for pid, i, yi, z, lied in zip(*(a.tolist() for a in block)):
             rows = lattice_rows(space, lattice, pid)
-            yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], table[pid], table[lied_pid], kind, w)
+            yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], values[z], values[lied], kind, w)
 
 
 def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights) -> HitFn:
@@ -218,34 +232,58 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
     return full
 
 
-def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
-    """Bool per pivot type: can some opinion gain by some lie of this kind?
+class TypeTable(NamedTuple):
+    """Every pivot type's row and bad flags under one correction and one kind.
 
-    ``correct`` is the correction table (:func:`metric._correction_table`).
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
-    voter's bit and 2 when it fixes it at 1.  A type is bad when some
-    opinion x gains by moving from its row[x] to an outcome the row reaches.
+    voter's bit and 2 when it fixes it at 1: a type (F, D) of fixed-at-1
+    and copied issue masks.
+    """
+
+    #: (3^m, S) feasible indices: ``rows[t, y]`` corrects F | (y & D), the outcome of lie y at type t
+    rows: np.ndarray
+    #: (3^m, S) bool: ``bad[t, x]`` says some lie gains opinion x at type t; a type is bad where any is set
+    bad: np.ndarray
+
+
+def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> TypeTable:
+    """Rows and per-opinion bad flags of every pivot type: can opinion x gain by some lie of this kind?
+
+    ``correct`` is the correction table (:func:`metric._correction_table`).
+    Opinion x gains at a type when it moves by the kind's test from its
+    row[x] to some outcome the row reaches.  The test is evaluated once
+    on every (truthful z, lied w, opinion x) code triple and packed into
+    ceil(S / 64)-word masks ``gain[z, x]`` of the w that x gains by; a
+    type's reach mask ORs its row's one-hot outcome words, and x is
+    flagged where ``gain[row[x], x] & reach`` is not zero.
     """
     S, m = space.size, space.m
     masks, codes = np.array(space.feasible, dtype=np.intp), np.arange(S)
     hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
     k, low_fixed, low_copied, single = _type_blocks(m, S, engine.block_size(S))
-    # gain[j, z * S + x]: word j of the mask of the outcomes x gains by from z (no kind reads the lie)
-    gain = np.empty((len(single), S * S), dtype=single.dtype)
-    for at in range(0, S, step := engine.block_size(S * S)):
-        gains = _bit_masks(hit(codes[at : at + step, None, None], codes, codes[:, None], None))
-        gain[:, at * S : (at + step) * S] = gains.reshape(-1, len(gain)).T
-    bad = np.zeros(3**m, dtype=bool)
+    # gain[j, z, x]: word j of the mask of the outcomes x gains by from z (no kind reads the lie), in
+    # square tiles of (z, x), so that no kind's test recomputes its (z, w) or (w, x) terms, such as the
+    # hamming distances to x, more than S / tile times
+    gain = np.empty((len(single), S, S), dtype=single.dtype)
+    tile = math.isqrt(engine.block_size(S))
+    for z in range(0, S, tile):
+        for x in range(0, S, tile):
+            gains = _bit_masks(hit(codes[z : z + tile, None, None], codes, codes[x : x + tile, None], None))
+            gain[:, z : z + tile, x : x + tile] = gains.transpose(2, 0, 1)
+    gain = gain.reshape(len(single), S * S)
+    rows = np.empty((3**m, S), dtype=correct.dtype)
+    bad = np.zeros((3**m, S), dtype=bool)
     for high in range(3 ** (m - k)):
         # types high * 3^k + low, low < 3^k: the first m - k issues' masks from high, the last k from low
         fixed, copied = _pivot_masks(high, m - k)
-        outcomes = (fixed << k | low_fixed)[:, None] | (masks & (copied << k | low_copied)[:, None])
-        rows = correct[outcomes].astype(np.intp)
-        at, block = rows * S + codes, bad[high * 3**k : (high + 1) * 3**k]
+        block = slice(high * 3**k, (high + 1) * 3**k)
+        rows[block] = correct[(fixed << k | low_fixed)[:, None] | (masks & (copied << k | low_copied)[:, None])]
+        row = rows[block].astype(np.intp)
+        at = row * S + codes
         for gain_word, single_word in zip(gain, single):
-            block |= (gain_word[at] & np.bitwise_or.reduce(single_word[rows], axis=1)[:, None]).any(axis=1)
-    return bad
+            bad[block] |= gain_word[at] & np.bitwise_or.reduce(single_word[row], axis=1)[:, None] != 0
+    return TypeTable(rows, bad)
 
 
 @lru_cache(maxsize=16)
@@ -275,32 +313,103 @@ def _bit_masks(flags: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> np.ndarray:
-    """Read-only :func:`_bad_types` of every pivot type under the correction with these
-    weights and tie ranking (None: no tie order), cached like that correction table."""
+def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> TypeTable:
+    """Read-only :func:`_bad_types` of every pivot type under the correction with these weights
+    and tie ranking (None: no tie order), and the kind's test under the same weights, cached
+    like that correction table."""
     # the correction table comes first: past 20 issues it refuses, before type numbers could overflow
-    bad = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
-    bad.flags.writeable = False
-    return bad
+    table = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def _free_by_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lattice) -> bool:
-    """Whether the correction's full type table frees the rule on the lattice's voters, with no scan.
+def _walks_types(rule: Rule) -> bool:
+    """Whether hunts of the rule walk pivot types: a stage whose every decider's output never
+    drops when one vote rises from 0 to 1, corrected to its nearest feasible neighbour."""
+    return isinstance(rule, NearestNeighborRule) and all(_is_monotone_table(t, rule.stage.n) for t in rule.stage.tables)
 
-    A corrected monotone stage has a full witness only where some
-    (voter, context) shows it a bad pivot type (:mod:`binagg.fastsweep`),
-    so no bad type means no witness, for any n.  The rule's space and
-    stage arity are checked first, as the scan's table build checks them,
-    and the table is read only when twice its 3^m * S * ceil(S / 64) word
-    cells are at most the scan's probes plus 5,000, its fixed cost: timed
-    cold for m = 3-12, that picks the faster path in 168 of 173 cases (README).
+
+def _pivot_hits(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lattice, kind: str, weights):
+    """(ids, voter indices, lie indices, truthful codes, lied codes) of each block's hits of a corrected
+    monotone stage, in canonical order: the scan's hits, read off pivot types (see the module docstring).
+
+    Issue j's decider shows a (profile, varying voter) out(0) + out(1) in
+    {0, 1, 2} over the voter's bit, read off the block's packed issue
+    columns.  The type's row holds the truthful outcome at the voter's
+    opinion x and the lied one at each lie, so the kind's test lists the
+    lies only where the type flags x.  The rule's space and stage arity
+    are checked first, as the scan's table build checks them.
     """
     check_bound(space, rule)
-    rule.stage._check_shape(space.m, lattice.n)
-    S = space.size
-    if space.m > 20 or 2 * 3**space.m * S * -(-S // 64) > lattice.size * lattice.n * S + 5000:
-        return False
-    return not _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, "full").any()
+    stage = rule.stage
+    stage._check_shape(space.m, lattice.n)
+    S, m, n = space.size, space.m, lattice.n
+    hit = _hit_fn(space, space.feasible, kind, weights)
+    # every type from the correction's cached table, where that costs no more than the scan would
+    # and the table weighs the hamming test as the hunt does; else the types met, as they arrive
+    if (
+        m <= 20
+        and 2 * 3**m * S * -(-S // 64) <= lattice.size * n * S + 5000
+        and (kind != "hamming" or weights == (rule.weights or uniform_weights(m)))
+    ):
+        table = _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, kind)
+        if not table.bad.any():
+            return
+
+        def lookup(types):
+            return types, table.rows, table.bad
+
+    else:
+        lookup = _types_met(space, rule, hit)
+    truth = engine.truth_bits(stage.tables, n).ravel()
+    # column j of a block packs issue j's votes, voter 1 most significant, offset to its decider's truth bits
+    votes = engine.issue_bits(space.feasible, m)
+    weight, offsets = 1 << np.arange(n - 1, -1, -1), (np.arange(m) << n)[:, None]
+    own = [1 << (n - 1 - i) for i in lattice.voters]
+    # type numbers run up to 3^m - 1; past int64, numpy sums Python ints instead
+    place = np.array([3 ** (m - 1 - j) for j in range(m)], dtype=np.int64 if 3**m <= 2**63 else object)
+    voters, lies = np.array(lattice.voters, dtype=np.intp), np.arange(S)
+    for start, rows in engine.blocks(lattice, n * (S + m)):
+        columns = votes[:, rows] @ weight + offsets
+        types = np.stack([place @ (truth[columns & ~bit] + truth[columns | bit]) for bit in own], axis=1)
+        slots, type_rows, type_bad = lookup(types)
+        opinions = rows[:, voters]
+        flagged = type_bad[slots, opinions]
+        if not flagged.any():
+            continue
+        b, j = np.nonzero(flagged)
+        row, x = type_rows[slots[b, j]], opinions[b, j]
+        z = row[np.arange(len(x)), x]
+        f, lie = np.divmod(np.flatnonzero(hit(z[:, None, None], row[:, None, :], x[:, None, None], lies)), S)
+        yield start + b[f], voters[j[f]], lie, z[f], row[f, lie]
+
+
+def _types_met(space: EvaluationSpace, rule: NearestNeighborRule, hit: HitFn):
+    """A lookup from an array of type numbers to (slots, rows, bad): each type's slot in the rows and
+    bad flags of the types met so far, which are computed as they first arrive, by the rule's own
+    correction of their points and the scan's type step (:func:`engine.type_hits`)."""
+    S, m = space.size, space.m
+    feasible, indices = np.array(space.feasible, dtype=np.uint64), rule.indexer()
+    slot: dict[int, int] = {}
+    rows, bad = np.zeros((0, S), dtype=np.intp), np.zeros((0, S), dtype=bool)
+
+    def lookup(types):
+        nonlocal rows, bad
+        distinct = engine._distinct(types.ravel())
+        keys = distinct.tolist()
+        new = [t for t in keys if t not in slot]
+        if new:
+            fixed, copied = np.array([_pivot_masks(t, m) for t in new], dtype=np.uint64).T
+            new_rows = indices(fixed[:, None] | (feasible & copied[:, None]))
+            known = len(slot)
+            slot.update(zip(new, range(known, known + len(new))))
+            rows, bad = engine._grown(rows, len(slot)), engine._grown(bad, len(slot))
+            rows[known : len(slot)] = new_rows
+            bad[known : len(slot)] = engine.type_hits(new_rows, hit)
+        return np.array([slot[t] for t in keys], dtype=np.intp)[np.searchsorted(distinct, types)], rows, bad
+
+    return lookup
 
 
 def find_witness(

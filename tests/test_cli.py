@@ -161,6 +161,59 @@ def test_hunt_full_of_a_corrected_stage_answers_at_the_arity_limit(capsys):
     assert code == 2 and not out and "budget is 10" in err
 
 
+#: the eight-voter reports of the probe scan that answered these hunts before pivot types did
+EIGHT_VOTER_REPORTS = {
+    "hamming": (
+        "voter 4 has a hamming manipulation\n"
+        "profile:\n"
+        "  voter 1: 001000\n"
+        "  voter 2: 001000\n"
+        "  voter 3: 001000\n"
+        "  voter 4: 001011  (true opinion)\n"
+        "  voter 5: 001111\n"
+        "  voter 6: 001111\n"
+        "  voter 7: 001111\n"
+        "  voter 8: 010110\n"
+        "lie:              001111\n"
+        "truthful outcome: 001000\n"
+        "lied outcome:     001111\n"
+        "issue relations:  ===-++  (+ gained, - lost, = unchanged)\n"
+        "d(true, truthful) = 2\n"
+        "d(true, lied)     = 1\n"
+    ),
+    "partial": (
+        "voter 4 has a partial manipulation\n"
+        "profile:\n"
+        "  voter 1: 001000\n"
+        "  voter 2: 001000\n"
+        "  voter 3: 001000\n"
+        "  voter 4: 001001  (true opinion)\n"
+        "  voter 5: 001111\n"
+        "  voter 6: 001111\n"
+        "  voter 7: 001111\n"
+        "  voter 8: 010110\n"
+        "lie:              001111\n"
+        "truthful outcome: 001000\n"
+        "lied outcome:     001111\n"
+        "issue relations:  ===--+  (+ gained, - lost, = unchanged)\n"
+        "d(true, truthful) = 1\n"
+        "d(true, lied)     = 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ("hamming", "partial"))
+def test_eight_voter_hunts_of_a_corrected_stage_print_the_scans_report(capsys, kind):
+    # C(31, 8) * 8 * 24 probes: the walk stops within the block of the first witness
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "hunt", "--space", "pref4", "-n", "8", "--aggregator", "nn(majority)", "--kind", kind,
+        "--budget", str(10**10),
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (0, EIGHT_VOTER_REPORTS[kind], "") and elapsed < 2
+
+
 def test_check_property(capsys):
     code, out, _ = run(capsys, "check", "--space", "pref3", "--aggregator", "plurality", "-n", "3", "--property", "iia")
     assert code == 0

@@ -1,6 +1,7 @@
 """The numpy probe engine against the pure-Python oracle in tests/oracle.py."""
 
 import itertools
+import math
 import time
 from unittest import mock
 
@@ -258,6 +259,10 @@ def test_multiset_lattice_tables():
         multisets = list(itertools.combinations_with_replacement(range(S), n))
         assert lattice.size == len(multisets)
         assert [tuple(r) for r in lattice.rows(0, lattice.size).tolist()] == multisets
+        # any block of rows is unranked alone
+        for start in range(0, lattice.size, 7):
+            block = lattice.rows(start, min(start + 7, lattice.size)).tolist()
+            assert [tuple(r) for r in block] == multisets[start : start + 7]
         index = {ms: k for k, ms in enumerate(multisets)}
         rows = lattice.rows(0, lattice.size)
         ids, opinions = lattice.contexts(0, rows)
@@ -268,6 +273,25 @@ def test_multiset_lattice_tables():
         for k, ms in enumerate(multisets):
             for i, y in itertools.product(range(n), range(S)):
                 assert lied[k, i, y] == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
+
+
+def test_multiset_rows_unrank_deep_in_a_large_lattice():
+    # pref4 with eight voters: 7,888,725 multisets, ranked back by counting the sorted
+    # 8-tuples before each row, with no lattice-sized table built
+    S, n = 24, 8
+    lattice = engine.MultisetLattice(S, n)
+    ids = [0, 1, 640, 641, 4_000_000, lattice.size - 2, lattice.size - 1]
+    with mock.patch.object(engine, "_multiset_tables", side_effect=AssertionError("multiset tables built")):
+        rows = [lattice.rows(k, k + 1)[0].tolist() for k in ids]
+    for k, row in zip(ids, rows):
+        assert row == sorted(row) and 0 <= row[0] and row[-1] < S
+        rank, low = 0, 0
+        for j, entry in enumerate(row):
+            tail = n - 1 - j
+            rank += sum(math.comb(S - v + tail - 1, tail) for v in range(low, entry))
+            low = entry
+        assert rank == k
+    assert rows[-1] == [S - 1] * n
 
 
 def test_outcome_codes_are_narrow(pref4):
@@ -342,7 +366,7 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         assert list(engine.scan(lattice, table, counting)) == []
     assert_each_context_keyed_once(lattice, calls)
-    _, _, add = lattice._tables
+    _, add = lattice._tables
     rows = {tuple(row) for row in table.codes[add].tolist()}
     assert (lattice.context_count, len(rows)) == (2600, 295)
     assert 0 < cells <= len(rows) * S * S < lattice.size * n * S // 9

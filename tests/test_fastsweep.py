@@ -70,12 +70,16 @@ def test_sweep_witness_reads_the_sweeps_correction_table():
     # the found stage's nn rule reads the table its sweep built, not a second one
     space, tie = builtin_space("pref4"), four_candidate_tie_order()
     _correction_table.cache_clear()
+    _type_table.cache_clear()
     with mock.patch("binagg.manipulation._correction_table", wraps=_correction_table) as swept, mock.patch(
         "binagg.aggregators.nn_select", side_effect=AssertionError("snapped point by point")
     ):
         found = all_stage_products_hamming_free(space, 3, (1, 2, 3, 1, 2, 3), tie)
     info = _correction_table.cache_info()
-    assert found is not None and swept.call_count == 1 and info.misses == 1 and info.hits >= 1
+    assert found is not None and swept.call_count == 1 and info.misses == 1
+    # the hunt walks the rows of the sweep's own type table, built on that one correction
+    types = _type_table.cache_info()
+    assert types.misses == 1 and types.hits >= 1
 
 
 def test_sweep_free_verdict_matches_find_witness_on_pref3():
@@ -173,7 +177,7 @@ def stage_cases(draw):
 def test_stage_is_free_exactly_when_it_shows_no_bad_pivot_type(case):
     """The type lemma the sweep rests on."""
     space, stage, weights, tie = case
-    bad = _bad_types(space, weights, _correction(space, weights, tie))
+    bad = _bad_types(space, weights, _correction(space, weights, tie)).bad.any(axis=1)
     shown = [_type_number(t) for t in oracle.pivot_types(space, stage)]
     assert (_hunt(space, stage, weights, tie) is None) == (not bad[shown].any())
 
@@ -350,9 +354,13 @@ def screen_cases(draw):
 
 
 def _flag_every_type(space):
-    """Patch the type tables to flag every type bad, so the screen takes its ``find_witness`` path
-    and that hunt its scan."""
-    return mock.patch("binagg.manipulation._type_table", return_value=np.ones(3**space.m, dtype=bool))
+    """Patch the type tables to flag every type bad for every opinion, so the screen takes its
+    ``find_witness`` path and that hunt tests the lies of every (profile, voter) it walks."""
+
+    def flagged(*key):
+        return _type_table(*key)._replace(bad=np.ones((3**space.m, space.size), dtype=bool))
+
+    return mock.patch("binagg.manipulation._type_table", side_effect=flagged)
 
 
 @settings(max_examples=120, deadline=None)
@@ -383,9 +391,9 @@ def test_corrected_stage_screen_hunts_the_stage_when_a_type_is_bad(doctrinal):
 
 
 def _scanned(space, rule, n, weights):
-    """The first full witness by the probe scan, with the type-table certificate shut: the
-    reference that the type lemma, and so the certificate, are checked against."""
-    with mock.patch("binagg.manipulation._free_by_types", return_value=False):
+    """The first full witness by the probe scan, with the pivot-type walk shut: the reference
+    that the type lemma, and so the walk and its type table, are checked against."""
+    with mock.patch("binagg.manipulation._walks_types", return_value=False):
         return find_witness(space, rule, n, "full", weights)
 
 
@@ -472,8 +480,8 @@ def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
     correct = _correction(space, weights, tie)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         expected = _old_bad_types(space, weights, tie)
-        assert np.array_equal(_bad_types(space, weights, correct), expected)
-        assert np.array_equal(_bad_types(space, weights, correct, "hamming")[every], expected)
+        assert np.array_equal(_bad_types(space, weights, correct).bad.any(axis=1), expected)
+        assert np.array_equal(_bad_types(space, weights, correct, "hamming").bad.any(axis=1)[every], expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -491,7 +499,7 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         outcome = {y: nn_select(space, fixed | (y & copied), weights, tie) for y in X}
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
-    assert _bad_types(space, weights, _correction(space, weights, tie), kind)[types].tolist() == expected
+    assert _bad_types(space, weights, _correction(space, weights, tie), kind).bad.any(axis=1)[types].tolist() == expected
 
 
 @st.composite
@@ -521,13 +529,15 @@ WORD64, WORD65 = (EvaluationSpace(7, random.Random(seed).sample(range(128), S)) 
 @example((WORD65, (2**63,) * 7, TieOrder.descending(WORD65)), "hamming", 1)
 @example((WORD65, (1, 2, 1, 2, 1, 2, 1), None), "full", engine.BLOCK_ELEMENTS)
 def test_bad_types_match_the_broadcast_reference(case, kind, block_elements):
-    """The gain-mask kernel flags the types that the scan's S x S type step flags, and never runs that step."""
+    """The gain-mask kernel gives the type rows, and flags the (type, opinion) pairs that the scan's
+    S x S type step flags, and never runs that step."""
     space, weights, tie = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         correct = _correction(space, weights, tie)
-        expected = oracle.bad_types(space, weights, correct, kind)
+        rows, bad = oracle.bad_types(space, weights, correct, kind)
         with mock.patch.object(engine, "type_hits", side_effect=AssertionError("type_hits called")):
-            assert np.array_equal(_bad_types(space, weights, correct, kind), expected)
+            table = _bad_types(space, weights, correct, kind)
+    assert np.array_equal(table.rows, rows) and np.array_equal(table.bad, bad)
 
 
 @st.composite
@@ -561,7 +571,7 @@ def test_no_correction_has_a_bad_full_type(case):
     """Theorem 4.2: every monotone stage, corrected to its nearest neighbour, is free of full
     manipulation, whatever the space, weights, tie order and number of voters."""
     space, weights, tie = case
-    assert not _type_table(space, weights, None if tie is None else tie.ranking, "full").any()
+    assert not _type_table(space, weights, None if tie is None else tie.ranking, "full").bad.any()
 
 
 def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):

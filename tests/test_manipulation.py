@@ -1,12 +1,15 @@
 """Manipulation predicates, the exhaustive scanner, the full type certificate and the issue partition."""
 
+import random
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
+from binagg import engine
 from binagg.aggregators import (
     BudgetExceededError,
     Dictator,
@@ -21,10 +24,12 @@ from binagg.aggregators import (
 )
 from binagg.fixtures import four_candidate_case, four_candidate_tie_order, plurality_scenarios
 from binagg.manipulation import (
+    KINDS,
     GAINED,
     LOST,
     UNCHANGED,
     ManipulationWitness,
+    _type_table,
     certify,
     classify_deviation,
     find_witness,
@@ -246,7 +251,7 @@ def test_full_freeness_extends_to_four_voters(pref3):
     corrected = NearestNeighborRule(pref3, IiaStage.majority(4, 3))
     assert certify(pref3, corrected, 4, "full").free
     # the same verdict from the probe scan, not the correction's type table
-    with mock.patch("binagg.manipulation._free_by_types", return_value=False):
+    with mock.patch("binagg.manipulation._walks_types", return_value=False):
         assert certify(pref3, corrected, 4, "full").free
     doc = builtin_space("doctrinal")
     assert certify(doc, WelfareMaximizer(doc), 4, "full").free
@@ -278,23 +283,39 @@ def corrected_stage_hunts(draw):
     return space, NearestNeighborRule(space, stage, weights, tie), n
 
 
+def every_type_bad(space):
+    """Patch the type tables to flag every type bad for every opinion, so a hunt that reads one
+    tests the lies of every (profile, voter) it walks."""
+
+    def flagged(*key):
+        return _type_table(*key)._replace(bad=np.ones((3**space.m, space.size), dtype=bool))
+
+    return mock.patch("binagg.manipulation._type_table", side_effect=flagged)
+
+
+#: all 32 evaluations of 5 issues: at one voter the type table's 2 * 3^5 * 32 word cells are past
+#: the scan's 32 * 32 probes plus 5,000, so the walk computes only the types it meets
+CUBE5 = EvaluationSpace(5, range(32))
+
+
 @settings(max_examples=150, deadline=None)
 @given(corrected_stage_hunts())
+@example((CUBE5, NearestNeighborRule(CUBE5, IiaStage.majority(1, 5)), 1))
 def test_full_hunts_of_corrected_stages_match_the_oracle(case):
     space, rule, n = case
     first = next(oracle.iter_witnesses(space, rule, n, "full"), None)
-    with mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built:
+    with mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built, mock.patch(
+        "binagg.manipulation._type_table", wraps=_type_table
+    ) as read:
         assert find_witness(space, rule, n, "full") == first
-    # the table answers only when twice its word cells are at most the scan's probes plus 5,000
+    # no outcome table for nn(...); the type table is read only when twice its word cells are at
+    # most the scan's probes plus 5,000
     lattice = search_lattice(space, n, rule, n * space.size, 10**30, "hunt")
-    assert built.called != passes_gate(space, lattice.size, n)
-    # with every type flagged bad, the hunt scans and finds the canonical first witness
-    every = np.ones(3**space.m, dtype=bool)
-    with mock.patch("binagg.manipulation._type_table", return_value=every), mock.patch(
-        "binagg.manipulation.lattice_table", wraps=lattice_table
-    ) as built:
+    assert not built.called and read.called == passes_gate(space, lattice.size, n)
+    # with every type flagged bad, the walk tests every lie and finds the canonical first witness
+    with every_type_bad(space), mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built:
         assert find_witness(space, rule, n, "full") == first
-    assert built.called
+    assert not built.called
 
 
 MAX_SCAN_PROBES = 600_000
@@ -333,7 +354,7 @@ def test_gated_full_hunts_of_corrected_stages_match_the_scan(case):
         certified = find_witness(space, rule, n, "full")
     # by Theorem 4.2 no type is bad, so the table answers with no outcome table
     assert not built.called
-    with mock.patch("binagg.manipulation._free_by_types", return_value=False):
+    with mock.patch("binagg.manipulation._walks_types", return_value=False):
         assert find_witness(space, rule, n, "full") == certified
 
 
@@ -354,3 +375,85 @@ def test_certified_full_hunt_raises_what_the_scan_raises(pref4):
         find_witness(other, NearestNeighborRule(pref4, IiaStage.majority(4, 6)), 4, "full")
     with pytest.raises(BudgetExceededError):
         find_witness(pref4, NearestNeighborRule(pref4, IiaStage.majority(4, 6)), 4, "full", budget=10)
+
+
+# ---------------------------------------------------------------------------
+# hunts of every kind of corrected stages, walked over pivot types
+
+@st.composite
+def corrected_stage_hunts_of_every_kind(draw):
+    """An nn(stage) rule on an explicit space of 1-7 issues, or of 24 issues (past the correction
+    table), with a positive-DNF stage of n = 1-6 voters that reads every voter alike (a quota stage,
+    hunted on the multiset lattice) or only the voters its terms name (hunted with the rest pinned);
+    weights of 1-4, of 2^62-2^63 (sums past 2^63) or none, a shuffled tie order or none, and hunt
+    weights that are the rule's, none or others."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 24)))
+    S = draw(st.integers(1, min(1 << m, 10)))
+    space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=S, max_size=S)))
+    n = draw(st.sampled_from([n for n in range(1, 7) if S**n * n * S <= MAX_ORACLE_PROBES]))
+    if draw(st.booleans()):
+        stage = IiaStage.quota(n, draw(st.lists(st.integers(1, n + 1), min_size=m, max_size=m)))
+    else:
+        readers = draw(st.integers(1, (1 << n) - 1))
+        terms = st.lists(st.integers(0, (1 << n) - 1).map(lambda t: t & readers), max_size=3)
+        tables = [sum(1 << c for c in range(1 << n) if any(c & t == t for t in ts)) for ts in draw(st.lists(terms, min_size=m, max_size=m))]
+        stage = IiaStage(n, tables)
+    weight = st.integers(1, 4) | st.integers(2**62, 2**63)
+    weights = draw(st.none() | st.tuples(*[weight] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    hunt_weights = draw(st.just(weights) | st.none() | st.tuples(*[weight] * m))
+    return space, NearestNeighborRule(space, stage, weights, tie), n, hunt_weights
+
+
+def no_tables():
+    """Make building an outcome table or the multiset lattice's context tables raise."""
+    return mock.patch("binagg.manipulation.lattice_table", side_effect=AssertionError("outcome table built")), mock.patch.object(
+        engine, "_multiset_tables", side_effect=AssertionError("multiset tables built")
+    )
+
+
+PREF3 = builtin_space("pref3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrected_stage_hunts_of_every_kind(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+# the hunt weighs distances unlike the correction, so the type table, which weighs both alike, does not apply
+@example((PREF3, NearestNeighborRule(PREF3, IiaStage(2, (10, 8, 15)), (4, 3, 1)), 2, (4, 1, 2)), engine.BLOCK_ELEMENTS)
+def test_hunts_of_corrected_stages_of_every_kind_match_the_oracle(case, block_elements):
+    space, rule, n, weights = case
+    table, multisets = no_tables()
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements), table, multisets:
+        for kind in KINDS:
+            expected = list(oracle.iter_witnesses(space, rule, n, kind, weights))
+            assert find_witness(space, rule, n, kind, weights) == next(iter(expected), None), kind
+            assert list(iter_witnesses(space, rule, n, kind, weights)) == expected, kind
+
+
+def test_corrected_stage_hunts_build_no_outcome_table_and_no_multiset_tables(pref4):
+    # the hamming and partial hunts of the hunt benchmark, and at eight voters, where the
+    # multiset lattice holds C(31, 8) = 7,888,725 profiles
+    rule = NearestNeighborRule(pref4, IiaStage.majority(4, 6), (1, 2, 3, 1, 2, 3), four_candidate_tie_order())
+    table, multisets = no_tables()
+    with table, multisets:
+        for kind in ("hamming", "partial"):
+            assert find_witness(pref4, rule, 4, kind, rule.weights) is not None
+            eight = NearestNeighborRule(pref4, IiaStage.majority(8, 6))
+            assert find_witness(pref4, eight, 8, kind, budget=10**10) is not None
+
+
+def test_hunts_past_twenty_issues_correct_through_the_rule():
+    # 21 issues and 12 voters read in groups of 1, 2, 3 and 6: 6^12 ordered profiles, whose
+    # probes pass the type table's cost gate, but past 20 issues there is no correction table,
+    # so the walk snaps the points of the types it meets through the rule's own correction
+    m, n = 21, 12
+    space = EvaluationSpace(m, random.Random(5).sample(range(1 << m), 6))
+    groups = [sum(1 << (n - 1 - i) for i in range(first, last)) for first, last in ((0, 1), (1, 3), (3, 6), (6, 12))]
+    stage = IiaStage(n, [sum(1 << c for c in range(1 << n) if any(c & g == g for g in groups))] * m)
+    for kind in ("hamming", "partial"):
+        rule = NearestNeighborRule(space, stage)
+        start = time.perf_counter()
+        witness = find_witness(space, rule, n, kind, budget=10**20)
+        assert time.perf_counter() - start < 2 and rule._snapped
+        lied = witness.profile[: witness.voter - 1] + (witness.lie,) + witness.profile[witness.voter :]
+        assert (rule(witness.profile), rule(lied)) == (witness.truthful, witness.lied)
+        assert getattr(classify_deviation(witness.true_opinion, witness.truthful, witness.lied, None, m), kind)
