@@ -11,7 +11,9 @@ holds all S**n ordered profiles, or those of some voters with the rest
 pinned.  :class:`MultisetLattice` holds the C(S+n-1, n) non-decreasing
 rows, in lexicographic order: one representative per multiset of
 opinions.  Both compute each block's rows from its ids, so a walk that
-stops early has built one block of rows, not the lattice.  Searches and
+stops early has built one block of rows, not the lattice; a scan of the
+multiset lattice, whose table build and contexts walk it whole, unranks
+its rows once into a table and slices them from there.  Searches and
 the monotone check of a rule that is anonymous by construction (quota
 and majority stages, ``nn(...)`` of them, plurality, the welfare
 maximizer) walk the multiset lattice.  Its first
@@ -213,11 +215,12 @@ class MultisetLattice:
     Each stands for every ordering of its multiset of opinions.  Rows are
     unranked block by block from prefix sums of tuple counts (the
     combinatorial number system, :func:`_tuple_counts`).  A scan's
-    contexts and lie map read two tables built on first use: the lied
-    profile of (k, voter i, lie y) is ``add[remove[k, i], y]``, where
-    ``remove`` maps a profile and a position to the (n-1)-multiset left
-    without it, and ``add`` maps an (n-1)-multiset and a lie back to a
-    profile here.
+    contexts and lie map read tables built on first use: the rows of the
+    whole lattice, and the lied profile of (k, voter i, lie y) is
+    ``add[remove[k, i], y]``, where ``remove`` maps a profile and a
+    position to the (n-1)-multiset left without it, and ``add`` maps an
+    (n-1)-multiset and a lie back to a profile here.  Once they are
+    built, rows are sliced from them.
     """
 
     def __init__(self, S: int, n: int):
@@ -230,20 +233,22 @@ class MultisetLattice:
         return f"{self.size} multisets of {self.n} opinions from {self.S}"
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _multiset_tables(self.S, self.n)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """(B, n) sorted feasible row indices of the multisets with ids start..stop-1."""
+        if "_tables" in vars(self):
+            return self._tables[0][start:stop].astype(np.intp)
         return _unrank(self.S, self.n, start, stop)
 
     def contexts(self, start: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, n) context ids and true opinions: the (n-1)-multiset left without each position."""
-        return self._tables[0][start : start + len(rows)].astype(np.intp), rows
+        return self._tables[1][start : start + len(rows)].astype(np.intp), rows
 
     def lied(self, ids: np.ndarray, lies: np.ndarray) -> np.ndarray:
         """Ids of the multisets that (n-1)-multisets ``ids`` reach with feasible index ``lies`` (broadcast)."""
-        return self._tables[1][ids, lies]
+        return self._tables[2][ids, lies]
 
 
 Lattice = ProfileLattice | MultisetLattice
@@ -296,12 +301,22 @@ def _unrank(S: int, n: int, start: int, stop: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
+def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
     size, smaller = math.comb(S + n - 1, n), math.comb(S + n - 2, n - 1)
-    rows = np.empty((size, n), dtype=_unsigned(S - 1))
-    for start in range(0, size, step := block_size(n)):
-        rows[start : start + step] = _unrank(S, n, start, min(start + step, size))
+    # Every row at once, faster than unranking them block by block: the sorted k-tuples that start
+    # with a are a followed by the sorted (k-1)-tuples that start at a or later, the last
+    # C(S-a+k-2, k-1) of them.
+    rows = np.arange(S, dtype=_unsigned(S - 1))[:, None]
+    for k in range(2, n + 1):
+        counts = [math.comb(S - a + k - 2, k - 1) for a in range(S)]
+        longer = np.empty((sum(counts), k), dtype=rows.dtype)
+        longer[:, 0] = np.repeat(np.arange(S, dtype=rows.dtype), counts)
+        at = 0
+        for count in counts:
+            longer[at : at + count, 1:] = rows[len(rows) - count :]
+            at += count
+        rows = longer
     remove = _remove_ranks(rows, S, smaller)
     # every (n-1)-multiset plus a lie is some multiset k less one of its positions
     add = np.empty((smaller, S), dtype=_unsigned(size - 1))
@@ -312,7 +327,7 @@ def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         spot *= S
         spot += rows[:, i]
         add.reshape(-1)[spot] = ids
-    return remove, add
+    return rows, remove, add
 
 
 def _remove_ranks(rows: np.ndarray, S: int, smaller: int) -> np.ndarray:
@@ -397,6 +412,10 @@ def build_table(
     masks of the whole table.
     """
     total = lattice.size
+    if isinstance(lattice, MultisetLattice):
+        # only a scan builds a table over a multiset lattice, and it reads the lattice's rows,
+        # remove and add tables: build them first, so that both walks slice one rows table
+        lattice._tables
     # rules hold (n,), (S,) and (m,) temporaries per profile
     width = lattice.n + lattice.S + space.m
     if indexed:

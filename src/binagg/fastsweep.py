@@ -45,18 +45,19 @@ of F | (y & D).  Whether a probe hits is therefore a function of (F, D),
 x and y, under one correction.  So the corrected stage has a witness
 exactly when some (voter, context) shows it a type at which some x
 gains by some y: a bad type.  The sweep and :func:`corrected_stage_free`
-read one type table per correction and kind, the rows and per-opinion
-bad flags of all 3^m types, cached by weights and tie ranking
+read one type table per correction and kind, the per-opinion bad flags
+of all 3^m types, packed eight opinions a byte, with the correction
+they were read on, cached by weights and tie ranking
 (``manipulation._type_table``), and ask only whether a type is bad.
 A correction without a bad type frees every corrected monotone stage at
 once, and the screen walks no stage.  Theorem 4.2 says no correction
 has a bad full type; should one turn up, the screen hunts that one
 stage with :func:`binagg.manipulation.find_witness`.  Hunts of
 ``nn(...)`` rules of every kind walk these types instead of scanning,
-and read the same cached table behind a cost gate (see
-:mod:`binagg.manipulation`); the screen reads it at any cost, since its
-configurations share few tables.  Hunts of every other rule, bare
-stages included, scan.
+and switch to the same cached table once their walk would cost more
+(see :mod:`binagg.manipulation`); the screen reads it at any cost,
+since its configurations share few tables.  Hunts of every other rule,
+bare stages included, scan.
 """
 
 from __future__ import annotations

@@ -26,17 +26,22 @@ Hunts of a monotone stage corrected to its nearest feasible neighbour
 lied one, so :func:`_pivot_hits` walks the same lattice blocks, reads
 each pair's type off the profile's issue columns, and lists lies only
 where the type flags the voter's opinion: the scan's canonical hits,
-with no outcome table and no contexts.  The flags come from the
-correction's cached type table (:func:`_type_table`) when m <= 20, a
-hamming hunt weighs distances as the correction does, and twice the
-table's 3^m * S * ceil(S / 64) word cells are at most the scan's probes
-plus 5,000; a table with no bad type answers no witness, for any
-number of voters, with no walk (for full hunts Theorem 4.2 says there is
-none).  Otherwise the walk computes each type as its blocks first meet
-it.  The hunt is first charged to the budget and its rule checked, as a
-scan would be.  Every other rule - dictators, plurality, partitions,
-the welfare maximizer, bare stages, table rules, and a corrected stage
-with a decider that is not monotone - is scanned as above.
+with no outcome table and no contexts.  The correction's cached type
+table (:func:`_type_table`) costs about as much to build as walking
+3^m * S * ceil(S / 64) probes, its word cells, less 5,000.  The walk
+flags each type as its blocks first meet it until a block would take
+its probes past half that line; from that block on it reads the table,
+and a table with no bad type ends the hunt with no witness.  So a hunt
+whose witness comes before that block never builds the table, and one
+that walks on pays at most half the line's walk on top of the table.  A
+full hunt finds no witness (Theorem 4.2), so it reads the table before
+its first block once the lattice's probes pass the whole line.  The
+table is not read past 20 issues, nor by a hamming hunt that weighs
+distances unlike the correction.  The hunt is first charged to the
+budget and its rule checked, as a scan would be.  Every other rule -
+dictators, plurality, partitions, the welfare maximizer, bare stages,
+table rules, and a corrected stage with a decider that is not
+monotone - is scanned as above.
 """
 
 from __future__ import annotations
@@ -233,22 +238,23 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
 
 
 class TypeTable(NamedTuple):
-    """Every pivot type's row and bad flags under one correction and one kind.
+    """Every pivot type's bad flags under one correction and one kind, and that correction.
 
     Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
     entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
     voter's bit and 2 when it fixes it at 1: a type (F, D) of fixed-at-1
-    and copied issue masks.
+    and copied issue masks, whose outcome at lie y is ``correct[F | (y & D)]``.
     """
 
-    #: (3^m, S) feasible indices: ``rows[t, y]`` corrects F | (y & D), the outcome of lie y at type t
-    rows: np.ndarray
-    #: (3^m, S) bool: ``bad[t, x]`` says some lie gains opinion x at type t; a type is bad where any is set
+    #: (2^m,) feasible indices: the correction table the flags were read on
+    correct: np.ndarray
+    #: (3^m, ceil(S / 8)) uint8: bit x of row t (little-endian) says some lie gains opinion x at
+    #: type t, so a type is bad where its row is not zero
     bad: np.ndarray
 
 
 def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> TypeTable:
-    """Rows and per-opinion bad flags of every pivot type: can opinion x gain by some lie of this kind?
+    """Per-opinion bad flags of every pivot type: can opinion x gain by some lie of this kind?
 
     ``correct`` is the correction table (:func:`metric._correction_table`).
     Opinion x gains at a type when it moves by the kind's test from its
@@ -256,7 +262,8 @@ def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str =
     on every (truthful z, lied w, opinion x) code triple and packed into
     ceil(S / 64)-word masks ``gain[z, x]`` of the w that x gains by; a
     type's reach mask ORs its row's one-hot outcome words, and x is
-    flagged where ``gain[row[x], x] & reach`` is not zero.
+    flagged where ``gain[row[x], x] & reach`` is not zero.  Rows live
+    only for one block of types at a time.
     """
     S, m = space.size, space.m
     masks, codes = np.array(space.feasible, dtype=np.intp), np.arange(S)
@@ -272,18 +279,17 @@ def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str =
             gains = _bit_masks(hit(codes[z : z + tile, None, None], codes, codes[x : x + tile, None], None))
             gain[:, z : z + tile, x : x + tile] = gains.transpose(2, 0, 1)
     gain = gain.reshape(len(single), S * S)
-    rows = np.empty((3**m, S), dtype=correct.dtype)
-    bad = np.zeros((3**m, S), dtype=bool)
+    bad = np.empty((3**m, -(-S // 8)), dtype=np.uint8)
     for high in range(3 ** (m - k)):
         # types high * 3^k + low, low < 3^k: the first m - k issues' masks from high, the last k from low
         fixed, copied = _pivot_masks(high, m - k)
-        block = slice(high * 3**k, (high + 1) * 3**k)
-        rows[block] = correct[(fixed << k | low_fixed)[:, None] | (masks & (copied << k | low_copied)[:, None])]
-        row = rows[block].astype(np.intp)
+        row = correct[(fixed << k | low_fixed)[:, None] | (masks & (copied << k | low_copied)[:, None])].astype(np.intp)
         at = row * S + codes
+        flags = np.zeros(row.shape, dtype=bool)
         for gain_word, single_word in zip(gain, single):
-            bad[block] |= gain_word[at] & np.bitwise_or.reduce(single_word[row], axis=1)[:, None] != 0
-    return TypeTable(rows, bad)
+            flags |= gain_word[at] & np.bitwise_or.reduce(single_word[row], axis=1)[:, None] != 0
+        bad[high * 3**k : (high + 1) * 3**k] = np.packbits(flags, axis=1, bitorder="little")
+    return TypeTable(correct, bad)
 
 
 @lru_cache(maxsize=16)
@@ -319,8 +325,7 @@ def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None
     like that correction table."""
     # the correction table comes first: past 20 issues it refuses, before type numbers could overflow
     table = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
-    for array in table:
-        array.flags.writeable = False
+    table.bad.flags.writeable = False
     return table
 
 
@@ -334,80 +339,98 @@ def _pivot_hits(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Latt
     """(ids, voter indices, lie indices, truthful codes, lied codes) of each block's hits of a corrected
     monotone stage, in canonical order: the scan's hits, read off pivot types (see the module docstring).
 
-    Issue j's decider shows a (profile, varying voter) out(0) + out(1) in
-    {0, 1, 2} over the voter's bit, read off the block's packed issue
-    columns.  The type's row holds the truthful outcome at the voter's
-    opinion x and the lied one at each lie, so the kind's test lists the
-    lies only where the type flags x.  The rule's space and stage arity
-    are checked first, as the scan's table build checks them.
+    Issue j's decider shows a (profile, varying voter) out(0) <= out(1)
+    over the voter's bit, read off the block's packed issue columns: the
+    type's digit out(0) + out(1), F's bit out(0) and D's bit
+    out(1) - out(0).  Where the type flags the voter's opinion x, its
+    row ``correct[F | (y & D)]`` over the lies y holds the truthful
+    outcome at x and the lied one at each lie, and the kind's test lists
+    the lies.  The rule's space and stage arity are checked first, as the
+    scan's table build checks them.
     """
     check_bound(space, rule)
     stage = rule.stage
     stage._check_shape(space.m, lattice.n)
     S, m, n = space.size, space.m, lattice.n
     hit = _hit_fn(space, space.feasible, kind, weights)
-    # every type from the correction's cached table, where that costs no more than the scan would
-    # and the table weighs the hamming test as the hunt does; else the types met, as they arrive
-    if (
-        m <= 20
-        and 2 * 3**m * S * -(-S // 64) <= lattice.size * n * S + 5000
-        and (kind != "hamming" or weights == (rule.weights or uniform_weights(m)))
-    ):
-        table = _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, kind)
-        if not table.bad.any():
-            return
-
-        def lookup(types):
-            return types, table.rows, table.bad
-
+    feasible = np.array(space.feasible, dtype=np.uint64)
+    # the type table's cost in probes walked (see the module docstring); it is not read past 20
+    # issues, nor when it weighs the hamming test unlike the hunt
+    if m <= 20 and (kind != "hamming" or weights == (rule.weights or uniform_weights(m))):
+        line = 3**m * S * -(-S // 64) - 5000
     else:
-        lookup = _types_met(space, rule, hit)
+        line = math.inf
+    per_profile = len(lattice.voters) * S
+    outcomes = rule.indexer()
+    lookup = _types_met(S, outcomes, hit)
     truth = engine.truth_bits(stage.tables, n).ravel()
     # column j of a block packs issue j's votes, voter 1 most significant, offset to its decider's truth bits
     votes = engine.issue_bits(space.feasible, m)
     weight, offsets = 1 << np.arange(n - 1, -1, -1), (np.arange(m) << n)[:, None]
-    own = [1 << (n - 1 - i) for i in lattice.voters]
+    own = np.array([1 << (n - 1 - i) for i in lattice.voters])
     # type numbers run up to 3^m - 1; past int64, numpy sums Python ints instead
     place = np.array([3 ** (m - 1 - j) for j in range(m)], dtype=np.int64 if 3**m <= 2**63 else object)
-    voters, lies = np.array(lattice.voters, dtype=np.intp), np.arange(S)
-    for start, rows in engine.blocks(lattice, n * (S + m)):
+    bit = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.uint64)
+    voters = np.array(lattice.voters, dtype=np.intp)
+    step = engine.block_size(n * (S + m))
+    for start in range(0, lattice.size, step):
+        # engine.blocks' blocks, each unranked only once the table has not ended the hunt
+        stop = min(start + step, lattice.size)
+        if (lattice.size if kind == "full" else 2 * stop) * per_profile >= line:
+            table = _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, kind)
+            if not table.bad.any():
+                return
+            outcomes, line = table.correct.__getitem__, math.inf
+
+            def lookup(types, points):
+                return types, table.bad
+
+        rows = lattice.rows(start, stop)
         columns = votes[:, rows] @ weight + offsets
-        types = np.stack([place @ (truth[columns & ~bit] + truth[columns | bit]) for bit in own], axis=1)
-        slots, type_rows, type_bad = lookup(types)
+        types = np.stack([place @ (truth[columns & ~voter] + truth[columns | voter]) for voter in own], axis=1)
+
+        def points(b, j):
+            # (len(b), S) stage outputs F | (y & D) of the (profile, voter) pairs b, j at every lie y,
+            # with F read off out(0) and F | D off out(1)
+            fixed = bit @ truth[columns[:, b] & ~own[j]]
+            copied = bit @ truth[columns[:, b] | own[j]] - fixed
+            return fixed[:, None] | (feasible & copied[:, None])
+
+        slots, type_bad = lookup(types, points)
         opinions = rows[:, voters]
-        flagged = type_bad[slots, opinions]
+        flagged = (type_bad[slots, opinions >> 3] >> (opinions & 7)) & 1 != 0
         if not flagged.any():
             continue
         b, j = np.nonzero(flagged)
-        row, x = type_rows[slots[b, j]], opinions[b, j]
+        row, x = outcomes(points(b, j)), opinions[b, j]
         z = row[np.arange(len(x)), x]
-        f, lie = np.divmod(np.flatnonzero(hit(z[:, None, None], row[:, None, :], x[:, None, None], lies)), S)
+        f, lie = np.divmod(np.flatnonzero(hit(z[:, None, None], row[:, None, :], x[:, None, None], np.arange(S))), S)
         yield start + b[f], voters[j[f]], lie, z[f], row[f, lie]
 
 
-def _types_met(space: EvaluationSpace, rule: NearestNeighborRule, hit: HitFn):
-    """A lookup from an array of type numbers to (slots, rows, bad): each type's slot in the rows and
-    bad flags of the types met so far, which are computed as they first arrive, by the rule's own
-    correction of their points and the scan's type step (:func:`engine.type_hits`)."""
-    S, m = space.size, space.m
-    feasible, indices = np.array(space.feasible, dtype=np.uint64), rule.indexer()
+def _types_met(S: int, outcomes, hit: HitFn):
+    """A lookup from a block's (B, k) type numbers and its ``points`` to (slots, bad): each type's
+    slot in the packed bad flags of the types met so far, which are computed as they first arrive,
+    from the outcomes of their points by the scan's type step (:func:`engine.type_hits`)."""
     slot: dict[int, int] = {}
-    rows, bad = np.zeros((0, S), dtype=np.intp), np.zeros((0, S), dtype=bool)
+    bad = np.zeros((0, -(-S // 8)), dtype=np.uint8)
 
-    def lookup(types):
-        nonlocal rows, bad
+    def lookup(types, points):
+        nonlocal bad
         distinct = engine._distinct(types.ravel())
+        at = np.searchsorted(distinct, types)
         keys = distinct.tolist()
-        new = [t for t in keys if t not in slot]
+        new = [i for i, t in enumerate(keys) if t not in slot]
         if new:
-            fixed, copied = np.array([_pivot_masks(t, m) for t in new], dtype=np.uint64).T
-            new_rows = indices(fixed[:, None] | (feasible & copied[:, None]))
+            # one (profile, voter) pair showing each new type: every pair showing it has its points
+            where = np.empty(len(keys), dtype=np.intp)
+            where[at.ravel()] = np.arange(types.size)
+            b, j = np.divmod(where[new], types.shape[1])
             known = len(slot)
-            slot.update(zip(new, range(known, known + len(new))))
-            rows, bad = engine._grown(rows, len(slot)), engine._grown(bad, len(slot))
-            rows[known : len(slot)] = new_rows
-            bad[known : len(slot)] = engine.type_hits(new_rows, hit)
-        return np.array([slot[t] for t in keys], dtype=np.intp)[np.searchsorted(distinct, types)], rows, bad
+            slot.update(zip((keys[i] for i in new), range(known, known + len(new))))
+            bad = engine._grown(bad, len(slot))
+            bad[known : len(slot)] = np.packbits(engine.type_hits(outcomes(points(b, j)), hit), axis=1, bitorder="little")
+        return np.array([slot[t] for t in keys], dtype=np.intp)[at], bad
 
     return lookup
 

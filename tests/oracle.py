@@ -11,10 +11,9 @@ profile, and they apply one randomly drawn stage at a time in the lemma
 harvest, walk its draws' slots one word at a time, and take its
 exhaustive half one witness at a time.  They are
 slow and obviously correct, which is their job.  :func:`bad_types`
-gives a correction's pivot-type rows and flags each type's opinions
-that some lie gains, with the probe scan's own numpy type step, all S
-opinions by all S lies of each type: the reference for the library's
-gain-mask kernel.
+flags each of a correction's pivot types' opinions that some lie gains,
+with the probe scan's own numpy type step, all S opinions by all S lies
+of each type: the reference for the library's gain-mask kernel.
 """
 
 import itertools
@@ -329,19 +328,19 @@ def pivot_types(space, stage):
 def bad_types(space, weights, correct, kind="hamming"):
     """``manipulation._bad_types`` by the probe scan's type step: every type's row of S lied
     outcomes, tested for all S opinions and S lies in one broadcast (``engine.type_hits``).
-    Returns (rows, bad): (3^m, S) rows of feasible indices and per-opinion bad flags."""
+    Returns (3^m, S) per-opinion bad flags."""
     S, m = space.size, space.m
     masks = np.array(space.feasible, dtype=np.intp)
     place = 1 << np.arange(m - 1, -1, -1)
     digit = 3 ** np.arange(m - 1, -1, -1)
     hit = manipulation._hit_fn(space, space.feasible, kind, manipulation._validate_kind(kind, weights, m))
     step = engine.block_size(S * S)
-    rows, bad = [], []
+    bad = []
     for at in range(0, 3**m, step):
         digits = np.arange(at, min(at + step, 3**m))[:, None] // digit % 3
-        rows.append(correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])])
-        bad.append(engine.type_hits(rows[-1], hit))
-    return np.concatenate(rows), np.concatenate(bad)
+        rows = correct[((digits == 2) @ place)[:, None] | (masks & ((digits == 1) @ place)[:, None])]
+        bad.append(engine.type_hits(rows, hit))
+    return np.concatenate(bad)
 
 
 def first_manipulable_stage(space, n, weights=None, tie=None):

@@ -268,6 +268,8 @@ def test_multiset_lattice_tables():
         ids, opinions = lattice.contexts(0, rows)
         assert opinions.tolist() == rows.tolist()
         assert_contexts(lattice, rows, ids)
+        # once the scan's tables are built, rows are sliced from their rows table
+        assert lattice.rows(0, lattice.size).tolist() == rows.tolist()
         lied = lattice.lied(ids[..., None], np.arange(S))
         assert lied.shape == (len(rows), n, S)
         for k, ms in enumerate(multisets):
@@ -366,7 +368,7 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         assert list(engine.scan(lattice, table, counting)) == []
     assert_each_context_keyed_once(lattice, calls)
-    _, add = lattice._tables
+    _, _, add = lattice._tables
     rows = {tuple(row) for row in table.codes[add].tolist()}
     assert (lattice.context_count, len(rows)) == (2600, 295)
     assert 0 < cells <= len(rows) * S * S < lattice.size * n * S // 9

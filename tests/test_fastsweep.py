@@ -358,7 +358,7 @@ def _flag_every_type(space):
     ``find_witness`` path and that hunt tests the lies of every (profile, voter) it walks."""
 
     def flagged(*key):
-        return _type_table(*key)._replace(bad=np.ones((3**space.m, space.size), dtype=bool))
+        return _type_table(*key)._replace(bad=np.full((3**space.m, -(-space.size // 8)), 255, dtype=np.uint8))
 
     return mock.patch("binagg.manipulation._type_table", side_effect=flagged)
 
@@ -529,15 +529,16 @@ WORD64, WORD65 = (EvaluationSpace(7, random.Random(seed).sample(range(128), S)) 
 @example((WORD65, (2**63,) * 7, TieOrder.descending(WORD65)), "hamming", 1)
 @example((WORD65, (1, 2, 1, 2, 1, 2, 1), None), "full", engine.BLOCK_ELEMENTS)
 def test_bad_types_match_the_broadcast_reference(case, kind, block_elements):
-    """The gain-mask kernel gives the type rows, and flags the (type, opinion) pairs that the scan's
-    S x S type step flags, and never runs that step."""
+    """The gain-mask kernel keeps the correction it read and flags the (type, opinion) pairs that the
+    scan's S x S type step flags, and never runs that step."""
     space, weights, tie = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         correct = _correction(space, weights, tie)
-        rows, bad = oracle.bad_types(space, weights, correct, kind)
+        bad = oracle.bad_types(space, weights, correct, kind)
         with mock.patch.object(engine, "type_hits", side_effect=AssertionError("type_hits called")):
             table = _bad_types(space, weights, correct, kind)
-    assert np.array_equal(table.rows, rows) and np.array_equal(table.bad, bad)
+    flags = np.unpackbits(table.bad, axis=1, count=space.size, bitorder="little").astype(bool)
+    assert table.correct is correct and np.array_equal(flags, bad)
 
 
 @st.composite

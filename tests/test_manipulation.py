@@ -40,7 +40,7 @@ from binagg.manipulation import (
     search_size,
 )
 from binagg.metric import TieOrder, weighted_hamming
-from binagg.spaces import EvaluationSpace, builtin_space, from_bits
+from binagg.spaces import EvaluationSpace, builtin_space, choose_space, from_bits
 
 masks6 = st.integers(0, 63)
 weights6 = st.tuples(*([st.integers(1, 4)] * 6))
@@ -263,11 +263,11 @@ def test_full_freeness_extends_to_four_voters(pref3):
 MAX_ORACLE_PROBES = 30_000
 
 
-def passes_gate(space, lattice_size, n):
-    """Whether a full hunt over a lattice of this size reads the type table: twice its
-    3^m * S * ceil(S / 64) word cells are at most the scan's probes plus 5,000."""
+def passes_gate(space, lattice):
+    """Whether a full hunt over this lattice reads the type table: its 3^m * S * ceil(S / 64)
+    word cells are at most the walk's probes, over the lattice's varying voters, plus 5,000."""
     S = space.size
-    return 2 * 3**space.m * S * -(-S // 64) <= lattice_size * n * S + 5000
+    return 3**space.m * S * -(-S // 64) <= lattice.size * len(lattice.voters) * S + 5000
 
 
 @st.composite
@@ -288,19 +288,24 @@ def every_type_bad(space):
     tests the lies of every (profile, voter) it walks."""
 
     def flagged(*key):
-        return _type_table(*key)._replace(bad=np.ones((3**space.m, space.size), dtype=bool))
+        return _type_table(*key)._replace(bad=np.full((3**space.m, -(-space.size // 8)), 255, dtype=np.uint8))
 
     return mock.patch("binagg.manipulation._type_table", side_effect=flagged)
 
 
-#: all 32 evaluations of 5 issues: at one voter the type table's 2 * 3^5 * 32 word cells are past
-#: the scan's 32 * 32 probes plus 5,000, so the walk computes only the types it meets
+#: all 32 evaluations of 5 issues: at one voter the type table's 3^5 * 32 word cells are past
+#: the walk's 32 * 32 probes plus 5,000, so the walk computes only the types it meets
 CUBE5 = EvaluationSpace(5, range(32))
+#: 26 evaluations of 5 issues: at one voter the table's 3^5 * 26 = 6,318 word cells are past the
+#: walk's 26 * 26 probes plus 5,000, though not past twice those probes plus 5,000, so a full hunt
+#: still walks the types it meets
+CUBE5_26 = EvaluationSpace(5, range(26))
 
 
 @settings(max_examples=150, deadline=None)
 @given(corrected_stage_hunts())
 @example((CUBE5, NearestNeighborRule(CUBE5, IiaStage.majority(1, 5)), 1))
+@example((CUBE5_26, NearestNeighborRule(CUBE5_26, IiaStage.majority(1, 5)), 1))
 def test_full_hunts_of_corrected_stages_match_the_oracle(case):
     space, rule, n = case
     first = next(oracle.iter_witnesses(space, rule, n, "full"), None)
@@ -308,10 +313,10 @@ def test_full_hunts_of_corrected_stages_match_the_oracle(case):
         "binagg.manipulation._type_table", wraps=_type_table
     ) as read:
         assert find_witness(space, rule, n, "full") == first
-    # no outcome table for nn(...); the type table is read only when twice its word cells are at
-    # most the scan's probes plus 5,000
+    # no outcome table for nn(...); the type table is read only when its word cells are at most
+    # the walk's probes plus 5,000
     lattice = search_lattice(space, n, rule, n * space.size, 10**30, "hunt")
-    assert not built.called and read.called == passes_gate(space, lattice.size, n)
+    assert not built.called and read.called == passes_gate(space, lattice)
     # with every type flagged bad, the walk tests every lie and finds the canonical first witness
     with every_type_bad(space), mock.patch("binagg.manipulation.lattice_table", wraps=lattice_table) as built:
         assert find_witness(space, rule, n, "full") == first
@@ -323,15 +328,15 @@ MAX_SCAN_PROBES = 600_000
 
 @st.composite
 def gated_corrected_stage_hunts(draw):
-    """An nn(stage) rule of n = 1-7 voters on 2-5 issues whose full hunt passes the cost gate,
-    with a positive-DNF monotone stage (``monotone_tables`` stops at 4 voters).  The gate is
+    """An nn(stage) rule of n = 1-7 voters on 2-5 issues whose full hunt reads the type table,
+    with a positive-DNF monotone stage (``monotone_tables`` stops at 4 voters).  The line is
     first read off the multiset lattice, the largest a rule of n voters is hunted on."""
     m = draw(st.integers(2, 5))
     space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
     S = space.size
-    sizes = {n: search_lattice(space, n, NearestNeighborRule(space, IiaStage.majority(n, m)), 1, 10**30, "hunt").size
-             for n in range(1, 8)}
-    gated = [n for n, size in sizes.items() if passes_gate(space, size, n) and size * n * S <= MAX_SCAN_PROBES]
+    lattices = {n: search_lattice(space, n, NearestNeighborRule(space, IiaStage.majority(n, m)), 1, 10**30, "hunt")
+                for n in range(1, 8)}
+    gated = [n for n, lattice in lattices.items() if passes_gate(space, lattice) and lattice.size * n * S <= MAX_SCAN_PROBES]
     assume(gated)
     n = draw(st.sampled_from(gated))
     terms = st.lists(st.integers(0, (1 << n) - 1), max_size=3)
@@ -341,8 +346,8 @@ def gated_corrected_stage_hunts(draw):
     rule = NearestNeighborRule(space, IiaStage(n, tables), weights, tie)
     # a stage that ignores voters is hunted on the smaller lattice of the voters it reads, and one
     # that is not anonymous on the larger ordered lattice
-    size = search_lattice(space, n, rule, 1, 10**30, "hunt").size
-    assume(passes_gate(space, size, n) and size * n * S <= MAX_SCAN_PROBES)
+    lattice = search_lattice(space, n, rule, 1, 10**30, "hunt")
+    assume(passes_gate(space, lattice) and lattice.size * n * S <= MAX_SCAN_PROBES)
     return space, rule, n
 
 
@@ -367,7 +372,7 @@ def test_certified_full_hunt_builds_no_table(pref4):
 
 
 def test_certified_full_hunt_raises_what_the_scan_raises(pref4):
-    # both hunts pass the cost gate, so the certificate itself must refuse them
+    # both hunts would read the type table before their first block, so the walk must refuse them first
     with pytest.raises(ValueError, match="stage arity is 3, profile has 4 rows"):
         find_witness(pref4, NearestNeighborRule(pref4, IiaStage.majority(3, 6)), 4, "full")
     other = EvaluationSpace(6, pref4.feasible[1:])
@@ -441,9 +446,32 @@ def test_corrected_stage_hunts_build_no_outcome_table_and_no_multiset_tables(pre
             assert find_witness(pref4, eight, 8, kind, budget=10**10) is not None
 
 
+def test_walk_reads_the_type_table_only_once_it_would_cost_less(pref4):
+    # choose(12, 1): the type table's 3^12 * 12 word cells take about as long to build as walking
+    # 6.4 million probes, but the partial hunt at nine voters meets its witness in its first
+    # blocks, so the walk never builds the table
+    space = choose_space(12, 1)
+    rule = NearestNeighborRule(space, IiaStage.majority(9, 12))
+    with mock.patch("binagg.manipulation._type_table", side_effect=AssertionError("type table built")):
+        walked = find_witness(space, rule, 9, "partial", budget=10**9)
+    with mock.patch("binagg.manipulation._walks_types", return_value=False):
+        assert walked == find_witness(space, rule, 9, "partial", budget=10**9)
+    # pref4 at four voters in blocks of one profile (96 probes each): from the 66th block on, twice
+    # the probes walked through it pass the table's 17,496 word cells less 5,000, so the walk flags
+    # the types it meets, then reads the table before the hamming witness at multiset 641
+    rule = NearestNeighborRule(pref4, IiaStage.majority(4, 6))
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", 1), mock.patch.object(
+        engine, "type_hits", wraps=engine.type_hits
+    ) as met, mock.patch("binagg.manipulation._type_table", wraps=_type_table) as read:
+        walked = find_witness(pref4, rule, 4, "hamming")
+    assert met.called and read.call_count == 1
+    with mock.patch("binagg.manipulation._walks_types", return_value=False):
+        assert walked == find_witness(pref4, rule, 4, "hamming")
+
+
 def test_hunts_past_twenty_issues_correct_through_the_rule():
     # 21 issues and 12 voters read in groups of 1, 2, 3 and 6: 6^12 ordered profiles, whose
-    # probes pass the type table's cost gate, but past 20 issues there is no correction table,
+    # probes pass the type table's line, but past 20 issues there is no correction table,
     # so the walk snaps the points of the types it meets through the rule's own correction
     m, n = 21, 12
     space = EvaluationSpace(m, random.Random(5).sample(range(1 << m), 6))
