@@ -35,6 +35,7 @@ from .engine import (
     ProfileLattice,
     blocks,
     build_table,
+    context_types,
     exact_array,
     issue_bits,
     masks_array,
@@ -896,12 +897,12 @@ def check_structural(
             true, lie, lied = xs[x], xs[y], values[w]
             return ((true ^ lie) & (values[z] ^ lied) & (lie ^ lied)) != 0
 
-        for block in scan(lattice, table, violated):
+        for block in scan(lattice, context_types(lattice, table, violated), violated):
             # the first hit of the first block with one
-            pid, i, y, lied_pid = (int(a[0]) for a in block)
+            pid, i, y, z, w = (int(a[0]) for a in block)
             rows = lattice_rows(space, lattice, pid)
             other = rows[:i] + (X[y],) + rows[i + 1 :]
-            res, res2 = table[pid], table[lied_pid]
+            res, res2 = table.values[z], table.values[w]
             viol = (rows[i] ^ other[i]) & (res ^ res2) & (other[i] ^ res2)
             return StructuralReport(property, False, (rows, other), issue=m - viol.bit_length() + 1)
         return StructuralReport(property, True)

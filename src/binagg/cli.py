@@ -83,11 +83,11 @@ def _build_parser(command: str | None) -> _Parser:
     if p_check := add("check", "exhaustive structural property check"):
         p_check.add_argument("--space", required=True)
         p_check.add_argument("--aggregator", required=True)
-        p_check.add_argument("-n", type=int, required=True)
+        p_check.add_argument("-n", type=int, required=True, help="number of voters")
         p_check.add_argument("--property", required=True, choices=("iia", "monotone", "anonymous", "dictatorial"))
         p_check.add_argument("--weights", help="weights file")
         p_check.add_argument("--tieorder", help="tie-order file")
-        p_check.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        p_check.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="probe budget")
 
     if p_verify := add("verify", "run a named verification suite"):
         p_verify.add_argument("--suite", required=True, help="one of: " + ", ".join(suite_names()))

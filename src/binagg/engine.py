@@ -54,33 +54,33 @@ varying voters on the ordered one.  Each lattice has one lie map,
 ``lied(ids, lies)``, from context ids and lies (broadcast together) to
 the ids of the profiles the voter reaches.  A context's *row* is the S
 outcome codes at those profiles, and its truthful outcome is the row's
-entry at the voter's opinion.  Every probe predicate (:data:`HitFn`)
-depends only on the row, the opinion and the lie, so :func:`scan`
-tests each distinct row, a *type*, once for all S opinions and S lies.
-Each block keys each distinct context it reaches first once, by its
-row's bytes, under an exact type id (two contexts share a type exactly
-when their rows are equal) that then goes to all its (profile, voter)
-pairs.  Each (profile, voter) is one lookup of its type and opinion, and
-the scan lists lies only where that lookup flags a hit.
+entry at the voter's opinion.
 
-Hunts of a monotone stage corrected to its nearest neighbour do not
-scan: they walk the same lattice blocks and read each (profile, voter)'s
-pivot type off the issue columns (``manipulation._pivot_hits``), with no
-outcome table and no contexts.  Hunts of every other rule, the
-structural checks and the exhaustive lemma harvest scan.
+:func:`scan` is the one walk that lists hits.  Every probe predicate
+(:data:`HitFn`) depends only on a (profile, voter)'s row, its opinion
+and the lie, so the walk tests each distinct row, a *type*, once for
+all S opinions and S lies, in one memo (:func:`type_memo`); a (profile,
+voter) is then one lookup of its type's flag at its opinion, and lies
+are listed only where that flag is set.  A *type source* gives each
+block's types.  :func:`context_types` keys each distinct context a block
+is first to reach once, by its row's bytes, off an outcome table: two
+contexts share a type exactly when their rows are equal.  The pivot
+types of a monotone stage corrected to its nearest neighbour need no
+outcome table and no contexts (the argument is in
+:mod:`binagg.fastsweep`; the source is ``manipulation._pivot_types``).
 
 The engine never builds a (P, n, S) array, nor any (P, n) one.  It
 walks a lattice in blocks of whole profiles, sized from S, n and m so
 that each block's temporaries stay within BLOCK_ELEMENTS elements (a
-megabyte or less).  :func:`scan` yields each block's hits as the
-arrays (ids, voters, lies, lied ids), in C order, so the first entry of
-its first block is the canonically first probe, and a caller that stops
-early stops within that block.  The scan's memo holds one narrow
-entry per context, k * P / S of them for k varying voters on the
-ordered lattice and C(S+n-2, n-1) <= n * P / S on the multiset one, in
-the narrowest unsigned dtype holding S times that count.  Its type
-tables hold S codes and S flags per type, with capacity doubled as
-types arrive; they reach the memo's size times S only when nearly
+megabyte or less).  :func:`scan` yields each block's hits as the arrays
+(ids, voters, lies, truthful codes, lied codes), in C order, so the
+first entry of its first block is the canonically first probe, and a
+caller that stops early stops within that block.  The context memo
+holds one narrow entry per context, k * P / S of them for k varying
+voters on the ordered lattice and C(S+n-2, n-1) <= n * P / S on the
+multiset one, in the narrowest unsigned dtype holding that count.  The
+type memo holds S flags per type, with capacity doubled as types
+arrive; it reaches the context memo's size times S only when nearly
 every context row is distinct.
 """
 
@@ -89,7 +89,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -442,25 +442,32 @@ def build_table(
     return OutcomeTable(tuple(values), codes)
 
 
-#: hit(z, w, x, y) -> bool array of probe hits over T contexts.  w: (T, 1, S)
-#: the context rows, the lied outcome code of each lie; x: the liars' true
+#: hit(z, w, x, y) -> bool array of probe hits over T rows.  w: (T, 1, S)
+#: rows of outcome codes, the lied outcome of each lie; x: the liars' true
 #: feasible indices, (1, S, 1) for every opinion or (T, 1, 1) for one per
-#: context; z: (T, S, 1) or (T, 1, 1), the truthful outcome codes, which
-#: are w's entries at those opinions; y: (S,) lie feasible indices.  The
+#: row; z: (T, S, 1) or (T, 1, 1), the truthful outcome codes, which are
+#: w's entries at those opinions; y: (S,) lie feasible indices.  The
 #: result broadcasts to (T, S, S) or (T, 1, S).  A hit depends on these
 #: alone and is false wherever w == z: a lie that leaves the outcome in
 #: place is never a hit.  ``manipulation._hit_fn`` builds one per
-#: manipulation kind.  Searches, the monotone check and the harvest call
-#: it through :func:`scan`, which tests each new context row with
-#: :func:`type_hits`, then lists the hits as block arrays with lied ids;
-#: ``manipulation._bad_types`` calls it on (z, w, x) tiles with y None,
-#: which no kind reads, and the pivot-type walk of a corrected stage
-#: (``manipulation._pivot_hits``) on its flagged (T, 1, S) rows.
+#: manipulation kind, none of which reads y; the monotone check's
+#: ``violated`` reads it.  A walk calls it in two places: the type memo
+#: flags each new type with it (:func:`type_hits`), and :func:`scan`
+#: lists the lies of flagged pairs with it.  ``manipulation._bad_types``
+#: calls a kind's predicate on (z, w, x) tiles with y None.
 HitFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+#: one block of a type source: (start, slots, opinions, flags, rows_of).  The
+#: block's profiles have ids start..start+B-1; slots and opinions are (B, k),
+#: each varying voter's type slot and true feasible index; flags is (T, S)
+#: bool, [t, x] saying some lie is a hit for opinion x at the type in slot t;
+#: rows_of(b, j) is the (len(b), S) outcome codes, at every lie, of the pairs
+#: (profile b, varying voter j).
+TypedBlock = tuple[int, np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def type_hits(rows: np.ndarray, hit: HitFn) -> np.ndarray:
-    """(T, S) bool: [t, x] says some lie is a hit for opinion x in the context row ``rows[t]``.
+    """(T, S) bool: [t, x] says some lie is a hit for opinion x in the row of codes ``rows[t]``.
 
     Rows of S outcome codes, one per lie, are tested in chunks of ``block_size(S * S)``.
     """
@@ -474,6 +481,28 @@ def type_hits(rows: np.ndarray, hit: HitFn) -> np.ndarray:
     return out
 
 
+def type_memo(S: int, hit: HitFn) -> Callable[[list, Callable[[list], np.ndarray]], tuple[np.ndarray, np.ndarray]]:
+    """A memo of the types a walk meets: ``file(keys, rows)`` returns the slots of ``keys`` and the
+    (T, S) flags of every type filed so far, flagging each new key once by :func:`type_hits`
+    on its row of S outcome codes, ``rows(new keys)``."""
+    slots: dict = {}
+    flags = np.zeros((0, S), dtype=bool)
+
+    def file(keys, rows):
+        nonlocal flags
+        new = [key for key in dict.fromkeys(keys) if key not in slots]
+        if new:
+            known = len(slots)
+            slots.update(zip(new, range(known, known + len(new))))
+            if len(slots) > len(flags):
+                # room for as many types again; rows past the last slot are never read
+                flags = np.resize(flags, (2 * len(slots), S))
+            flags[known : len(slots)] = type_hits(rows(new), hit)
+        return np.fromiter(map(slots.__getitem__, keys), np.intp, len(keys)), flags
+
+    return file
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Ascending distinct entries, without ``np.unique``, whose plain form imports ``numpy.ma`` (about 0.5 MB)."""
     values = np.sort(values)
@@ -482,63 +511,52 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _grown(array: np.ndarray, size: int) -> np.ndarray:
-    """``array`` zero-padded along its first axis to at least ``size`` entries, at least doubling it."""
-    if size <= len(array):
-        return array
-    pad = np.zeros((max(size, 2 * len(array)) - len(array),) + array.shape[1:], dtype=array.dtype)
-    return np.concatenate((array, pad))
+def context_types(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[TypedBlock]:
+    """The type source of an outcome table: each context's row of codes at the profiles its voter reaches.
 
-
-def scan(lattice: Lattice, table: OutcomeTable, hit: HitFn) -> Iterator[tuple[np.ndarray, ...]]:
-    """(ids, voter indices, lie indices, lied ids) of each block's hits, in canonical order.
-
-    A lie equal to the liar's true opinion is probed too: it leaves the
-    outcome unchanged, and every predicate is false there.  A block keys
-    each distinct context it is first to reach once, and each distinct
-    context row, a *type*, is tested once; a (profile, voter) is then one
-    lookup, and its lies are listed only when that lookup flags a hit.
-    Blocks without a hit yield nothing, so a caller that stops early
-    stops within the block that holds the hit it wanted.
+    A block keys each distinct context it is first to reach once, by its
+    row's bytes, and files it in the memo; a context's slot is its type.
+    Rows of flagged pairs are read again through the lie map.
     """
-    S, n = lattice.S, lattice.n
+    S, codes = lattice.S, table.codes
     lies = np.arange(S)
-    voters = np.array(lattice.voters, dtype=np.intp)
-    codes = table.codes
-    # at[c]: S times the type of context c, or `unseen` until a block
-    # reaches c; there are no more types than contexts
-    unseen = lattice.context_count * S
+    file = type_memo(S, hit)
+    # at[c]: the slot of context c, or `unseen` until a block reaches c; there are no more types than contexts
+    unseen = lattice.context_count
     at = np.full(lattice.context_count, unseen, dtype=_unsigned(unseen))
-    # types maps a context row's bytes to S times its type t;
-    # type_rows[t * S + y] is that row's code at lie y, and
-    # has[t * S + x] says some lie is a hit for opinion x in it
-    types: dict[bytes, int] = {}
-    row_key = np.dtype((np.void, S * codes.itemsize))
-    type_rows = np.zeros(min(lattice.context_count, block_size(S * S)) * S, dtype=codes.dtype)
-    has = np.zeros(len(type_rows), dtype=bool)
-    for start, rows in blocks(lattice, n * S):
+    flags = np.zeros((0, S), dtype=bool)
+    for start, rows in blocks(lattice, lattice.n * S):
         ids, opinions = lattice.contexts(start, rows)
-        block_at = at[ids]
-        fresh = block_at == unseen
-        if fresh.any():
-            fresh_ids = _distinct(ids[fresh])
-            keys = codes[lattice.lied(fresh_ids[:, None], lies)].view(row_key).ravel().tolist()
-            known = len(types) * S
-            new = [key for key in dict.fromkeys(keys) if key not in types]
-            types.update(zip(new, range(known, known + len(new) * S, S)))
-            at[fresh_ids] = np.fromiter(map(types.__getitem__, keys), np.intp, len(keys))
-            block_at = at[ids]
-            if new:
-                end = len(types) * S
-                type_rows, has = _grown(type_rows, end), _grown(has, end)
-                type_rows[known:end] = np.frombuffer(b"".join(new), dtype=codes.dtype)
-                has[known:end] = type_hits(type_rows[known:end].reshape(-1, S), hit).ravel()
-        flagged = has[block_at + opinions]
+        slots = at[ids]
+        fresh = _distinct(ids[slots == unseen])
+        if len(fresh):
+            keys = codes[lattice.lied(fresh[:, None], lies)].view(f"V{S * codes.itemsize}").ravel().tolist()
+            at[fresh], flags = file(keys, lambda new: np.frombuffer(b"".join(new), dtype=codes.dtype).reshape(-1, S))
+            slots = at[ids]
+        yield start, slots, opinions, flags, lambda b, j, ids=ids: codes[lattice.lied(ids[b, j, None], lies)]
+
+
+def scan(lattice: Lattice, typed: Iterable[TypedBlock], hit: HitFn) -> Iterator[tuple[np.ndarray, ...]]:
+    """(ids, voter indices, lie indices, truthful codes, lied codes) of each block's hits, in canonical order.
+
+    ``typed`` gives each block's types: :func:`context_types` off an
+    outcome table, or the pivot types of a corrected monotone stage
+    (``manipulation._pivot_types``).  A (profile, voter) is one lookup of
+    its type's flag at its opinion, and its lies are listed only where
+    that flag is set.  A lie equal to the liar's true opinion is probed
+    too: it leaves the outcome unchanged, and every predicate is false
+    there.  Blocks without a hit yield nothing, so a caller that stops
+    early stops within the block that holds the hit it wanted.
+    """
+    lies = np.arange(lattice.S)
+    voters = np.array(lattice.voters, dtype=np.intp)
+    for start, slots, opinions, flags, rows_of in typed:
+        # one gather from the flat flags, several times faster than indexing them by (slots, opinions)
+        flagged = flags.ravel()[slots.astype(np.intp) * lattice.S + opinions]
         if not flagged.any():
             continue
         b, j = np.nonzero(flagged)
-        lied = type_rows[block_at[b, j, None] + lies]
-        hits = hit(codes[start + b, None, None], lied[:, None, :], opinions[b, j, None, None], lies)
-        f, lie = np.divmod(np.flatnonzero(hits), S)
-        b, j = b[f], j[f]
-        yield start + b, voters[j], lie, lattice.lied(ids[b, j], lie)
+        row, x = rows_of(b, j), opinions[b, j]
+        z = row[np.arange(len(x)), x]
+        f, lie = np.divmod(np.flatnonzero(hit(z[:, None, None], row[:, None, :], x[:, None, None], lies)), lattice.S)
+        yield start + b[f], voters[j[f]], lie, z[f], row[f, lie]

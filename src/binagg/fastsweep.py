@@ -52,12 +52,17 @@ they were read on, cached by weights and tie ranking
 A correction without a bad type frees every corrected monotone stage at
 once, and the screen walks no stage.  Theorem 4.2 says no correction
 has a bad full type; should one turn up, the screen hunts that one
-stage with :func:`binagg.manipulation.find_witness`.  Hunts of
-``nn(...)`` rules of every kind walk these types instead of scanning,
-and switch to the same cached table once their walk would cost more
-(see :mod:`binagg.manipulation`); the screen reads it at any cost,
-since its configurations share few tables.  Hunts of every other rule,
-bare stages included, scan.
+stage with :func:`binagg.manipulation.find_witness`.
+
+The same argument, applied to each (profile, voter) of one corrected
+stage, is one of the two type sources of the probe walk
+(``engine.scan``): hunts of ``nn(...)`` rules of every kind read each
+pair's pivot type off the profile's issue columns
+(``manipulation._pivot_types``) instead of keying context rows off an
+outcome table, and switch to the same cached table once their walk
+would cost more (see :mod:`binagg.manipulation`); the screen reads it
+at any cost, since its configurations share few tables.  Hunts of
+every other rule, bare stages included, key context rows.
 """
 
 from __future__ import annotations

@@ -8,40 +8,41 @@ and strictly reducing the weighted Hamming distance to the truth
 (hamming).  Every full manipulation is a hamming manipulation under
 every weight vector, and every hamming manipulation is partial.
 
-The search scans all (profile, voter, lie) triples in canonical order -
+The search walks all (profile, voter, lie) triples in canonical order -
 profiles lexicographic by rows, voters ascending, lies in ascending
-mask order - through the chunked numpy scan of :mod:`binagg.engine`, so
-the first witness found is a deterministic function of the inputs,
-independent of how the scan is chunked.  Witnesses are built one at a
-time from the scan's block arrays of hits, so :func:`find_witness` stops
-within the block that holds the first hit.  :func:`find_witness` scans an
-anonymous rule on the multiset lattice, and any other rule on the
-ordered profiles of the voters it reads, whose first hits are that same
-first witness; :func:`iter_witnesses` always walks every ordered profile.
+mask order - through the one chunked walk of :mod:`binagg.engine`
+(``engine.scan``), so the first witness found is a deterministic
+function of the inputs, independent of how the walk is chunked.
+Witnesses are built one at a time from the walk's block arrays of hits,
+so :func:`find_witness` stops within the block that holds the first
+hit.  :func:`find_witness` walks an anonymous rule on the multiset
+lattice, and any other rule on the ordered profiles of the voters it
+reads, whose first hits are that same first witness;
+:func:`iter_witnesses` always walks every ordered profile.
 
-Hunts of a monotone stage corrected to its nearest feasible neighbour
-(``NearestNeighborRule``), of every kind, need no scan.  Each
-(profile, voter) shows such a stage a pivot type (see
-:mod:`binagg.fastsweep`), which fixes the truthful outcome and every
-lied one, so :func:`_pivot_hits` walks the same lattice blocks, reads
-each pair's type off the profile's issue columns, and lists lies only
-where the type flags the voter's opinion: the scan's canonical hits,
-with no outcome table and no contexts.  The correction's cached type
-table (:func:`_type_table`) costs about as much to build as walking
-3^m * S * ceil(S / 64) probes, its word cells, less 5,000.  The walk
-flags each type as its blocks first meet it until a block would take
-its probes past half that line; from that block on it reads the table,
-and a table with no bad type ends the hunt with no witness.  So a hunt
-whose witness comes before that block never builds the table, and one
-that walks on pays at most half the line's walk on top of the table.  A
-full hunt finds no witness (Theorem 4.2), so it reads the table before
-its first block once the lattice's probes pass the whole line.  The
-table is not read past 20 issues, nor by a hamming hunt that weighs
-distances unlike the correction.  The hunt is first charged to the
-budget and its rule checked, as a scan would be.  Every other rule -
-dictators, plurality, partitions, the welfare maximizer, bare stages,
-table rules, and a corrected stage with a decider that is not
-monotone - is scanned as above.
+The walk reads its types from one of two sources.  A monotone stage
+corrected to its nearest feasible neighbour (``NearestNeighborRule``)
+shows each (profile, voter) a pivot type (the argument is in
+:mod:`binagg.fastsweep`), read off the profile's issue columns by
+:func:`_pivot_types` with no outcome table and no contexts.  Every other
+rule - dictators, plurality, partitions, the welfare maximizer, bare
+stages, table rules, and a corrected stage with a decider that is not
+monotone - builds an outcome table, whose context rows
+``engine.context_types`` keys.
+
+The pivot source files each type its blocks first meet in the walk's
+memo.  The correction's cached type table (:func:`_type_table`) costs
+about as much to build as walking 3^m * S * ceil(S / 64) probes, its
+word cells, less 5,000.  Once a block would take the walk's probes past
+half that line, the source reads the table's flags instead, and a
+table with no bad type ends the hunt with no witness.  So a hunt whose
+witness comes before that block never builds the table, and one that
+walks on pays at most half the line's walk on top of the table.  A full
+hunt finds no witness (Theorem 4.2), so it reads the table before its
+first block once the lattice's probes pass the whole line.  The table
+is not read past 20 issues, nor by a hamming hunt that weighs distances
+unlike the correction.  The hunt is first charged to the budget and its
+rule checked, as an outcome table's build would check it.
 """
 
 from __future__ import annotations
@@ -199,15 +200,15 @@ def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Itera
     w = _validate_kind(kind, weights, space.m)
     lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
     if _walks_types(rule):
-        values, hits = space.feasible, _pivot_hits(space, rule, lattice, kind, w)
+        values = space.feasible
+        hit = _hit_fn(space, values, kind, w)
+        typed = _pivot_types(space, rule, lattice, kind, w, hit)
     else:
         table = lattice_table(space, rule, lattice)
-        values, codes = table.values, table.codes
-        hits = (
-            (ids, voters, lies, codes[ids], codes[lied])
-            for ids, voters, lies, lied in scan(lattice, table, _hit_fn(space, values, kind, w))
-        )
-    for block in hits:
+        values = table.values
+        hit = _hit_fn(space, values, kind, w)
+        typed = engine.context_types(lattice, table, hit)
+    for block in scan(lattice, typed, hit):
         for pid, i, yi, z, lied in zip(*(a.tolist() for a in block)):
             rows = lattice_rows(space, lattice, pid)
             yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], values[z], values[lied], kind, w)
@@ -335,35 +336,30 @@ def _walks_types(rule: Rule) -> bool:
     return isinstance(rule, NearestNeighborRule) and all(_is_monotone_table(t, rule.stage.n) for t in rule.stage.tables)
 
 
-def _pivot_hits(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lattice, kind: str, weights):
-    """(ids, voter indices, lie indices, truthful codes, lied codes) of each block's hits of a corrected
-    monotone stage, in canonical order: the scan's hits, read off pivot types (see the module docstring).
+def _pivot_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lattice, kind: str, weights, hit: HitFn):
+    """The type source of a corrected monotone stage: each (profile, voter)'s pivot type, read off
+    the profile's issue columns with no outcome table and no contexts (see :mod:`binagg.fastsweep`).
 
     Issue j's decider shows a (profile, varying voter) out(0) <= out(1)
-    over the voter's bit, read off the block's packed issue columns: the
-    type's digit out(0) + out(1), F's bit out(0) and D's bit
-    out(1) - out(0).  Where the type flags the voter's opinion x, its
-    row ``correct[F | (y & D)]`` over the lies y holds the truthful
-    outcome at x and the lied one at each lie, and the kind's test lists
-    the lies.  The rule's space and stage arity are checked first, as the
-    scan's table build checks them.
+    over the voter's bit: the type's digit out(0) + out(1), F's bit
+    out(0) and D's bit out(1) - out(0).  A pair's row of codes at every
+    lie y is ``correct[F | (y & D)]``.  The types met are filed in the
+    walk's memo (``engine.type_memo``), or read off the cached type table
+    once the walk would cost more (see the module docstring).  The rule's space and stage
+    arity are checked first, as an outcome table's build checks them.
     """
     check_bound(space, rule)
-    stage = rule.stage
-    stage._check_shape(space.m, lattice.n)
+    rule.stage._check_shape(space.m, lattice.n)
     S, m, n = space.size, space.m, lattice.n
-    hit = _hit_fn(space, space.feasible, kind, weights)
     feasible = np.array(space.feasible, dtype=np.uint64)
     # the type table's cost in probes walked (see the module docstring); it is not read past 20
     # issues, nor when it weighs the hamming test unlike the hunt
+    line = math.inf
     if m <= 20 and (kind != "hamming" or weights == (rule.weights or uniform_weights(m))):
         line = 3**m * S * -(-S // 64) - 5000
-    else:
-        line = math.inf
-    per_profile = len(lattice.voters) * S
     outcomes = rule.indexer()
-    lookup = _types_met(S, outcomes, hit)
-    truth = engine.truth_bits(stage.tables, n).ravel()
+    file = engine.type_memo(S, hit)
+    truth = engine.truth_bits(rule.stage.tables, n).ravel()
     # column j of a block packs issue j's votes, voter 1 most significant, offset to its decider's truth bits
     votes = engine.issue_bits(space.feasible, m)
     weight, offsets = 1 << np.arange(n - 1, -1, -1), (np.arange(m) << n)[:, None]
@@ -371,68 +367,40 @@ def _pivot_hits(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Latt
     # type numbers run up to 3^m - 1; past int64, numpy sums Python ints instead
     place = np.array([3 ** (m - 1 - j) for j in range(m)], dtype=np.int64 if 3**m <= 2**63 else object)
     bit = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.uint64)
-    voters = np.array(lattice.voters, dtype=np.intp)
     step = engine.block_size(n * (S + m))
     for start in range(0, lattice.size, step):
         # engine.blocks' blocks, each unranked only once the table has not ended the hunt
         stop = min(start + step, lattice.size)
-        if (lattice.size if kind == "full" else 2 * stop) * per_profile >= line:
+        if (lattice.size if kind == "full" else 2 * stop) * len(lattice.voters) * S >= line:
             table = _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, kind)
             if not table.bad.any():
                 return
-            outcomes, line = table.correct.__getitem__, math.inf
-
-            def lookup(types, points):
-                return types, table.bad
-
+            outcomes, line, file = table.correct.__getitem__, math.inf, None
+            flags = np.unpackbits(table.bad, axis=1, count=S, bitorder="little").view(bool)
         rows = lattice.rows(start, stop)
         columns = votes[:, rows] @ weight + offsets
         types = np.stack([place @ (truth[columns & ~voter] + truth[columns | voter]) for voter in own], axis=1)
 
-        def points(b, j):
-            # (len(b), S) stage outputs F | (y & D) of the (profile, voter) pairs b, j at every lie y,
-            # with F read off out(0) and F | D off out(1)
+        def rows_of(b, j, columns=columns):
+            # stage outputs F | (y & D) of the pairs (b, j) at every lie y, with F read off out(0)
+            # and F | D off out(1), corrected
             fixed = bit @ truth[columns[:, b] & ~own[j]]
             copied = bit @ truth[columns[:, b] | own[j]] - fixed
-            return fixed[:, None] | (feasible & copied[:, None])
+            return outcomes(fixed[:, None] | (feasible & copied[:, None]))
 
-        slots, type_bad = lookup(types, points)
-        opinions = rows[:, voters]
-        flagged = (type_bad[slots, opinions >> 3] >> (opinions & 7)) & 1 != 0
-        if not flagged.any():
-            continue
-        b, j = np.nonzero(flagged)
-        row, x = outcomes(points(b, j)), opinions[b, j]
-        z = row[np.arange(len(x)), x]
-        f, lie = np.divmod(np.flatnonzero(hit(z[:, None, None], row[:, None, :], x[:, None, None], np.arange(S))), S)
-        yield start + b[f], voters[j[f]], lie, z[f], row[f, lie]
+        if file:
+            distinct = engine._distinct(types.ravel())
+            at = np.searchsorted(distinct, types)
 
+            def first_rows(new):
+                # one (profile, voter) pair showing each new type: every pair showing it has its row
+                where = np.empty(len(distinct), dtype=np.intp)
+                where[at.ravel()] = np.arange(at.size)
+                return rows_of(*np.divmod(where[np.searchsorted(distinct, new)], len(own)))
 
-def _types_met(S: int, outcomes, hit: HitFn):
-    """A lookup from a block's (B, k) type numbers and its ``points`` to (slots, bad): each type's
-    slot in the packed bad flags of the types met so far, which are computed as they first arrive,
-    from the outcomes of their points by the scan's type step (:func:`engine.type_hits`)."""
-    slot: dict[int, int] = {}
-    bad = np.zeros((0, -(-S // 8)), dtype=np.uint8)
-
-    def lookup(types, points):
-        nonlocal bad
-        distinct = engine._distinct(types.ravel())
-        at = np.searchsorted(distinct, types)
-        keys = distinct.tolist()
-        new = [i for i, t in enumerate(keys) if t not in slot]
-        if new:
-            # one (profile, voter) pair showing each new type: every pair showing it has its points
-            where = np.empty(len(keys), dtype=np.intp)
-            where[at.ravel()] = np.arange(types.size)
-            b, j = np.divmod(where[new], types.shape[1])
-            known = len(slot)
-            slot.update(zip((keys[i] for i in new), range(known, known + len(new))))
-            bad = engine._grown(bad, len(slot))
-            bad[known : len(slot)] = np.packbits(engine.type_hits(outcomes(points(b, j)), hit), axis=1, bitorder="little")
-        return np.array([slot[t] for t in keys], dtype=np.intp)[at], bad
-
-    return lookup
+            slots, flags = file(distinct.tolist(), first_rows)
+            types = slots[at]
+        yield start, types, rows[:, lattice.voters], flags, rows_of
 
 
 def find_witness(

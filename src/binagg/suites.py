@@ -371,15 +371,16 @@ def _lemma_harvest() -> dict[str, tuple[list[tuple[int, int]], int]]:
 def _exhaustive_harvest(space, tie: TieOrder) -> tuple[list[tuple[int, int]], int]:
     """Sorted stage-output pairs and count of the hamming witnesses of the three-voter majority,
     corrected under uniform weights and ``tie``: the engine scans the stage's own outcome table,
-    each code standing for its correction, and a hit's pair is the table at (profile, lied profile),
-    both read off the scan's block arrays."""
+    each code standing for its correction, and a hit's pair is the stage outputs of its truthful
+    and lied codes, both read off the scan's block arrays."""
     uniform = uniform_weights(space.m)
     lattice = engine.ProfileLattice(space.size, 3)
     stage = engine.build_table(space, lattice, IiaStage.majority(3, space.m).block_evaluator(space, 3))
     correct = _correction_table(space, uniform, tie.ranking)[list(stage.values)].tolist()
     hit = _hit_fn(space, [space.feasible[i] for i in correct], "hamming", uniform)
-    pids, _, _, lied = (np.concatenate(a) for a in zip(*engine.scan(lattice, stage, hit)))
-    v, u = np.array(stage.values)[stage.codes[np.stack((pids, lied))]]
+    hits = engine.scan(lattice, engine.context_types(lattice, stage, hit), hit)
+    pids, _, _, z, w = (np.concatenate(a) for a in zip(*hits))
+    v, u = np.array(stage.values)[np.stack((z, w))]
     return sorted(set(zip(v.tolist(), u.tolist()))), len(pids)
 
 

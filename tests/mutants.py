@@ -1,0 +1,131 @@
+"""Mutation check of the probe walk: each listed mutant must make its tests fail.
+
+Run by hand from the root of a checkout (pytest does not collect this file):
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py unrank     # the mutants whose names contain "unrank"
+
+A mutant replaces one exact text, which must occur once, in one file
+under ``src/``.  Each one is applied to a fresh temporary copy of
+``src/`` and ``tests/`` and the listed tests run there; the mutant is
+killed when they fail.  The script prints each verdict and a summary,
+and exits 1 when a mutant survives or its text is not found once.
+Add the mutants of every new fast path here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+HIT_BLOCKS = "tests/test_engine.py::test_hit_blocks_list_the_scan_hits_in_order"
+KEYED_ONCE = "tests/test_engine.py::test_scan_tests_each_distinct_context_row_once"
+PIVOT_ONCE = "tests/test_engine.py::test_pivot_walk_flags_each_type_it_meets_once"
+GATE = "tests/test_manipulation.py::test_full_hunts_of_corrected_stages_match_the_oracle"
+EVERY_KIND = "tests/test_manipulation.py::test_hunts_of_corrected_stages_of_every_kind_match_the_oracle"
+UNRANK = "tests/test_engine.py::test_multiset_rows_unrank_deep_in_a_large_lattice"
+
+MUTANTS = (
+    Mutant(
+        "scan names the varying voter's index, not the voter",
+        "src/binagg/engine.py",
+        "yield start + b[f], voters[j[f]], lie",
+        "yield start + b[f], j[f], lie",
+        (HIT_BLOCKS,),
+    ),
+    Mutant(
+        "scan reads lied codes at the lies in reverse",
+        "src/binagg/engine.py",
+        "z[f], row[f, lie]",
+        "z[f], row[f, lattice.S - 1 - lie]",
+        (HIT_BLOCKS,),
+    ),
+    Mutant(
+        "the type table's switch line off by a factor of S",
+        "src/binagg/manipulation.py",
+        "line = 3**m * S * -(-S // 64) - 5000",
+        "line = 3**m * -(-S // 64) - 5000",
+        (GATE,),
+    ),
+    Mutant(
+        "the type table's flags unpacked big-endian",
+        "src/binagg/manipulation.py",
+        'np.unpackbits(table.bad, axis=1, count=S, bitorder="little")',
+        'np.unpackbits(table.bad, axis=1, count=S, bitorder="big")',
+        (HIT_BLOCKS, EVERY_KIND),
+    ),
+    Mutant(
+        "the context memo rebuilt per block",
+        "src/binagg/engine.py",
+        "        ids, opinions = lattice.contexts(start, rows)\n",
+        "        ids, opinions = lattice.contexts(start, rows)\n        file = type_memo(S, hit)\n",
+        (KEYED_ONCE, HIT_BLOCKS),
+    ),
+    Mutant(
+        "the pivot memo rebuilt per block",
+        "src/binagg/manipulation.py",
+        "        rows = lattice.rows(start, stop)\n",
+        "        rows = lattice.rows(start, stop)\n        file = file and engine.type_memo(S, hit)\n",
+        (PIVOT_ONCE,),
+    ),
+    Mutant(
+        "_unrank searching left",
+        "src/binagg/engine.py",
+        'searchsorted(rank, "right")',
+        'searchsorted(rank, "left")',
+        (UNRANK,),
+    ),
+)
+
+
+def run(mutant: Mutant, scratch: str) -> tuple[bool, str]:
+    """(killed, note) of one mutant, tested in a fresh copy of src/ and tests/ under ``scratch``."""
+    shutil.rmtree(scratch, ignore_errors=True)
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(scratch, part), ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), scratch)
+    target = os.path.join(scratch, mutant.path)
+    with open(target) as f:
+        text = f.read()
+    if text.count(mutant.old) != 1:
+        return False, f"its text occurs {text.count(mutant.old)} times in {mutant.path}"
+    with open(target, "w") as f:
+        f.write(text.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(scratch, "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    result = subprocess.run(command, cwd=scratch, env=env, capture_output=True, text=True)
+    lines = result.stdout.strip().splitlines()
+    return result.returncode != 0, lines[-1] if lines else result.stderr.strip()[-200:]
+
+
+def main(patterns: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not patterns or any(p in m.name for p in patterns)]
+    survivors = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="binagg-mutants-") as scratch:
+        for mutant in chosen:
+            killed, note = run(mutant, os.path.join(scratch, "tree"))
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name} ({note})", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

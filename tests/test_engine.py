@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 from unittest import mock
 
@@ -325,16 +326,19 @@ def test_nearest_neighbor_correction_snaps_only_outputs_seen():
 
 
 def recording_keyed_contexts(lattice):
-    """Make the lattice's lie map record the context ids of each keying call: a column of ids by all S lies."""
-    calls, lied = [], lattice.lied
+    """Make the lattice's lie map record the context ids of each call that takes a column of ids by
+    all S lies: ``keyed`` those of ``engine.context_types`` keying fresh contexts, ``read`` those of
+    its reads of flagged pairs' rows."""
+    keyed, read, lied = [], [], lattice.lied
 
     def recorded(ids, lies):
         if np.ndim(ids) == 2 and np.size(lies) == lattice.S:
-            calls.append(np.ravel(ids).tolist())
+            caller = sys._getframe(1).f_code.co_name
+            (keyed if caller == "context_types" else read).append(np.ravel(ids).tolist())
         return lied(ids, lies)
 
     lattice.lied = recorded
-    return calls
+    return keyed, read
 
 
 def assert_each_context_keyed_once(lattice, calls):
@@ -343,6 +347,10 @@ def assert_each_context_keyed_once(lattice, calls):
     assert calls and all(len(set(ids)) == len(ids) for ids in calls)
     keyed = [c for ids in calls for c in ids]
     assert sorted(keyed) == list(range(lattice.context_count))
+
+
+def context_scan(lattice, table, hit):
+    return engine.scan(lattice, engine.context_types(lattice, table, hit), hit)
 
 
 @pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
@@ -364,10 +372,12 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
         cells += hits.size
         return hits
 
-    calls = recording_keyed_contexts(lattice)
+    keyed, read = recording_keyed_contexts(lattice)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        assert list(engine.scan(lattice, table, counting)) == []
-    assert_each_context_keyed_once(lattice, calls)
+        assert list(context_scan(lattice, table, counting)) == []
+    assert_each_context_keyed_once(lattice, keyed)
+    # no pair is flagged, so no row is read again
+    assert read == []
     _, _, add = lattice._tables
     rows = {tuple(row) for row in table.codes[add].tolist()}
     assert (lattice.context_count, len(rows)) == (2600, 295)
@@ -378,15 +388,15 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
     lattice = engine.ProfileLattice(6, 4, rule.influential(4))
     table = aggregators.lattice_table(rule.space, rule, lattice)
     hit = manipulation._hit_fn(rule.space, table.values, "partial", None)
-    calls = recording_keyed_contexts(lattice)
+    keyed, read = recording_keyed_contexts(lattice)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        hits = list(engine.scan(lattice, table, hit))
-    assert_each_context_keyed_once(lattice, calls)
+        hits = list(context_scan(lattice, table, hit))
+    assert_each_context_keyed_once(lattice, keyed)
     X = rule.space.feasible
     found = [
         (tuple(X[r] for r in lattice.rows(pid, pid + 1)[0]), voter + 1, X[lie])
         for block in hits
-        for pid, voter, lie, _ in zip(*(a.tolist() for a in block))
+        for pid, voter, lie, _, _ in zip(*(a.tolist() for a in block))
     ]
     expected = [
         (w.profile, w.voter, w.lie)
@@ -394,45 +404,107 @@ def test_scan_tests_each_distinct_context_row_once(block_elements):
         if w.profile[0] == w.profile[2] == X[0]
     ]
     assert found and found == expected
+    # rows are read again only for flagged pairs, the (profile, voter) pairs with a hit
+    flagged = {(pid, voter) for pid, voter, _ in found}
+    assert sum(len(ids) for ids in read) == len(flagged)
+
+
+def monotone_violations(space, rule, n):
+    """(profile, voter, lie) of every probe where the voter flips an issue, society flips it too, and
+    ends opposite to where the voter went, in canonical order."""
+    X = space.feasible
+    for profile in itertools.product(X, repeat=n):
+        z = oracle.outcome(rule, profile)
+        for i, y in itertools.product(range(n), X):
+            w = oracle.outcome(rule, profile[:i] + (y,) + profile[i + 1 :])
+            if (profile[i] ^ y) & (z ^ w) & (y ^ w):
+                yield profile, i + 1, y
 
 
 def _hit_cases():
+    """(rule, lattice, kind, hunt weights) of each scan input.  Partial hunts of context rows on the
+    full, pinned and multiset lattices; hunts of nn(majority) through its pivot types, walked
+    throughout (hamming, weighed unlike the rule, so the type table does not apply) or read off
+    the type table from the first block (partial: pref3's table costs less than any walk); and the
+    monotone check's predicate on a rule that breaks monotonicity where voter 2 holds X[0]."""
     pref3 = builtin_space("pref3")
+    X = pref3.feasible
     plurality = Plurality(pref3)
     partition = Partition(pref3, [set(), {1, 2}, set(), {3}])
+    nn = NearestNeighborRule(pref3, IiaStage.majority(3, 3), (1, 2, 3))
+    # the reverse of a transitive order is transitive
+    reverser = TableRule(pref3, lambda rows: rows[0] ^ 7 if rows[1] == X[0] else rows[0], "reverser")
     return {
-        "full": (plurality, engine.ProfileLattice(6, 3)),
-        "pinned": (partition, engine.ProfileLattice(6, 4, partition.influential(4))),
-        "multiset": (plurality, engine.MultisetLattice(6, 3)),
+        "full": (plurality, engine.ProfileLattice(6, 3), "partial", None),
+        "pinned": (partition, engine.ProfileLattice(6, 4, partition.influential(4)), "partial", None),
+        "multiset": (plurality, engine.MultisetLattice(6, 3), "partial", None),
+        "nn-walked": (nn, engine.MultisetLattice(6, 3), "hamming", (3, 2, 1)),
+        "nn-table": (nn, engine.MultisetLattice(6, 3), "partial", None),
+        "monotone": (reverser, engine.ProfileLattice(6, 3), "monotone", None),
     }
 
 
+def scan_input(rule, lattice, kind, weights):
+    """(outcome values, type source, predicate) of a scan case: an nn(...) rule's pivot types, or
+    the context rows of the rule's outcome table under a hunt's test or the monotone check's own."""
+    space = rule.space
+    if isinstance(rule, NearestNeighborRule):
+        hit = manipulation._hit_fn(space, space.feasible, kind, weights)
+        return space.feasible, manipulation._pivot_types(space, rule, lattice, kind, weights, hit), hit
+    table = aggregators.lattice_table(space, rule, lattice)
+    if kind == "monotone":
+        with mock.patch.object(aggregators, "scan", wraps=engine.scan) as scanned:
+            check_structural(space, rule, lattice.n, "monotone")
+        hit = scanned.call_args.args[2]
+    else:
+        hit = manipulation._hit_fn(space, table.values, kind, weights)
+    return table.values, engine.context_types(lattice, table, hit), hit
+
+
 @pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
-@pytest.mark.parametrize("lattice_name", ("full", "pinned", "multiset"))
-def test_hit_blocks_list_the_scan_hits_in_order(lattice_name, block_elements):
-    """The scan's blocks are non-empty, list the oracle's probes in order, and name each lied profile."""
-    rule, lattice = _hit_cases()[lattice_name]
+@pytest.mark.parametrize("case", ("full", "pinned", "multiset", "nn-walked", "nn-table", "monotone"))
+def test_hit_blocks_list_the_scan_hits_in_order(case, block_elements):
+    """The scan's blocks are non-empty, list the oracle's probes in order, and hold the outcome codes at
+    each profile and at the profile its voter's lie reaches."""
+    rule, lattice, kind, weights = _hit_cases()[case]
     space, n = rule.space, lattice.n
     X = space.feasible
-    table = aggregators.lattice_table(space, rule, lattice)
-    hit = manipulation._hit_fn(space, table.values, "partial", None)
-    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        blocks = list(engine.scan(lattice, table, hit))
-    assert all(len(pids) for pids, _, _, _ in blocks)
-    pids, voters, lies, lied = (np.concatenate(column).tolist() for column in zip(*blocks))
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements), mock.patch(
+        "binagg.manipulation._type_table", wraps=manipulation._type_table
+    ) as table_read:
+        values, typed, hit = scan_input(rule, lattice, kind, weights)
+        blocks = list(engine.scan(lattice, typed, hit))
+    assert table_read.called == (case == "nn-table")
+    assert all(len(pids) for pids, _, _, _, _ in blocks)
+    pids, voters, lies, truthful, lied = (np.concatenate(column).tolist() for column in zip(*blocks))
     rows = [lattice.rows(pid, pid + 1)[0].tolist() for pid in pids]
     found = [(tuple(X[r] for r in row), i + 1, X[y]) for row, i, y in zip(rows, voters, lies)]
     # the oracle walks every ordered profile: keep those the lattice names
-    index = {tuple(row): pid for pid, row in enumerate(lattice.rows(0, lattice.size).tolist())}
-    expected = [
-        (w.profile, w.voter, w.lie)
-        for w in oracle.iter_witnesses(space, rule, n, "partial")
-        if tuple(X.index(x) for x in w.profile) in index
-    ]
+    index = {tuple(row) for row in lattice.rows(0, lattice.size).tolist()}
+    if kind == "monotone":
+        probes = monotone_violations(space, rule, n)
+    else:
+        probes = ((w.profile, w.voter, w.lie) for w in oracle.iter_witnesses(space, rule, n, kind, weights))
+    expected = [probe for probe in probes if tuple(X.index(x) for x in probe[0]) in index]
     assert found and found == expected
-    for row, i, y, target in zip(rows, voters, lies, lied):
-        other = row[:i] + [y] + row[i + 1 :]
-        assert index[tuple(sorted(other) if isinstance(lattice, engine.MultisetLattice) else other)] == target
+    for (profile, voter, lie), z, w in zip(found, truthful, lied):
+        other = profile[: voter - 1] + (lie,) + profile[voter:]
+        assert (values[z], values[w]) == (oracle.outcome(rule, profile), oracle.outcome(rule, other))
+
+
+def test_pivot_walk_flags_each_type_it_meets_once():
+    """The pivot source files the types its blocks meet in one memo for the whole walk: however the
+    walk is chunked, it flags as many rows, one per distinct type, and lists the same hits."""
+    rule, lattice, kind, weights = _hit_cases()["nn-walked"]
+    walks = set()
+    for block_elements in (engine.BLOCK_ELEMENTS, 97, 1):
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements), mock.patch.object(
+            engine, "type_hits", wraps=engine.type_hits
+        ) as flagged:
+            _, typed, hit = scan_input(rule, lattice, kind, weights)
+            hits = tuple(tuple(np.concatenate(column).tolist()) for column in zip(*engine.scan(lattice, typed, hit)))
+        walks.add((sum(len(call.args[0]) for call in flagged.call_args_list), hits))
+    assert len(walks) == 1
 
 
 @st.composite
