@@ -43,7 +43,8 @@ from .engine import (
     strides,
     truth_bits,
 )
-from .metric import TieOrder, _correction_table, _feasible_distances, nn_select, uniform_weights, validate_weights
+from .metric import TieOrder, _correction_table, _feasible_distances, _first_nearest, uniform_weights, validate_weights
+from .metric import nn_select  # noqa: F401  bench/spans.py wraps nn_select
 from .spaces import EvaluationSpace, bit_at
 
 DEFAULT_BUDGET = 10**8
@@ -478,7 +479,8 @@ class NearestNeighborRule(Rule):
     correction of every hypercube point from the table that sweeps share
     (``metric._correction_table``), so building that table never costs
     more than the points it serves; until then, and past 20 issues, it
-    snaps only the points seen.
+    corrects only the distinct points seen, with the kernel that builds
+    the table (``metric._first_nearest``).
     """
 
     def __init__(
@@ -495,17 +497,6 @@ class NearestNeighborRule(Rule):
         self.stage = stage
         self.weights = None if weights is None else validate_weights(weights, space.m)
         self.tie = tie
-        # snapped value of every infeasible stage output seen so far
-        self._snapped: dict[int, int] = {}
-
-    def correct(self, point: int) -> int:
-        """The correction map alone: identity on the space, snap elsewhere."""
-        if point in self.space:
-            return point
-        snapped = self._snapped.get(point)
-        if snapped is None:
-            snapped = self._snapped[point] = nn_select(self.space, point, self.weights, self.tie)
-        return snapped
 
     @property
     def anonymous(self) -> bool:
@@ -519,10 +510,10 @@ class NearestNeighborRule(Rule):
         """Feasible indices of the corrections of an array of hypercube points, in its shape.
 
         Once it has been handed at least 2**m points, it reads the shared
-        correction table; until then, and past 20 issues, it snaps only
-        the distinct points seen.
+        correction table; until then, and past 20 issues, it corrects only
+        the distinct points of each call.
         """
-        m, index = self.space.m, self.space.index
+        m = self.space.m
         ranking = None if self.tie is None else self.tie.ranking
         points_seen = 0
 
@@ -532,8 +523,7 @@ class NearestNeighborRule(Rule):
             if m <= 20 and points_seen >= 1 << m:
                 return _correction_table(self.space, self.weights, ranking)[points]
             distinct, inverse = np.unique(points, return_inverse=True)
-            snapped = np.array([index(self.correct(v)) for v in distinct.tolist()], dtype=np.intp)
-            return snapped[inverse].reshape(points.shape)
+            return _first_nearest(self.space, distinct, self.weights, ranking)[inverse].reshape(points.shape)
 
         return indices
 

@@ -11,24 +11,24 @@ a nearest-neighbor set is a non-crossing selector: two infeasible points
 sharing two candidates can never be resolved in opposite directions.
 ``check_h2`` audits that non-crossing property for arbitrary selectors.
 
-Array forms of both serve the engine, each cached: per space and
-weights, :func:`_feasible_distances`, every distance between feasible
-evaluations; per space, weights and tie ranking,
-:func:`_correction_table`, the feasible index that ``nn_select`` picks
-for every hypercube point.  That table is the one correction built
-anywhere: ``nn(...)`` rules, sweeps, stage screens and both halves of
-the lemma harvest read it.
+One exact kernel, :func:`_weigh`, computes every distance, one gather
+per 16 issues, and :func:`_first_nearest` on it makes every correction:
+the first nearest feasible evaluation of each of an array of points, in
+tie order.  Cached, :func:`_feasible_distances` holds every distance
+between feasible evaluations and :func:`_correction_table` the
+correction of every hypercube point, the one table that ``nn(...)``
+rules, sweeps, stage screens and both halves of the lemma harvest read.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import _unsigned, block_size, exact_array, issue_bits
+from .engine import _unsigned, block_size, exact_array, masks_array
 from .spaces import EvaluationSpace, to_bits
 
 
@@ -104,56 +104,65 @@ class TieOrder:
         except KeyError:
             raise ValueError(f"evaluation not ranked by this tie order: {mask}") from None
 
-    def best(self, candidates: Iterable[int]) -> int:
-        return min(candidates, key=self.rank)
-
     def __repr__(self):
         return f"TieOrder({self.name}, size={len(self.ranking)})"
 
 
-def nn_set(space: EvaluationSpace, point: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
-    """All feasible points at minimal weighted distance from ``point``."""
-    if space.is_feasible(point):
-        return (point,)
-    m = space.m
-    w = None if weights is None else validate_weights(weights, m)
-    best = None
-    out: list[int] = []
-    for x in space.feasible:
-        d = (point ^ x).bit_count() if w is None else weight_of(point, x, w, m)
-        if best is None or d < best:
-            best = d
-            out = [x]
-        elif d == best:
-            out.append(x)
-    return tuple(out)
+#: issues per gather of the distance kernel (:func:`_weigh`)
+CHUNK = 16
 
 
-def nn_select(
-    space: EvaluationSpace,
-    point: int,
-    weights: Sequence[int] | None = None,
-    tie: TieOrder | None = None,
-) -> int:
+@lru_cache(maxsize=32)
+def _chunk_tables(weights: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only total weight of every disagreement mask of each CHUNK-issue chunk, last issues first,
+    all in :func:`engine.exact_array`'s dtype for the total weight, so any sum of chunks stays exact."""
+    dtype = exact_array([sum(weights)]).dtype
+    tables = []
+    for at in range(0, len(weights), CHUNK):
+        table = np.zeros(1, dtype=dtype)
+        for wj in weights[::-1][at : at + CHUNK]:
+            table = np.concatenate((table, table + wj))
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def _weigh(diff: np.ndarray, weights: tuple[int, ...]) -> np.ndarray:
+    """Total weight of each disagreement mask in ``diff`` (an unsigned or intp array of masks on
+    len(weights) issues), exactly: one gather per CHUNK issues, a single one up to CHUNK issues."""
+    tables = _chunk_tables(weights)
+    if len(tables) == 1:
+        return tables[0][diff]
+    low = np.array((1 << CHUNK) - 1, dtype=diff.dtype)
+    return sum(table[(diff >> np.array(k * CHUNK, dtype=diff.dtype)) & low] for k, table in enumerate(tables))
+
+
+def _first_nearest(space: EvaluationSpace, points: np.ndarray, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
+    """Feasible index, in the narrowest unsigned dtype, of each point's first nearest feasible evaluation in
+    the order of this tie ranking (None: ascending) under the weights (None: uniform), a block at a time."""
+    m, S = space.m, space.size
+    weights = uniform_weights(m) if weights is None else weights
+    ranked = masks_array(space.feasible if ranking is None else ranking, m)
+    index = np.searchsorted(masks_array(space.feasible, m), ranked).astype(_unsigned(S - 1))
+    nearest = np.empty(points.shape, dtype=index.dtype)
+    step = block_size(S)
+    for at in range(0, len(points), step):
+        nearest[at : at + step] = index[_weigh(points[at : at + step, None] ^ ranked, weights).argmin(axis=1)]
+    return nearest
+
+
+def nn_select(space: EvaluationSpace, point: int, weights: Sequence[int] | None = None, tie: TieOrder | None = None):
     """The tie-order-minimal nearest neighbor (ascending mask order by default)."""
-    candidates = nn_set(space, point, weights)
-    if len(candidates) == 1:
-        return candidates[0]
-    if tie is None:
-        return candidates[0]  # nn_set is ascending already
-    return tie.best(candidates)
+    if not 0 <= point < 1 << space.m:
+        raise ValueError(f"evaluation out of range for m={space.m}")
+    w = None if weights is None else validate_weights(weights, space.m)
+    nearest = _first_nearest(space, masks_array([point], space.m), w, None if tie is None else tie.ranking)
+    return space.feasible[nearest[0]]
 
 
 def _distances(rows: Sequence[int], columns: Sequence[int], weights: tuple[int, ...], m: int) -> np.ndarray:
-    """(len(rows), len(columns)) weighted distances between masks on m issues, exact in :func:`engine.exact_array`'s dtype.
-
-    Summed issue by issue, in int64 while the total weight fits and in Python ints past it.
-    """
-    a, b = issue_bits(rows, m), issue_bits(columns, m)
-    dist = np.zeros((len(rows), len(columns)), dtype=np.int64 if sum(weights) < 2**63 else object)
-    for j, wj in enumerate(weights):
-        dist[a[j][:, None] != b[j]] += wj
-    return exact_array(dist)
+    """(len(rows), len(columns)) weighted distances between masks on m issues, exact (see :func:`_chunk_tables`)."""
+    return _weigh(masks_array(rows, m)[:, None] ^ masks_array(columns, m), weights)
 
 
 @lru_cache(maxsize=32)
@@ -166,30 +175,16 @@ def _feasible_distances(space: EvaluationSpace, weights: tuple[int, ...]) -> np.
 
 @lru_cache(maxsize=16)
 def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
-    """Read-only feasible index of ``nn_select(space, p, weights, tie)`` for every hypercube point p,
-    under the tie order with this ranking (None: no tie order): per block of points, the first nearest
-    feasible evaluation in ranking order (ascending without one), by exact distances.  Indices come in
-    the narrowest unsigned dtype.
+    """Read-only :func:`_first_nearest` of every hypercube point: the feasible index of its first
+    nearest feasible evaluation in the order of this tie ranking (None: ascending).
 
     Keyed on the ranking, not the TieOrder: callers rebuild equal orders
     for every stage.  Sweeps, their one-stage screens, ``nn(...)`` rules
     and the lemma harvest all read this one cache.
     """
-    m = space.m
-    if m > 20:
+    if space.m > 20:
         raise ValueError("correction table is practical for m <= 20 only")
-    # weight[d]: the total weight of the disagreement mask d, exact (Python ints past int64)
-    weight = [0]
-    for wj in reversed(uniform_weights(m) if weights is None else weights):
-        weight += [d + wj for d in weight]
-    weight = exact_array(weight)
-    ranking = space.feasible if ranking is None else ranking
-    ranked = np.array(ranking, dtype=np.intp)
-    index = np.array([space.index(x) for x in ranking], dtype=_unsigned(space.size - 1))
-    table = np.empty(1 << m, dtype=index.dtype)
-    step = block_size(space.size)
-    for at in range(0, 1 << m, step):
-        table[at : at + step] = index[weight[np.arange(at, min(at + step, 1 << m))[:, None] ^ ranked].argmin(axis=1)]
+    table = _first_nearest(space, np.arange(1 << space.m), weights, ranking)
     table.flags.writeable = False
     return table
 
@@ -208,18 +203,18 @@ def check_h2(
     the witness (a, b, alpha, beta) is returned.
     """
     outside = space.infeasible()
-    sets = {}
+    X, m = space.feasible, space.m
+    dist = _distances(outside, X, uniform_weights(m) if weights is None else validate_weights(weights, m), m)
+    nearest = (dist == dist.min(axis=1, keepdims=True)).tolist()
+    sets = {p: frozenset(x for x, near in zip(X, row) if near) for p, row in zip(outside, nearest)}
     chosen = {}
     for p in outside:
-        candidates = frozenset(nn_set(space, p, weights))
-        pick = selector(p)
-        if pick not in candidates:
+        pick = chosen[p] = selector(p)
+        if pick not in sets[p]:
             raise ValueError(
-                f"not a nearest-neighbor selector: maps {to_bits(p, space.m)} "
-                f"to {to_bits(pick, space.m)} outside its nearest set"
+                f"not a nearest-neighbor selector: maps {to_bits(p, m)} "
+                f"to {to_bits(pick, m)} outside its nearest set"
             )
-        sets[p] = candidates
-        chosen[p] = pick
     for i, a in enumerate(outside):
         for b in outside[i + 1 :]:
             alpha, beta = chosen[a], chosen[b]

@@ -457,21 +457,9 @@ def mipe_set(space: EvaluationSpace, pe: PartialEvaluation) -> tuple[int, ...]:
     if not is_mipe(space, pe):
         raise ValueError(f"not a MIPE of this space: {pe.describe()}")
     m = space.m
-    fixed = 0
-    support_mask = 0
-    for j, b in zip(pe.support, pe.bits):
-        support_mask |= 1 << (m - j)
-        if b:
-            fixed |= 1 << (m - j)
-    free = ((1 << m) - 1) & ~support_mask
-    out = []
-    sub = free
-    while True:
-        out.append(fixed | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return tuple(sorted(out))
+    fixed = sum(1 << (m - j) for j, b in zip(pe.support, pe.bits) if b)
+    free = ((1 << m) - 1) & ~sum(1 << (m - j) for j in pe.support)
+    return interval(fixed, fixed | free, m)
 
 
 @lru_cache(maxsize=1024)

@@ -1,4 +1,4 @@
-"""Mutation check of the probe walk: each listed mutant must make its tests fail.
+"""Mutation check of the probe walk and the distance kernel: each listed mutant must make its tests fail.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -40,6 +40,7 @@ PIVOT_ONCE = "tests/test_engine.py::test_pivot_walk_flags_each_type_it_meets_onc
 GATE = "tests/test_manipulation.py::test_full_hunts_of_corrected_stages_match_the_oracle"
 EVERY_KIND = "tests/test_manipulation.py::test_hunts_of_corrected_stages_of_every_kind_match_the_oracle"
 UNRANK = "tests/test_engine.py::test_multiset_rows_unrank_deep_in_a_large_lattice"
+KERNEL = "tests/test_metric.py::test_kernel_and_corrections_match_the_oracle"
 
 MUTANTS = (
     Mutant(
@@ -90,6 +91,34 @@ MUTANTS = (
         'searchsorted(rank, "right")',
         'searchsorted(rank, "left")',
         (UNRANK,),
+    ),
+    Mutant(
+        "the distance kernel drops its last chunk",
+        "src/binagg/metric.py",
+        "for k, table in enumerate(tables))",
+        "for k, table in enumerate(tables[:-1]))",
+        (KERNEL,),
+    ),
+    Mutant(
+        "the distance kernel reads a chunk one issue off",
+        "src/binagg/metric.py",
+        "np.array(k * CHUNK, dtype=diff.dtype)",
+        "np.array(k * CHUNK + 1, dtype=diff.dtype)",
+        (KERNEL,),
+    ),
+    Mutant(
+        "the first nearest taken in ascending mask order, not ranking order",
+        "src/binagg/metric.py",
+        "ranked = masks_array(space.feasible if ranking is None else ranking, m)",
+        "ranked = masks_array(space.feasible, m)",
+        (KERNEL,),
+    ),
+    Mutant(
+        "the distance kernel keeps int64 past 2^63",
+        "src/binagg/metric.py",
+        "dtype = exact_array([sum(weights)]).dtype",
+        "dtype = exact_array([min(sum(weights), 2**63 - 1)]).dtype",
+        (KERNEL,),
     ),
 )
 

@@ -36,7 +36,7 @@ from binagg.aggregators import (
     monotone_tables,
 )
 from binagg.manipulation import ManipulationWitness, classify_deviation
-from binagg.metric import nn_select, uniform_weights, weighted_hamming
+from binagg.metric import uniform_weights, validate_weights, weight_of, weighted_hamming
 from binagg.spaces import builtin_space
 
 
@@ -71,7 +71,7 @@ def outcome(rule, rows):
         counts = Counter(rows)
         top = max(counts.values())
         tied = [r for r, c in counts.items() if c == top]
-        return max(tied) if rule.tie is None else rule.tie.best(tied)
+        return max(tied) if rule.tie is None else min(tied, key=rule.tie.rank)
     if isinstance(rule, Partition):
         # the owner's bit, unless no feasible evaluation starts with the prefix it makes
         owner = {j: v for v, block in enumerate(rule.blocks) for j in block}
@@ -101,6 +101,32 @@ def swm_topk(space, rows, candidate_order=None):
     sums = [sum((r >> (m - j)) & 1 for r in rows) for j in range(1, m + 1)]
     ranked = sorted(range(1, m + 1), key=lambda j: (-sums[j - 1], priority[j]))
     return sum(1 << (m - j) for j in ranked[: space.feasible[0].bit_count()])
+
+
+def nn_set(space, point, weights=None):
+    """All feasible points at minimal weighted distance from ``point``, feasible point by feasible point."""
+    if space.is_feasible(point):
+        return (point,)
+    m = space.m
+    w = None if weights is None else validate_weights(weights, m)
+    best = None
+    out = []
+    for x in space.feasible:
+        d = (point ^ x).bit_count() if w is None else weight_of(point, x, w, m)
+        if best is None or d < best:
+            best = d
+            out = [x]
+        elif d == best:
+            out.append(x)
+    return tuple(out)
+
+
+def nn_select(space, point, weights=None, tie=None):
+    """The tie-order-minimal member of ``nn_set`` (ascending mask order by default)."""
+    candidates = nn_set(space, point, weights)
+    if len(candidates) == 1 or tie is None:
+        return candidates[0]  # nn_set is ascending already
+    return min(candidates, key=tie.rank)
 
 
 @lru_cache(maxsize=4096)

@@ -320,9 +320,25 @@ def test_nearest_neighbor_correction_snaps_only_outputs_seen():
     space = EvaluationSpace(m, [0, (1 << 20) - 1, ((1 << 20) - 1) << 20, (1 << m) - 1, 0x5555555555, 0xAAAAAAAAAA])
     rule = NearestNeighborRule(space, IiaStage.majority(2, m))
     start = time.perf_counter()
-    find_witness(space, rule, 2, "full")
+    with spy_corrections() as spy, mock.patch.object(
+        aggregators, "_correction_table", side_effect=AssertionError("correction table built")
+    ):
+        find_witness(space, rule, 2, "full")
     assert time.perf_counter() - start < 0.5
-    assert len(rule._snapped) <= space.size**2
+    corrected = corrected_points(spy)
+    assert len(corrected) <= space.size**2 and any(p not in space for p in corrected)
+
+
+def spy_corrections():
+    """Patch the rules' first-nearest kernel with a spy that records the points they correct one by one."""
+    return mock.patch.object(aggregators, "_first_nearest", wraps=aggregators._first_nearest)
+
+
+def corrected_points(spy) -> set[int]:
+    """The points a :func:`spy_corrections` spy was handed, each call's distinct."""
+    calls = [c.args[1].tolist() for c in spy.call_args_list]
+    assert all(len(set(points)) == len(points) for points in calls)
+    return set().union(*calls)
 
 
 def recording_keyed_contexts(lattice):
@@ -576,14 +592,18 @@ def assert_indexed_tables(space, rule, n):
 
 @pytest.mark.parametrize("block_elements", (engine.BLOCK_ELEMENTS, 1, 97))
 def test_feasible_rules_write_feasible_indices(block_elements):
+    one_block = block_elements == engine.BLOCK_ELEMENTS
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         for name, weights in (("pref3", (1, 2, 3)), ("doctrinal", None), ("cycle6", (2, 1, 1))):
             space = builtin_space(name)
             for rule in feasible_rules(space, 3, weights, TieOrder.shuffled(space, 7)):
-                assert_indexed_tables(space, rule, 3)
-                if isinstance(rule, NearestNeighborRule) and block_elements == engine.BLOCK_ELEMENTS:
-                    # each table is one block of at least 2**3 profiles: the correction table serves it
-                    assert rule._snapped == {}
+                with spy_corrections() as spy:
+                    assert_indexed_tables(space, rule, 3)
+                if isinstance(rule, NearestNeighborRule):
+                    # no infeasible stage output is corrected point by point; at the default size each
+                    # table is one block of at least 2**3 profiles, so the correction table serves it all
+                    assert all(p in space for p in corrected_points(spy))
+                    assert not (one_block and spy.called)
 
 
 SNAPPED_SPACES = (
@@ -600,9 +620,10 @@ def test_nearest_neighbor_snap_path_writes_feasible_indices(space, block_element
         rule = NearestNeighborRule(space, IiaStage.majority(2, space.m), None, tie)
         with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements), mock.patch.object(
             aggregators, "_correction_table", side_effect=AssertionError("correction table built")
-        ):
+        ), spy_corrections() as spy:
             assert_indexed_tables(space, rule, 2)
-        assert rule._snapped
+        corrected = corrected_points(spy)
+    assert len(corrected) <= space.size**2 and any(p not in space for p in corrected)
 
 
 #: stages of three voters on pref3 whose corrections never reach some

@@ -22,7 +22,7 @@ from binagg.fastsweep import (
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
 from binagg.manipulation import KINDS, _bad_types, _type_table, classify_deviation, find_witness
-from binagg.metric import TieOrder, _correction_table, nn_select, weighted_hamming
+from binagg.metric import TieOrder, _correction_table, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
 
@@ -72,7 +72,7 @@ def test_sweep_witness_reads_the_sweeps_correction_table():
     _correction_table.cache_clear()
     _type_table.cache_clear()
     with mock.patch("binagg.manipulation._correction_table", wraps=_correction_table) as swept, mock.patch(
-        "binagg.aggregators.nn_select", side_effect=AssertionError("snapped point by point")
+        "binagg.aggregators._first_nearest", side_effect=AssertionError("corrected point by point")
     ):
         found = all_stage_products_hamming_free(space, 3, (1, 2, 3, 1, 2, 3), tie)
     info = _correction_table.cache_info()
@@ -457,7 +457,7 @@ def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
 def _old_bad_types(space, weights, tie):
     """The sweep's hamming-only flags over every type, before the kinds were generalised."""
     S, m = space.size, space.m
-    correct = np.array([space.index(nn_select(space, p, weights, tie)) for p in range(1 << m)])
+    correct = np.array([space.index(oracle.nn_select(space, p, weights, tie)) for p in range(1 << m)])
     rank = np.empty((S, S), dtype=np.intp)
     for x, opinion in enumerate(space.feasible):
         d = [weighted_hamming(opinion, o, weights, m) for o in space.feasible]
@@ -496,7 +496,7 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         digits = [t // 3 ** (m - 1 - j) % 3 for j in range(m)]
         fixed = sum(1 << (m - 1 - j) for j, k in enumerate(digits) if k == 2)
         copied = sum(1 << (m - 1 - j) for j, k in enumerate(digits) if k == 1)
-        outcome = {y: nn_select(space, fixed | (y & copied), weights, tie) for y in X}
+        outcome = {y: oracle.nn_select(space, fixed | (y & copied), weights, tie) for y in X}
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
     assert _bad_types(space, weights, _correction(space, weights, tie), kind).bad.any(axis=1)[types].tolist() == expected
@@ -563,7 +563,7 @@ def test_correction_indices_match_nn_select(case, block_elements):
     space, weights, tie = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         table = _correction(space, weights, tie)
-    assert table.tolist() == [space.index(nn_select(space, p, weights, tie)) for p in range(1 << space.m)]
+    assert table.tolist() == [space.index(oracle.nn_select(space, p, weights, tie)) for p in range(1 << space.m)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,18 +1,25 @@
 """Distances, nearest-neighbor sets, tie orders and the crossing audit."""
 
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracle
+from oracle import nn_set
+from binagg import engine
+from binagg.aggregators import IiaStage, NearestNeighborRule
+from binagg.engine import masks_array
 from binagg.fixtures import four_candidate_tie_order
 from binagg.metric import (
     TieOrder,
+    _correction_table,
     _distances,
     _feasible_distances,
     check_h2,
     nn_select,
-    nn_set,
     uniform_weights,
     validate_weights,
     weighted_hamming,
@@ -75,6 +82,45 @@ def test_metric_triangle(a, b, c, w):
 def test_betweenness_additivity(a, b, w):
     for c in interval(a, b, 6):
         assert weighted_hamming(a, c, w) + weighted_hamming(c, b, w) == weighted_hamming(a, b, w)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A space of up to 6 members on m issues, m on either side of each 16-issue chunk edge, weights
+    up to 2**70 or none, a tie order or none, and points near the members or anywhere."""
+    m = draw(st.sampled_from((1, 15, 16, 17, 20, 21, 40, 63, 64)))
+    members = sorted(draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=6)))
+    space = EvaluationSpace(m, members)
+    weight = st.integers(1, 3) | st.integers(2**31, 2**40) | st.integers(2**62, 2**70)
+    weights = draw(st.none() | st.tuples(*[weight] * m))
+    tie = draw(st.none() | st.permutations(space.feasible).map(lambda r: TieOrder(space, r)))
+    near = st.builds(lambda x, j, k: x ^ (1 << j) ^ (1 << k), st.sampled_from(members), *[st.integers(0, m - 1)] * 2)
+    points = draw(st.lists(near | st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    return space, weights, tie, points
+
+
+TIED_64 = EvaluationSpace(64, [0, (1 << 64) - 1, 0xFFFF0000FFFF0000])
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
+# weights past int64 on every chunk, and points equidistant from all three members
+@example((TIED_64, (2**70,) * 64, TieOrder.descending(TIED_64), [0xFFFFFFFF00000000, 0x00000000FFFFFFFF]), 1)
+def test_kernel_and_corrections_match_the_oracle(case, block_elements):
+    """Distances, the correction table and an nn rule's corrections of the points handed to it,
+    against the pure-Python distance and nearest-neighbour scans."""
+    space, weights, tie, points = case
+    m, X = space.m, space.feasible
+    w = weights or (1,) * m
+    expected = [space.index(oracle.nn_select(space, p, weights, tie)) for p in points]
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        assert _distances(points, X, w, m).tolist() == [[weighted_hamming(p, x, w) for x in X] for p in points]
+        corrections = NearestNeighborRule(space, IiaStage.majority(1, m), weights, tie).indexer()
+        assert corrections(masks_array(points, m)).tolist() == expected
+        assert [nn_select(space, p, weights, tie) for p in points] == [X[i] for i in expected]
+    if m <= 17:
+        ranking = None if tie is None else tie.ranking
+        assert _correction_table.__wrapped__(space, weights, ranking)[points].tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +204,8 @@ def test_tie_order_validation():
         TieOrder(p3, p3.feasible + (0b111,))
     asc = TieOrder.ascending(p3)
     assert asc.rank(p3.feasible[0]) == 0
-    assert asc.best([0b110, 0b001]) == 0b001
-    assert TieOrder.descending(p3).best([0b110, 0b001]) == 0b110
+    assert asc.rank(0b001) < asc.rank(0b110)
+    assert TieOrder.descending(p3).rank(0b110) < TieOrder.descending(p3).rank(0b001)
 
 
 def test_tie_order_shuffle_deterministic():
