@@ -4,8 +4,8 @@ Subcommands: ``space info``, ``space mipes``, ``run``, ``hunt``,
 ``check`` and ``verify``.  Spaces are either built-in aliases (pref3,
 pref4, doctrinal, classifier4, cycle6, choose4-2, choose5-2) or paths
 to space files.  Exit status: 0 when the command computed its verdict,
-1 on usage or input errors, 2 when a search budget was exceeded,
-3 when a verification suite fails.
+1 on usage or input errors or an array too large for memory, 2 when
+a search budget was exceeded, 3 when a verification suite fails.
 """
 
 from __future__ import annotations
@@ -175,6 +175,9 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, ValueError) as e:  # a ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy refuses an array past memory at once
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -219,8 +219,10 @@ class MultisetLattice:
     whole lattice, and the lied profile of (k, voter i, lie y) is
     ``add[remove[k, i], y]``, where ``remove`` maps a profile and a
     position to the (n-1)-multiset left without it, and ``add`` maps an
-    (n-1)-multiset and a lie back to a profile here.  Once they are
-    built, rows are sliced from them.
+    (n-1)-multiset and a lie back to a profile here.  One recursion on the
+    tuple length builds rows and ``remove`` together from the same
+    counts, and ``add`` is scattered from them.  Once they are built,
+    rows are sliced from them.
     """
 
     def __init__(self, S: int, n: int):
@@ -276,7 +278,11 @@ def _tuple_counts(S: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     entries after position j.  So the rank of a sorted tuple t sums
     ``below[j, t[j]] - below[j, t[j-1]]`` over j (t[-1] = 0), and
     ``steps[j] = below[j + 1] - below[j]`` (0 past the last position)
-    moves those partial sums from one position to the next.
+    moves those partial sums from one position to the next.  Row j also
+    ranks the sorted (k-j)-tuples alone: ``below[j, a]`` of them start
+    below a, and a followed by a (k-j-1)-tuple of rank r ranks
+    ``r - steps[j, a]``.  :func:`_unrank` and the recursion of
+    :func:`_multiset_tables` read this one table.
     """
     below = np.zeros((k, S + 1), dtype=np.int64)
     for j in range(k):
@@ -304,23 +310,30 @@ def _unrank(S: int, n: int, start: int, stop: int) -> np.ndarray:
 def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, remove, add) of the multiset lattice of n opinions from S, each in its narrowest dtype."""
     size, smaller = math.comb(S + n - 1, n), math.comb(S + n - 2, n - 1)
-    # Every row at once, faster than unranking them block by block: the sorted k-tuples that start
-    # with a are a followed by the sorted (k-1)-tuples that start at a or later, the last
-    # C(S-a+k-2, k-1) of them.
+    below, steps = _tuple_counts(S, n)
+    # Level k holds the sorted k-tuples (row n - k of ``below`` ranks them), built up from level 1:
+    # faster than unranking them block by block.  Those that start with a are a followed by their
+    # tails, the tuples of level k-1 from rank below[n-k+1, a] on.  Less its first entry, a tuple is
+    # its tail; less a later entry, it is a followed by its tail less one entry, whose rank at level
+    # k-2 (the row of ``remove`` one level down) -steps[n-k+1, a] >= 0 moves to level k-1.  Every
+    # step copies or adds in place in the tables' dtypes; ``ids`` names the tails and the profiles.
+    ids = np.arange(size, dtype=_unsigned(size - 1))
     rows = np.arange(S, dtype=_unsigned(S - 1))[:, None]
-    for k in range(2, n + 1):
-        counts = [math.comb(S - a + k - 2, k - 1) for a in range(S)]
-        longer = np.empty((sum(counts), k), dtype=rows.dtype)
-        longer[:, 0] = np.repeat(np.arange(S, dtype=rows.dtype), counts)
-        at = 0
-        for count in counts:
-            longer[at : at + count, 1:] = rows[len(rows) - count :]
-            at += count
-        rows = longer
-    remove = _remove_ranks(rows, S, smaller)
+    remove = np.zeros((S, 1), dtype=_unsigned(smaller - 1))
+    for j in range(n - 2, -1, -1):
+        starts, tails = below[j].tolist(), below[j + 1].tolist()
+        shift = (-steps[j + 1, :S]).astype(remove.dtype)
+        next_rows = np.empty((starts[S], n - j), dtype=rows.dtype)
+        next_remove = np.empty(next_rows.shape, dtype=remove.dtype)
+        for a in range(S):
+            block, tail = slice(starts[a], starts[a + 1]), tails[a]
+            next_rows[block, 0] = a
+            next_rows[block, 1:] = rows[tail:]
+            next_remove[block, 0] = ids[tail : len(rows)]
+            np.add(remove[tail:], shift[a], out=next_remove[block, 1:])
+        rows, remove = next_rows, next_remove
     # every (n-1)-multiset plus a lie is some multiset k less one of its positions
-    add = np.empty((smaller, S), dtype=_unsigned(size - 1))
-    ids = np.arange(size, dtype=add.dtype)
+    add = np.empty((smaller, S), dtype=ids.dtype)
     spot = np.empty(size, dtype=np.intp)
     for i in range(n):
         spot[:] = remove[:, i]
@@ -328,39 +341,6 @@ def _multiset_tables(S: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         spot += rows[:, i]
         add.reshape(-1)[spot] = ids
     return rows, remove, add
-
-
-def _remove_ranks(rows: np.ndarray, S: int, smaller: int) -> np.ndarray:
-    """(size, n) ranks among the C(S+n-2, n-1) sorted (n-1)-tuples of each sorted row less each position."""
-    size, n = rows.shape
-    # ranks of sorted (n-1)-tuples, as :func:`_tuple_counts` sums them
-    rank_dtype = _unsigned(smaller - 1)
-    below = _tuple_counts(S, n - 1)[0].astype(rank_dtype)
-    # remove[:, k] ranks a row less position k.  Less position k instead of
-    # k-1, the rest differs only at position k-1, which holds r[k-1] rather
-    # than r[k], so only terms k-1 and k of the rank change.  ``first`` sums
-    # remove[:, 0] and ``shift`` the changes up to k; each term
-    # below[j, r[k]], j in k-1..k+1, is gathered once, from one intp column
-    # at a time.  Unsigned sums wrap, and every final rank is in range.
-    remove = np.empty((size, n), dtype=rank_dtype)
-    first = np.zeros(size, dtype=rank_dtype)
-    shift = np.zeros(size, dtype=rank_dtype)
-    for k in range(n):
-        column = rows[:, k].astype(np.intp)
-        at = below[k][column] if k < n - 1 else 0
-        if k:
-            after = below[k - 1][column]
-            first += after
-            first -= at
-            shift -= after
-            shift += at
-            remove[:, k] = shift
-        shift += at
-        if k < n - 2:
-            shift -= below[k + 1][column]
-    remove[:, 0] = 0
-    remove += first[:, None]
-    return remove
 
 
 def blocks(lattice: Lattice, width: int) -> Iterator[tuple[int, np.ndarray]]:

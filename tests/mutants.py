@@ -10,7 +10,8 @@ under ``src/``.  Each one is applied to a fresh temporary copy of
 ``src/`` and ``tests/`` and the listed tests run there; the mutant is
 killed when they fail.  The script prints each verdict and a summary,
 and exits 1 when a mutant survives or its text is not found once.
-Add the mutants of every new fast path here.
+Add the mutants of every new fast path here; ``tests/test_mutants.py``
+holds each one's text and tests in step with the code on every tier-1 run.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ PIVOT_ONCE = "tests/test_engine.py::test_pivot_walk_flags_each_type_it_meets_onc
 GATE = "tests/test_manipulation.py::test_full_hunts_of_corrected_stages_match_the_oracle"
 EVERY_KIND = "tests/test_manipulation.py::test_hunts_of_corrected_stages_of_every_kind_match_the_oracle"
 UNRANK = "tests/test_engine.py::test_multiset_rows_unrank_deep_in_a_large_lattice"
+RANKS = "tests/test_engine.py::test_multiset_tables_rank_past_uint8"
 KERNEL = "tests/test_metric.py::test_kernel_and_corrections_match_the_oracle"
 
 MUTANTS = (
@@ -91,6 +93,27 @@ MUTANTS = (
         'searchsorted(rank, "right")',
         'searchsorted(rank, "left")',
         (UNRANK,),
+    ),
+    Mutant(
+        "the multiset recursion reads its shift off the wrong level",
+        "src/binagg/engine.py",
+        "-steps[j + 1, :S]",
+        "-steps[j, :S]",
+        (RANKS,),
+    ),
+    Mutant(
+        "the multiset recursion's tail index off by one",
+        "src/binagg/engine.py",
+        "ids[tail : len(rows)]",
+        "ids[tail + 1 : len(rows) + 1]",
+        (RANKS,),
+    ),
+    Mutant(
+        "the multiset recursion's shift wraps to a subtraction",
+        "src/binagg/engine.py",
+        "(-steps[j + 1, :S])",
+        "(steps[j + 1, :S])",
+        (RANKS,),
     ),
     Mutant(
         "the distance kernel drops its last chunk",

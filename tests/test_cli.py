@@ -9,10 +9,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from binagg import aggregators
 from binagg.aggregators import check_structural, parse_rule
 from binagg import cli
 from binagg.cli import main
@@ -128,6 +130,17 @@ def test_hunt_budget_exceeded(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_out_of_memory_is_one_error_line(capsys):
+    # a budget past what memory holds: numpy refuses engine.build_table's codes array at once
+    refused = MemoryError("Unable to allocate 2.40 TiB for an array with shape (2641807540224,) and data type uint8")
+    argv = ("check", "--space", "pref4", "-n", "9", "--aggregator", "plurality", "--property", "iia", "--budget", str(10**20))
+    with mock.patch.object(aggregators, "build_table", side_effect=refused):
+        assert run(capsys, *argv) == (1, "", f"error: {refused}\n")
+    # a bare MemoryError carries no message of its own
+    with mock.patch.object(aggregators, "build_table", side_effect=MemoryError):
+        assert run(capsys, *argv) == (1, "", "error: out of memory\n")
 
 
 def test_hunt_budget_counts_multisets_for_anonymous_rules(capsys):

@@ -278,6 +278,38 @@ def test_multiset_lattice_tables():
                 assert lied[k, i, y] == index[tuple(sorted(ms[:i] + (y,) + ms[i + 1 :]))]
 
 
+def sorted_tuple_rank(row, S):
+    """Rank of a sorted tuple from 0..S-1 among those of its length: the sorted tuples before it, counted."""
+    rank, low = 0, 0
+    for j, entry in enumerate(row):
+        tail = len(row) - 1 - j
+        rank += sum(math.comb(S - v + tail - 1, tail) for v in range(low, entry))
+        low = entry
+    return rank
+
+
+@pytest.mark.parametrize(
+    "S, n, remove_dtype, add_dtype",
+    [(6, 7, np.uint16, np.uint16), (24, 4, np.uint16, np.uint16), (24, 5, np.uint16, np.uint32), (257, 2, np.uint16, np.uint16)],
+)
+def test_multiset_tables_rank_past_uint8(S, n, remove_dtype, add_dtype):
+    # remove holds ranks among the C(S+n-2, n-1) sorted (n-1)-tuples and add ranks among the
+    # C(S+n-1, n) sorted n-tuples, both past 255 here: each entry is checked against ranks
+    # counted with math.comb on the first and last rows and a seeded sample
+    rows, remove, add = engine._multiset_tables(S, n)
+    assert (remove.dtype, add.dtype) == (remove_dtype, add_dtype)
+    assert remove.shape == (math.comb(S + n - 1, n), n) and add.shape == (math.comb(S + n - 2, n - 1), S)
+    sample = np.random.default_rng(0).choice(len(rows), 40, replace=False).tolist()
+    for k in [0, len(rows) - 1, *sample]:
+        row = rows[k].tolist()
+        assert row == sorted(row) and sorted_tuple_rank(row, S) == k
+        for i in range(n):
+            less = row[:i] + row[i + 1 :]
+            assert remove[k, i] == sorted_tuple_rank(less, S)
+            for y in (0, row[i], S - 1):
+                assert add[remove[k, i], y] == sorted_tuple_rank(sorted(less + [y]), S)
+
+
 def test_multiset_rows_unrank_deep_in_a_large_lattice():
     # pref4 with eight voters: 7,888,725 multisets, ranked back by counting the sorted
     # 8-tuples before each row, with no lattice-sized table built
@@ -288,12 +320,7 @@ def test_multiset_rows_unrank_deep_in_a_large_lattice():
         rows = [lattice.rows(k, k + 1)[0].tolist() for k in ids]
     for k, row in zip(ids, rows):
         assert row == sorted(row) and 0 <= row[0] and row[-1] < S
-        rank, low = 0, 0
-        for j, entry in enumerate(row):
-            tail = n - 1 - j
-            rank += sum(math.comb(S - v + tail - 1, tail) for v in range(low, entry))
-            low = entry
-        assert rank == k
+        assert sorted_tuple_rank(row, S) == k
     assert rows[-1] == [S - 1] * n
 
 
