@@ -649,21 +649,6 @@ def committee_tie_order(space: EvaluationSpace, candidate_order: Sequence[int] |
     return TieOrder(space, ranking, name="committee-lex")
 
 
-def issuewise_majority(rows: Sequence[int], m: int) -> int:
-    """Per-issue majority over the whole hypercube; even splits fall to 0.
-
-    This is the unrestricted total-distance minimizer: for positive
-    weights, each issue independently prefers its majority bit.
-    """
-    n = len(rows)
-    need = (n + 2) // 2
-    out = 0
-    for j in range(1, m + 1):
-        if sum((r >> (m - j)) & 1 for r in rows) >= need:
-            out |= 1 << (m - j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rule grammar
 

@@ -26,8 +26,7 @@ shows each (profile, voter) a pivot type (the argument is in
 :mod:`binagg.fastsweep`), read off the profile's issue columns by
 :func:`_pivot_types` with no outcome table and no contexts.  Every other
 rule - dictators, plurality, partitions, the welfare maximizer, bare
-stages, table rules, and a corrected stage with a decider that is not
-monotone - builds an outcome table, whose context rows
+stages and table rules - builds an outcome table, whose context rows
 ``engine.context_types`` keys.
 
 The pivot source files each type its blocks first meet in the walk's
@@ -59,7 +58,6 @@ from .aggregators import (
     DEFAULT_BUDGET,
     NearestNeighborRule,
     Rule,
-    _is_monotone_table,
     check_bound,
     lattice_rows,
     lattice_table,
@@ -331,9 +329,9 @@ def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None
 
 
 def _walks_types(rule: Rule) -> bool:
-    """Whether hunts of the rule walk pivot types: a stage whose every decider's output never
-    drops when one vote rises from 0 to 1, corrected to its nearest feasible neighbour."""
-    return isinstance(rule, NearestNeighborRule) and all(_is_monotone_table(t, rule.stage.n) for t in rule.stage.tables)
+    """Whether hunts of the rule walk pivot types: a stage corrected to its nearest feasible
+    neighbour, whose deciders ``IiaStage`` has checked monotone."""
+    return isinstance(rule, NearestNeighborRule)
 
 
 def _pivot_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lattice, kind: str, weights, hit: HitFn):
@@ -418,27 +416,6 @@ def find_witness(
     voters it reads (``Rule.influential``).
     """
     return next(_witnesses(space, rule, n, kind, weights, budget, first_only=True), None)
-
-
-@dataclass(frozen=True)
-class Certification:
-    """Verdict of an exhaustive manipulation hunt."""
-
-    kind: str
-    free: bool
-    witness: ManipulationWitness | None
-
-
-def certify(
-    space: EvaluationSpace,
-    rule: Rule,
-    n: int,
-    kind: str,
-    weights: Sequence[int] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Certification:
-    witness = find_witness(space, rule, n, kind, weights, budget)
-    return Certification(kind, witness is None, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,17 +24,17 @@ from .aggregators import (
     NearestNeighborRule,
     Plurality,
     StageRule,
+    StructuralReport,
     TableRule,
     WelfareMaximizer,
     _topk_block,
     check_structural,
     committee_tie_order,
-    issuewise_majority,
     monotone_tables,
     outcome_table,
 )
 from .fastsweep import all_stage_products_hamming_free, corrected_stage_free, stage_product_count
-from .manipulation import ManipulationWitness, _hit_fn, certify, classify_deviation, find_witness
+from .manipulation import ManipulationWitness, _hit_fn, classify_deviation, find_witness
 from .metric import TieOrder, _correction_table, _feasible_distances, uniform_weights, weighted_hamming
 from .spaces import builtin_space, choose_space, is_between, mipe_type, to_bits
 
@@ -80,6 +80,28 @@ def _witness_line(w: ManipulationWitness) -> str:
 
 def _expect(label: str, expected: str, actual: str) -> CheckResult:
     return CheckResult(label, expected == actual, f"expected {expected}, got {actual}")
+
+
+def _battery(label: str, hunts: Iterable[tuple[str, ManipulationWitness | None]], passed: str) -> CheckResult:
+    """A check that no configuration has a witness.
+
+    ``hunts`` yields (evidence prefix, ``find_witness`` result) per
+    configuration, in order, each hunted as it is drawn.  The first
+    witness fails the check, with its prefix and witness line as the
+    evidence, and no later configuration is hunted.  With no witness
+    the check passes, with ``passed`` as the evidence.
+    """
+    failed = next(((prefix, w) for prefix, w in hunts if w is not None), None)
+    if failed is None:
+        return CheckResult(label, True, passed)
+    prefix, w = failed
+    return CheckResult(label, False, prefix + _witness_line(w))
+
+
+def _expect_witness(label: str, w: ManipulationWitness | None, broken: StructuralReport | None = None) -> CheckResult:
+    """A check that a witness exists, and that the property of ``broken``, if given, fails."""
+    held = f"{broken.property} holds; " if broken is not None and broken.holds else ""
+    return CheckResult(label, w is not None and not held, held + (_witness_line(w) if w else "no witness found"))
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +159,9 @@ def _suite_tables() -> list[CheckResult]:
     checks.append(
         _expect("welfare maximizer, 3/3/3 profile", "001000", to_bits(swm(sep["rows_balanced"]), 6))
     )
-    checks.append(
-        _expect(
-            "issue-wise majority, 3/2/4 profile",
-            "000000",
-            to_bits(issuewise_majority(sep["rows_unbalanced"], 6), 6),
-        )
-    )
-    checks.append(
-        _expect(
-            "issue-wise majority, 3/3/3 profile",
-            "000000",
-            to_bits(issuewise_majority(sep["rows_balanced"], 6), 6),
-        )
-    )
+    for shape, rows in (("3/2/4", sep["rows_unbalanced"]), ("3/3/3", sep["rows_balanced"])):
+        majority = IiaStage.majority(len(rows), 6).apply(rows)
+        checks.append(_expect(f"issue-wise majority, {shape} profile", "000000", to_bits(majority, 6)))
     return checks
 
 
@@ -162,25 +173,11 @@ def _suite_prop41() -> list[CheckResult]:
     checks = []
     for name, space in fixtures.battery_spaces():
         for n in (2, 3):
-            witnesses = []
             rules = fixtures.partition_battery(space, n)
-            for rule in rules:
-                cert = certify(space, rule, n, "full")
-                if not cert.free:
-                    witnesses.append((rule.name, cert.witness))
-            if witnesses:
-                rn, w = witnesses[0]
-                checks.append(
-                    CheckResult(f"partition rules on {name}, n={n}", False, f"{rn}: {_witness_line(w)}")
-                )
-            else:
-                checks.append(
-                    CheckResult(
-                        f"partition rules on {name}, n={n}",
-                        True,
-                        f"{len(rules)} partitions, 0 full-manipulation witnesses",
-                    )
-                )
+            hunts = ((f"{rule.name}: ", find_witness(space, rule, n, "full")) for rule in rules)
+            checks.append(
+                _battery(f"partition rules on {name}, n={n}", hunts, f"{len(rules)} partitions, 0 full-manipulation witnesses")
+            )
     return checks
 
 
@@ -193,35 +190,23 @@ def _suite_thm31() -> list[CheckResult]:
     doc = builtin_space("doctrinal")
     unanimous = StageRule(doc, IiaStage.unanimity(3, 3), name="quota:3,3,3")
     outputs = outcome_table(doc, unanimous, 3)
-    consistent = all(v in doc for v in outputs)
-    cert = certify(doc, unanimous, 3, "partial")
-    checks.append(
-        CheckResult(
-            "consistent unanimity stage is partial-free",
-            consistent and cert.free,
-            f"all {len(outputs)} outputs feasible, 0 partial witnesses",
-        )
-    )
+    infeasible = next((v for v in outputs if v not in doc), None)
+    label = "consistent unanimity stage is partial-free"
+    if infeasible is None:
+        hunts = (("", find_witness(doc, unanimous, 3, "partial")),)
+        checks.append(_battery(label, hunts, f"all {len(outputs)} outputs feasible, 0 partial witnesses"))
+    else:
+        checks.append(CheckResult(label, False, f"output {to_bits(infeasible, doc.m)} is infeasible"))
 
     p3 = builtin_space("pref3")
     w = find_witness(p3, Plurality(p3), 3, "partial")
-    checks.append(
-        CheckResult(
-            "plurality (profile-global rule) is partially manipulable",
-            w is not None,
-            _witness_line(w) if w else "no witness found",
-        )
-    )
+    checks.append(_expect_witness("plurality (profile-global rule) is partially manipulable", w))
 
     corrected = NearestNeighborRule(p3, IiaStage.majority(3, 3))
     iia_report = check_structural(p3, corrected, 3, "iia")
     w2 = find_witness(p3, corrected, 3, "partial")
     checks.append(
-        CheckResult(
-            "corrected majority breaks issue-independence and partial-freeness",
-            (not iia_report.holds) and w2 is not None,
-            _witness_line(w2) if w2 else "no witness found",
-        )
+        _expect_witness("corrected majority breaks issue-independence and partial-freeness", w2, iia_report)
     )
 
     pick1 = choose_space(2, 1)
@@ -234,11 +219,7 @@ def _suite_thm31() -> list[CheckResult]:
     mono_report = check_structural(pick1, anti, 3, "monotone")
     w3 = find_witness(pick1, anti, 3, "partial")
     checks.append(
-        CheckResult(
-            "anti-majority (non-monotone quota flip) is partially manipulable",
-            (not mono_report.holds) and w3 is not None,
-            _witness_line(w3) if w3 else "no witness found",
-        )
+        _expect_witness("anti-majority (non-monotone quota flip) is partially manipulable", w3, mono_report)
     )
     return checks
 
@@ -251,34 +232,23 @@ def _suite_thm42() -> list[CheckResult]:
     checks = []
     for name, space in fixtures.battery_spaces():
         stages = (IiaStage.majority(3, space.m),) + fixtures.sampled_stages(3, space.m, 5)
-        combos = 0
-        anon_checked = 0
-        failure = None
-        for stage in stages:
-            for tie in fixtures.tie_battery(space):
-                for wv in fixtures.weight_battery(space.m):
-                    combos += 1
-                    # the screen is exact; certify finds the flagged configuration's witness
-                    if failure is None and not corrected_stage_free(space, stage, 3, wv, tie):
-                        rule = NearestNeighborRule(space, stage, wv, tie)
-                        failure = (tie, wv, certify(space, rule, 3, "full").witness)
-                    # a corrected anonymous stage is anonymous by construction (Rule.anonymous)
-                    if stage.is_anonymous:
-                        anon_checked += 1
-        if failure:
-            tie, wv, w = failure
-            checks.append(
-                CheckResult(f"corrected stages on {name}", False, f"tie={tie.name} weights={wv}: {_witness_line(w)}")
-            )
-        else:
-            checks.append(
-                CheckResult(
-                    f"corrected stages on {name}",
-                    True,
-                    f"{combos} stage/tie/weight configurations, 0 full witnesses; "
-                    f"anonymity verified for {anon_checked} anonymous-stage configurations",
-                )
-            )
+        ties, weights = fixtures.tie_battery(space), fixtures.weight_battery(space.m)
+        # the screen is exact: only a configuration it flags is hunted, for its first witness
+        hunts = (
+            (f"tie={tie.name} weights={wv}: ", find_witness(space, NearestNeighborRule(space, stage, wv, tie), 3, "full"))
+            for stage in stages
+            for tie in ties
+            for wv in weights
+            if not corrected_stage_free(space, stage, 3, wv, tie)
+        )
+        per_stage = len(ties) * len(weights)
+        # a corrected anonymous stage is anonymous by construction (Rule.anonymous)
+        anonymous = sum(stage.is_anonymous for stage in stages)
+        passed = (
+            f"{len(stages) * per_stage} stage/tie/weight configurations, 0 full witnesses; "
+            f"anonymity verified for {anonymous * per_stage} anonymous-stage configurations"
+        )
+        checks.append(_battery(f"corrected stages on {name}", hunts, passed))
     return checks
 
 
@@ -290,30 +260,15 @@ def _suite_thm43() -> list[CheckResult]:
     checks = []
     rng = random.Random(fixtures.RANDOM_SWEEP_SEED + 1)
     for name, space in fixtures.battery_spaces():
-        failure = None
-        combos = 0
-        for wv in fixtures.weight_battery(space.m):
-            for tie in (TieOrder.ascending(space), TieOrder.descending(space)):
-                rule = WelfareMaximizer(space, wv, tie)
-                cert = certify(space, rule, 3, "full")
-                combos += 1
-                if not cert.free and failure is None:
-                    failure = (tie, wv, cert.witness)
-        if failure:
-            tie, wv, w = failure
-            checks.append(
-                CheckResult(
-                    f"welfare maximizer on {name}", False, f"tie={tie.name} weights={wv}: {_witness_line(w)}"
-                )
-            )
-        else:
-            checks.append(
-                CheckResult(
-                    f"welfare maximizer on {name}",
-                    True,
-                    f"{combos} weight/tie configurations, 0 full witnesses",
-                )
-            )
+        configurations = [
+            (wv, tie) for wv in fixtures.weight_battery(space.m) for tie in (TieOrder.ascending(space), TieOrder.descending(space))
+        ]
+        hunts = (
+            (f"tie={tie.name} weights={wv}: ", find_witness(space, WelfareMaximizer(space, wv, tie), 3, "full"))
+            for wv, tie in configurations
+        )
+        passed = f"{len(configurations)} weight/tie configurations, 0 full witnesses"
+        checks.append(_battery(f"welfare maximizer on {name}", hunts, passed))
         # row-permutation invariance: anonymous by construction (Rule.anonymous),
         # and 200 random permutations test the evaluator
         rule = WelfareMaximizer(space, uniform_weights(space.m), TieOrder.ascending(space))
@@ -331,7 +286,7 @@ def _suite_thm43() -> list[CheckResult]:
             CheckResult(
                 f"welfare maximizer anonymity on {name}",
                 bad == 0,
-                "exhaustive n=3 plus 200 random 5-voter permutations, 0 violations",
+                f"exhaustive n=3 plus 200 random 5-voter permutations, {bad} violations",
             )
         )
     return checks
@@ -638,13 +593,7 @@ def _suite_claim57() -> list[CheckResult]:
 
     rule = NearestNeighborRule(space, stage, tie=quoted_tie)
     w = find_witness(space, rule, 3, "hamming")
-    checks.append(
-        CheckResult(
-            "corrected majority, worked-example tie order: witness exists",
-            w is not None,
-            _witness_line(w) if w else "no witness found",
-        )
-    )
+    checks.append(_expect_witness("corrected majority, worked-example tie order: witness exists", w))
 
     lied_rows = case["rows"][:1] + (case["lie"],) + case["rows"][2:]
     z = rule(case["rows"])
@@ -685,14 +634,8 @@ def _suite_claim58() -> list[CheckResult]:
         space = builtin_space(name)
         tie = committee_tie_order(space)
         rule = WelfareMaximizer(space, uniform_weights(space.m), tie)
-        cert = certify(space, rule, 3, "hamming")
-        checks.append(
-            CheckResult(
-                f"welfare maximizer on {name} is hamming-free",
-                cert.free,
-                "exhaustive hunt, 0 witnesses" if cert.free else _witness_line(cert.witness),
-            )
-        )
+        hunts = (("", find_witness(space, rule, 3, "hamming")),)
+        checks.append(_battery(f"welfare maximizer on {name} is hamming-free", hunts, "exhaustive hunt, 0 witnesses"))
         table = outcome_table(space, rule, 3)
         count = len(table)
         # every ordered profile's rows as masks, in canonical id order

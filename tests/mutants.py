@@ -1,4 +1,4 @@
-"""Mutation check of the probe walk and the distance kernel: each listed mutant must make its tests fail.
+"""Mutation check of the probe walk, the distance kernel and the suites' verdicts: each listed mutant must make its tests fail.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -43,6 +43,14 @@ EVERY_KIND = "tests/test_manipulation.py::test_hunts_of_corrected_stages_of_ever
 UNRANK = "tests/test_engine.py::test_multiset_rows_unrank_deep_in_a_large_lattice"
 RANKS = "tests/test_engine.py::test_multiset_tables_rank_past_uint8"
 KERNEL = "tests/test_metric.py::test_kernel_and_corrections_match_the_oracle"
+PROP41_FAILS = "tests/test_suites.py::test_prop41_fails_at_the_first_witness_and_hunts_no_further"
+THM42_FAILS = "tests/test_suites.py::test_thm42_hunts_the_first_flagged_configuration_alone"
+THM43_FAILS = "tests/test_suites.py::test_thm43_fails_at_the_first_witness_and_hunts_no_further"
+CLAIM58_FAILS = "tests/test_suites.py::test_claim58_fails_with_the_witness"
+VERIFY_EXITS = "tests/test_cli.py::test_verify_exits_3_when_a_suite_fails"
+MISSING_WITNESS = "tests/test_suites.py::test_an_expected_witness_that_is_missing_fails"
+PROPERTY_HOLDS = "tests/test_suites.py::test_thm31_names_a_structural_property_that_holds"
+ANONYMITY_FAILS = "tests/test_suites.py::test_thm43_anonymity_failure_counts_its_violations"
 
 MUTANTS = (
     Mutant(
@@ -143,15 +151,71 @@ MUTANTS = (
         "dtype = exact_array([min(sum(weights), 2**63 - 1)]).dtype",
         (KERNEL,),
     ),
+    Mutant(
+        "a battery reports its last witness, not its first",
+        "src/binagg/suites.py",
+        "next(((prefix, w) for prefix, w in hunts if w is not None), None)",
+        "([(prefix, w) for prefix, w in hunts if w is not None] or [None])[-1]",
+        (PROP41_FAILS, THM43_FAILS),
+    ),
+    Mutant(
+        "a battery hunts on past its first witness",
+        "src/binagg/suites.py",
+        "for prefix, w in hunts if",
+        "for prefix, w in list(hunts) if",
+        (PROP41_FAILS, THM42_FAILS, THM43_FAILS),
+    ),
+    Mutant(
+        "a battery passes at a witness",
+        "src/binagg/suites.py",
+        "return CheckResult(label, False, prefix + _witness_line(w))",
+        "return CheckResult(label, True, prefix + _witness_line(w))",
+        (PROP41_FAILS, CLAIM58_FAILS, VERIFY_EXITS),
+    ),
+    Mutant(
+        "thm4.2 hunts configurations its screen passed",
+        "src/binagg/suites.py",
+        "if not corrected_stage_free(space, stage, 3, wv, tie)",
+        "if True or not corrected_stage_free(space, stage, 3, wv, tie)",
+        (THM42_FAILS,),
+    ),
+    Mutant(
+        "an expected witness passes when missing",
+        "src/binagg/suites.py",
+        "w is not None and not held",
+        "not held",
+        (MISSING_WITNESS,),
+    ),
+    Mutant(
+        "an expected witness's check drops the structural verdict",
+        "src/binagg/suites.py",
+        "held + (_witness_line(w)",
+        "(_witness_line(w)",
+        (PROPERTY_HOLDS,),
+    ),
+    Mutant(
+        "the anonymity check reports 0 violations whatever it counts",
+        "src/binagg/suites.py",
+        "permutations, {bad} violations",
+        "permutations, 0 violations",
+        (ANONYMITY_FAILS,),
+    ),
 )
 
 
 def run(mutant: Mutant, scratch: str) -> tuple[bool, str]:
-    """(killed, note) of one mutant, tested in a fresh copy of src/ and tests/ under ``scratch``."""
+    """(killed, note) of one mutant, tested in a fresh copy of src/ and tests/ under ``scratch``.
+
+    It is killed when a listed test fails; an error, such as one in
+    collection, kills nothing.
+    """
     shutil.rmtree(scratch, ignore_errors=True)
     for part in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, part), os.path.join(scratch, part), ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), scratch)
+    # tests/test_suites.py reads the suites' digests
+    os.mkdir(os.path.join(scratch, "bench"))
+    shutil.copy(os.path.join(ROOT, "bench", "digests.json"), os.path.join(scratch, "bench"))
     target = os.path.join(scratch, mutant.path)
     with open(target) as f:
         text = f.read()
@@ -163,7 +227,8 @@ def run(mutant: Mutant, scratch: str) -> tuple[bool, str]:
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
     result = subprocess.run(command, cwd=scratch, env=env, capture_output=True, text=True)
     lines = result.stdout.strip().splitlines()
-    return result.returncode != 0, lines[-1] if lines else result.stderr.strip()[-200:]
+    # pytest exits 1 when a test fails, 2 on an error in collection
+    return result.returncode == 1, lines[-1] if lines else result.stderr.strip()[-200:]
 
 
 def main(patterns: list[str]) -> int:

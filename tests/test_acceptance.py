@@ -31,7 +31,7 @@ from binagg.fixtures import (
     tie_battery,
     weight_battery,
 )
-from binagg.manipulation import certify, classify_deviation, find_witness
+from binagg.manipulation import classify_deviation, find_witness
 from binagg.metric import TieOrder, nn_select, uniform_weights, weighted_hamming
 from binagg.spaces import bit_at, builtin_space, choose_space, enumerate_mipes
 from binagg.suites import format_report, run_suite
@@ -80,9 +80,8 @@ def test_criterion_02_partition_rules_full_free():
     for name, space in battery_spaces():
         for n in (2, 3):
             for rule in partition_battery(space, n):
-                cert = certify(space, rule, n, "full")
                 hunted += 1
-                assert cert.free, f"{name} n={n} {rule.name}"
+                assert find_witness(space, rule, n, "full") is None, f"{name} n={n} {rule.name}"
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -101,9 +100,8 @@ def test_criterion_03_corrected_stages_full_free():
             for tie in tie_battery(space):
                 for wv in weight_battery(space.m):
                     rule = NearestNeighborRule(space, stage, wv, tie)
-                    cert = certify(space, rule, 3, "full")
                     combos += 1
-                    assert cert.free, f"{name} tie={tie.name} w={wv}"
+                    assert find_witness(space, rule, 3, "full") is None, f"{name} tie={tie.name} w={wv}"
                     if stage.is_anonymous:
                         assert check_structural(space, rule, 3, "anonymous").holds
                         anonymity += 1
@@ -122,9 +120,8 @@ def test_criterion_04_welfare_maximizer_full_free():
     for name, space in battery_spaces():
         for wv in weight_battery(space.m):
             rule = WelfareMaximizer(space, wv, TieOrder.ascending(space))
-            cert = certify(space, rule, 3, "full")
             combos += 1
-            assert cert.free, f"{name} w={wv}"
+            assert find_witness(space, rule, 3, "full") is None, f"{name} w={wv}"
     # 1000 random profiles, row-permutation invariance
     rng = random.Random(404)
     spaces = [space for _, space in battery_spaces()]
@@ -182,8 +179,7 @@ def test_criterion_07_committee_welfare_maximizer_hamming_free():
     for name in ("choose4-2", "choose5-2"):
         space = builtin_space(name)
         rule = WelfareMaximizer(space, uniform_weights(space.m), committee_tie_order(space))
-        cert = certify(space, rule, 3, "hamming")
-        assert cert.free, name
+        assert find_witness(space, rule, 3, "hamming") is None, name
         for _, _, rows in iter_profiles(space, 3):
             assert rule(rows) == swm_topk(space, rows)
             compared += 1
@@ -212,7 +208,7 @@ def test_criterion_09_partial_freeness_boundary():
     doc = builtin_space("doctrinal")
     unanimous = StageRule(doc, IiaStage.unanimity(3, 3))
     assert all(v in doc for v in outcome_table(doc, unanimous, 3))
-    forward = certify(doc, unanimous, 3, "partial").free
+    forward = find_witness(doc, unanimous, 3, "partial") is None
 
     p3 = builtin_space("pref3")
     converse = find_witness(p3, Plurality(p3), 3, "partial") is not None

@@ -24,7 +24,6 @@ from binagg.aggregators import (
     WelfareMaximizer,
     check_structural,
     committee_tie_order,
-    issuewise_majority,
     monotone_tables,
     outcome_table,
     parse_rule,
@@ -316,7 +315,8 @@ def test_welfare_separation_profiles():
     assert rule(sep["rows_balanced"]) == sep["optimum_balanced"]
     # same uncorrected minimizer, different corrected outcome: the
     # correction depends on the whole profile, not the stage output
-    assert issuewise_majority(sep["rows_unbalanced"], 6) == issuewise_majority(sep["rows_balanced"], 6)
+    majority = IiaStage.majority(9, 6)
+    assert majority.apply(sep["rows_unbalanced"]) == majority.apply(sep["rows_balanced"])
     assert rule(sep["rows_unbalanced"]) != rule(sep["rows_balanced"])
 
 
@@ -326,19 +326,20 @@ def test_welfare_unanimous_profile(pref3):
         assert rule((v, v, v)) == v
 
 
-def test_welfare_is_correction_of_issuewise_majority(all_builtin_spaces):
+def test_welfare_is_correction_of_issue_wise_majority(all_builtin_spaces):
     for _, space in all_builtin_spaces:
         outcomes = outcome_table(space, WelfareMaximizer(space), 3)
+        majority = IiaStage.majority(3, space.m)
         for (_, _, rows), outcome in zip(iter_profiles(space, 3), outcomes):
-            g = issuewise_majority(rows, space.m)
+            g = majority.apply(rows)
             if g in space:
                 assert outcome == g
 
 
-def test_issuewise_majority_minimizes_over_hypercube():
+def test_issue_wise_majority_minimizes_over_hypercube():
     sep = welfare_separation_case()
     for rows in (sep["rows_unbalanced"], sep["rows_balanced"]):
-        g = issuewise_majority(rows, 6)
+        g = IiaStage.majority(len(rows), 6).apply(rows)
         total_g = sum(weighted_hamming(g, r) for r in rows)
         best = min(sum(weighted_hamming(v, r) for r in rows) for v in range(64))
         assert total_g == best

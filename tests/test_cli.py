@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from binagg import aggregators
-from binagg.aggregators import check_structural, parse_rule
+from binagg.aggregators import Plurality, check_structural, parse_rule
 from binagg import cli
 from binagg.cli import main
 from binagg.fileio import read_tie_order, read_weights
+from binagg.manipulation import find_witness
 from binagg.spaces import builtin_space, to_bits
 
 
@@ -263,6 +264,17 @@ def test_verify_suite(capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "runtime" in err  # timing goes to stderr, keeping stdout stable
+
+
+def test_verify_exits_3_when_a_suite_fails(capsys):
+    p3 = builtin_space("pref3")
+    witness = find_witness(p3, Plurality(p3), 3, "partial")
+    # the three-voter split of three issues, alone, finds a witness: on pref3, doctrinal and cycle6
+    with mock.patch("binagg.suites.find_witness", lambda space, rule, n, kind: witness if rule.name == "partition:1;2;3" else None):
+        code, out, _ = run(capsys, "verify", "--suite", "prop4.1")
+    assert code == 3
+    assert "  [FAIL] partition rules on pref3, n=3: partition:1;2;3: profile 001,010,011; voter 1 lies 100: outcome 011 -> 100\n" in out
+    assert out.endswith("result: FAIL (7/10 checks)\n")
 
 
 def test_verify_output_byte_identical(capsys):

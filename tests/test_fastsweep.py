@@ -385,7 +385,10 @@ def test_corrected_stage_screen_hunts_the_stage_when_a_type_is_bad(doctrinal):
     for stage, free in ((majority, True), (negated, False)):
         rule = NearestNeighborRule(doctrinal, stage, (1, 2, 1), tie)
         assert (next(oracle.iter_witnesses(doctrinal, rule, 3, "full"), None) is None) == free
-        with _flag_every_type(doctrinal), mock.patch("binagg.fastsweep.find_witness", wraps=find_witness) as hunted:
+        # the pivot walk reads deciders that IiaStage checked monotone, so the negated stage's hunt scans
+        with _flag_every_type(doctrinal), mock.patch("binagg.fastsweep.find_witness", wraps=find_witness) as hunted, mock.patch(
+            "binagg.manipulation._walks_types", return_value=False
+        ):
             assert corrected_stage_free(doctrinal, stage, 3, (1, 2, 1), tie) == free
         assert hunted.call_count == 1
 

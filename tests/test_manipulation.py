@@ -30,7 +30,6 @@ from binagg.manipulation import (
     UNCHANGED,
     ManipulationWitness,
     _type_table,
-    certify,
     classify_deviation,
     find_witness,
     issue_partition,
@@ -143,8 +142,7 @@ def test_corrected_majority_four_candidates_manipulable():
 def test_partition_certified_full_free(all_builtin_spaces):
     for _, space in all_builtin_spaces:
         rule = Partition(space, [set(range(1, space.m)), {space.m}])
-        cert = certify(space, rule, 2, "full")
-        assert cert.free and cert.witness is None
+        assert find_witness(space, rule, 2, "full") is None
 
 
 def test_search_canonical_first(pref3):
@@ -240,21 +238,20 @@ def test_issue_partition_rejects_non_monotone_stage_outputs():
 
 def test_welfare_full_free_small(all_builtin_spaces):
     for _, space in all_builtin_spaces:
-        cert = certify(space, WelfareMaximizer(space), 2, "full")
-        assert cert.free
+        assert find_witness(space, WelfareMaximizer(space), 2, "full") is None
 
 
 def test_full_freeness_extends_to_four_voters(pref3):
     """The no-full-manipulation guarantees are voter-count independent."""
     almost_dictator = Partition(pref3, [{1, 2}, {3}, set(), set()])
-    assert certify(pref3, almost_dictator, 4, "full").free
+    assert find_witness(pref3, almost_dictator, 4, "full") is None
     corrected = NearestNeighborRule(pref3, IiaStage.majority(4, 3))
-    assert certify(pref3, corrected, 4, "full").free
+    assert find_witness(pref3, corrected, 4, "full") is None
     # the same verdict from the probe scan, not the correction's type table
     with mock.patch("binagg.manipulation._walks_types", return_value=False):
-        assert certify(pref3, corrected, 4, "full").free
+        assert find_witness(pref3, corrected, 4, "full") is None
     doc = builtin_space("doctrinal")
-    assert certify(doc, WelfareMaximizer(doc), 4, "full").free
+    assert find_witness(doc, WelfareMaximizer(doc), 4, "full") is None
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,6 @@ def test_certified_full_hunt_builds_no_table(pref4):
     rule = NearestNeighborRule(pref4, IiaStage.majority(4, 6), (1, 2, 3, 1, 2, 3), four_candidate_tie_order())
     with mock.patch("binagg.manipulation.lattice_table", side_effect=AssertionError("outcome table built")):
         assert find_witness(pref4, rule, 4, "full") is None
-        assert certify(pref4, rule, 4, "full").free
         assert list(iter_witnesses(pref4, rule, 4, "full")) == []
 
 

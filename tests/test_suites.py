@@ -13,9 +13,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import numpy as np
 import oracle
 from binagg import engine, fixtures, suites
+from binagg.aggregators import IiaStage, NearestNeighborRule, Plurality, StructuralReport
+from binagg.manipulation import find_witness
 from binagg.metric import TieOrder
+from binagg.spaces import builtin_space, to_bits
 from binagg.suites import format_report, run_suite, suite_names
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
@@ -50,6 +54,149 @@ def test_suite_passes(name):
     # every rendered count, such as the lemma harvests' hit counts
     text = format_report(report) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[f"suite.{name}"]
+
+
+@pytest.fixture(scope="module")
+def witnesses():
+    """Two real, distinct witnesses on pref3: plurality's and the corrected majority's first partial ones."""
+    p3 = builtin_space("pref3")
+    first = find_witness(p3, Plurality(p3), 3, "partial")
+    later = find_witness(p3, NearestNeighborRule(p3, IiaStage.majority(3, 3)), 3, "partial")
+    assert first is not None and later is not None and first != later
+    return first, later
+
+
+class _ForcedHunts:
+    """A ``find_witness`` stand-in for a battery.  ``position(space, rule, n)`` numbers the chosen
+    check's configurations in the suite's order, None for every other hunt.  Configuration ``at``
+    finds the first witness and every later one the other; the rest find none.  ``hunted`` lists
+    the chosen check's configurations hunted, in order."""
+
+    def __init__(self, position, at, witnesses):
+        self.position, self.at, self.witnesses = position, at, witnesses
+        self.hunted = []
+
+    def __call__(self, space, rule, n, kind):
+        k = self.position(space, rule, n)
+        if k is None:
+            return None
+        self.hunted.append(k)
+        return None if k < self.at else self.witnesses[k > self.at]
+
+
+def _failed_report(name, **patches):
+    """The rendered report of suite ``name`` with the given ``suites`` names patched, as lines."""
+    with mock.patch.multiple(suites, **patches):
+        return format_report(run_suite(name)).splitlines()
+
+
+def test_prop41_fails_at_the_first_witness_and_hunts_no_further(witnesses):
+    space = builtin_space("doctrinal")
+    names = [rule.name for rule in fixtures.partition_battery(space, 3)]
+    hunts = _ForcedHunts(lambda s, rule, n: names.index(rule.name) if (s, n) == (space, 3) else None, 1, witnesses)
+    lines = _failed_report("prop4.1", find_witness=hunts)
+    assert f"  [FAIL] partition rules on doctrinal, n=3: {names[1]}: {suites._witness_line(witnesses[0])}" in lines
+    assert hunts.hunted == [0, 1]
+    assert lines[-1] == "result: FAIL (9/10 checks)"
+
+
+def test_thm42_hunts_the_first_flagged_configuration_alone(witnesses):
+    space = builtin_space("classifier4")
+    stages = (IiaStage.majority(3, space.m),) + fixtures.sampled_stages(3, space.m, 5)
+    configurations = [
+        (stage.tables, tie.name, wv)
+        for stage in stages
+        for tie in fixtures.tie_battery(space)
+        for wv in fixtures.weight_battery(space.m)
+    ]
+    at, screened = 7, []
+
+    def screen(s, stage, n, wv, tie):
+        # flags configuration `at` and every later one on classifier4
+        if s is not space:
+            return True
+        screened.append(configurations.index((stage.tables, tie.name, wv)))
+        return screened[-1] < at
+
+    hunted = mock.Mock(side_effect=witnesses)
+    lines = _failed_report("thm4.2", find_witness=hunted, corrected_stage_free=screen)
+    _, tie, wv = configurations[at]
+    line = suites._witness_line(witnesses[0])
+    assert f"  [FAIL] corrected stages on classifier4: tie={tie} weights={wv}: {line}" in lines
+    assert screened == list(range(at + 1))
+    (_, rule, _, _), _ = hunted.call_args
+    assert hunted.call_count == 1 and (rule.stage.tables, rule.tie.name, rule.weights) == configurations[at]
+    assert lines[-1] == "result: FAIL (4/5 checks)"
+
+
+def test_thm43_fails_at_the_first_witness_and_hunts_no_further(witnesses):
+    space = builtin_space("cycle6")
+    configurations = [(wv, tie) for wv in fixtures.weight_battery(space.m) for tie in ("ascending", "descending")]
+
+    def position(s, rule, n):
+        return configurations.index((rule.weights, rule.tie.name)) if s is space else None
+
+    hunts = _ForcedHunts(position, 2, witnesses)
+    lines = _failed_report("thm4.3", find_witness=hunts)
+    wv, tie = configurations[2]
+    assert f"  [FAIL] welfare maximizer on cycle6: tie={tie} weights={wv}: {suites._witness_line(witnesses[0])}" in lines
+    assert hunts.hunted == [0, 1, 2]
+    assert lines[-1] == "result: FAIL (9/10 checks)"
+
+
+def test_thm43_anonymity_failure_counts_its_violations():
+    # a 5-voter evaluator that reads each row's position, not its rows: every permutation moves the outcome
+    evaluator = suites.WelfareMaximizer.block_evaluator
+
+    def by_position(rule, n):
+        return (lambda rows: np.arange(len(rows))) if n == 5 else evaluator(rule, n)
+
+    with mock.patch.object(suites.WelfareMaximizer, "block_evaluator", by_position):
+        lines = format_report(run_suite("thm4.3")).splitlines()
+    assert "  [FAIL] welfare maximizer anonymity on pref3: exhaustive n=3 plus 200 random 5-voter permutations, 200 violations" in lines
+    assert lines[-1] == "result: FAIL (5/10 checks)"
+
+
+def test_claim58_fails_with_the_witness(witnesses):
+    space = builtin_space("choose4-2")
+    hunts = _ForcedHunts(lambda s, rule, n: 0 if s is space else None, 0, witnesses)
+    lines = _failed_report("claim5.8", find_witness=hunts)
+    assert f"  [FAIL] welfare maximizer on choose4-2 is hamming-free: {suites._witness_line(witnesses[0])}" in lines
+    assert hunts.hunted == [0]
+    assert lines[-1] == "result: FAIL (3/4 checks)"
+
+
+def test_thm31_partial_free_check_fails_with_its_witness(witnesses):
+    def unanimity_manipulable(space, rule, n, kind):
+        return witnesses[0] if rule.name == "quota:3,3,3" else find_witness(space, rule, n, kind)
+
+    lines = _failed_report("thm3.1", find_witness=unanimity_manipulable)
+    line = suites._witness_line(witnesses[0])
+    assert lines[1] == f"  [FAIL] consistent unanimity stage is partial-free: {line}"
+    assert lines[-1] == "result: FAIL (3/4 checks)"
+
+
+def test_thm31_partial_free_check_fails_with_its_first_infeasible_output():
+    doc = builtin_space("doctrinal")
+    infeasible = [v for v in range(8) if v not in doc]
+    lines = _failed_report("thm3.1", outcome_table=mock.Mock(return_value=[doc.feasible[0], *infeasible]))
+    assert lines[1] == f"  [FAIL] consistent unanimity stage is partial-free: output {to_bits(infeasible[0], 3)} is infeasible"
+    assert lines[-1] == "result: FAIL (3/4 checks)"
+
+
+def test_thm31_names_a_structural_property_that_holds():
+    # the witnesses stay; each property the check expects broken is reported to hold
+    lines = _failed_report("thm3.1", check_structural=lambda space, rule, n, prop: StructuralReport(prop, True))
+    assert lines[3].startswith("  [FAIL] corrected majority breaks issue-independence and partial-freeness: iia holds; profile ")
+    assert lines[4].startswith("  [FAIL] anti-majority (non-monotone quota flip) is partially manipulable: monotone holds; profile ")
+    assert lines[-1] == "result: FAIL (2/4 checks)"
+
+
+@pytest.mark.parametrize("name, failed", (("thm3.1", "plurality (profile-global rule) is partially manipulable"), ("claim5.7", "corrected majority, worked-example tie order: witness exists")))
+def test_an_expected_witness_that_is_missing_fails(name, failed):
+    lines = _failed_report(name, find_witness=mock.Mock(return_value=None))
+    assert f"  [FAIL] {failed}: no witness found" in lines
+    assert lines[-1].startswith("result: FAIL")
 
 
 def test_reports_byte_identical():
