@@ -45,7 +45,7 @@ from .engine import (
 )
 from .metric import TieOrder, _correction_table, _feasible_distances, _first_nearest, uniform_weights, validate_weights
 from .metric import nn_select  # noqa: F401  bench/spans.py wraps nn_select
-from .spaces import EvaluationSpace, bit_at
+from .spaces import MAX_TABLE_ISSUES, EvaluationSpace, bit_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -340,9 +340,8 @@ class Dictator(Rule):
         return (self.voter - 1,)
 
     def block_evaluator(self, n):
-        if self.voter > n:
-            raise ValueError(f"profile has {n} voters, dictator is voter {self.voter}")
-        return lambda rows: rows[:, self.voter - 1]
+        (voter,) = self.influential(n)
+        return lambda rows: rows[:, voter]
 
 
 class StageRule(Rule):
@@ -454,8 +453,7 @@ class Partition(Rule):
         return tuple(sorted({v - 1 for v in self._owner}))
 
     def block_evaluator(self, n):
-        if n != len(self.blocks):
-            raise ValueError(f"rule partitions issues over {len(self.blocks)} voters, profile has {n}")
+        self.influential(n)  # refuses a voter count other than the blocks'
         bits = issue_bits(self.space.feasible, self.space.m)
         steps = self._automaton()
         owners = [v - 1 for v in self._owner]
@@ -520,7 +518,7 @@ class NearestNeighborRule(Rule):
         def indices(points):
             nonlocal points_seen
             points_seen += points.size
-            if m <= 20 and points_seen >= 1 << m:
+            if m <= MAX_TABLE_ISSUES and points_seen >= 1 << m:
                 return _correction_table(self.space, self.weights, ranking)[points]
             distinct, inverse = np.unique(points, return_inverse=True)
             return _first_nearest(self.space, distinct, self.weights, ranking)[inverse].reshape(points.shape)

@@ -1,4 +1,4 @@
-"""Hamming sweeps over every monotone stage, and one stage under many corrections.
+"""Hamming sweeps over every monotone stage.
 
 A sweep hunts every product of monotone per-issue deciders (20^m stages
 for three voters), each corrected into the space by its nearest
@@ -37,32 +37,16 @@ free, for any number of voters.  Distances are exact integers, so any
 positive weights work, and sweeps take spaces of any number of
 feasible evaluations.
 
-The same argument screens one stage under many corrections for full
-manipulation.  A probe of the corrected stage is an opinion x and a lie
-y of voter i in context c.  If (i, c) shows the stage type (F, D), the
-truthful outcome is the correction of F | (x & D) and the lied one that
-of F | (y & D).  Whether a probe hits is therefore a function of (F, D),
-x and y, under one correction.  So the corrected stage has a witness
-exactly when some (voter, context) shows it a type at which some x
-gains by some y: a bad type.  The sweep and :func:`corrected_stage_free`
-read one type table per correction and kind, the per-opinion bad flags
-of all 3^m types, packed eight opinions a byte, with the correction
-they were read on, cached by weights and tie ranking
-(``manipulation._type_table``), and ask only whether a type is bad.
-A correction without a bad type frees every corrected monotone stage at
-once, and the screen walks no stage.  Theorem 4.2 says no correction
-has a bad full type; should one turn up, the screen hunts that one
-stage with :func:`binagg.manipulation.find_witness`.
-
-The same argument, applied to each (profile, voter) of one corrected
-stage, is one of the two type sources of the probe walk
-(``engine.scan``): hunts of ``nn(...)`` rules of every kind read each
-pair's pivot type off the profile's issue columns
+The sweep reads its bad types off one cached type table per correction
+(``manipulation._type_table``).  The same argument, applied to each
+(profile, voter) of one corrected stage, is one of the two type sources
+of the probe walk (``engine.scan``): hunts of ``nn(...)`` rules of every
+kind read each pair's pivot type off the profile's issue columns
 (``manipulation._pivot_types``) instead of keying context rows off an
 outcome table, and switch to the same cached table once their walk
-would cost more (see :mod:`binagg.manipulation`); the screen reads it
-at any cost, since its configurations share few tables.  Hunts of
-every other rule, bare stages included, key context rows.
+would cost more (see :mod:`binagg.manipulation`), where a full hunt
+with no bad type ends before its walk: Theorem 4.2's certificate.
+Hunts of every other rule, bare stages included, key context rows.
 """
 
 from __future__ import annotations
@@ -94,32 +78,6 @@ def _context_columns(space: EvaluationSpace, n: int, width: int) -> Iterator[np.
     voter_bits = 1 << np.arange(n - 2, -1, -1)
     for _, rows in engine.blocks(engine.ProfileLattice(space.size, n - 1), width):
         yield bits[:, rows] @ voter_bits
-
-
-def corrected_stage_free(
-    space: EvaluationSpace,
-    stage: IiaStage,
-    n: int,
-    weights: Sequence[int] | None = None,
-    tie: TieOrder | None = None,
-) -> bool:
-    """Whether the stage, corrected to its nearest feasible neighbour, is full-manipulation-free for n voters.
-
-    Where ``find_witness(space, NearestNeighborRule(space, stage, weights,
-    tie), n, "full", weights)`` stays within its search budget, exactly
-    whether that is None.  It tests all 3^m pivot types once per
-    correction, as the sweep does, and refuses past 20 issues.  By
-    Theorem 4.2 no correction has a bad full type (the tests hold this as
-    a property), so every corrected stage is free with no budget
-    charged.  Only when some type is bad does it run that
-    ``find_witness``, which charges its default budget.
-    """
-    stage._check_shape(space.m, n)
-    if weights is not None:
-        weights = validate_weights(weights, space.m)
-    if not manipulation._type_table(space, weights, None if tie is None else tie.ranking, "full").bad.any():
-        return True
-    return find_witness(space, NearestNeighborRule(space, stage, weights, tie), n, "full", weights) is None
 
 
 @lru_cache(maxsize=8)
@@ -173,7 +131,7 @@ def all_stage_products_hamming_free(
     S, m = space.size, space.m
     if weights is not None:
         weights = validate_weights(weights, m)
-    bad = manipulation._type_table(space, weights, None if tie is None else tie.ranking, "hamming").bad.any(axis=1)
+    bad = manipulation._type_table(space, weights, None if tie is None else tie.ranking, "hamming").any(axis=1)
     if not bad.any():
         return None
     tabs = monotone_tables(n)
@@ -188,7 +146,3 @@ def all_stage_products_hamming_free(
     witness = find_witness(space, rule, n, "hamming", weights)
     pid = sum(space.index(row) * S ** (n - 1 - i) for i, row in enumerate(witness.profile))
     return best, tables, (pid, witness.voter - 1, space.index(witness.lie))
-
-
-def stage_product_count(space: EvaluationSpace, n: int) -> int:
-    return len(monotone_tables(n)) ** space.m

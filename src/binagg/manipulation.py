@@ -37,8 +37,10 @@ half that line, the source reads the table's flags instead, and a
 table with no bad type ends the hunt with no witness.  So a hunt whose
 witness comes before that block never builds the table, and one that
 walks on pays at most half the line's walk on top of the table.  A full
-hunt finds no witness (Theorem 4.2), so it reads the table before its
-first block once the lattice's probes pass the whole line.  The table
+hunt finds no witness (Theorem 4.2), so once the lattice's probes reach
+the whole line it reads the table before it sets up its walk: no bad
+type is the theorem's certificate, and the hunt ends there with no
+witness.  Below the line a full hunt never reads the table.  The table
 is not read past 20 issues, nor by a hamming hunt that weighs distances
 unlike the correction.  The hunt is first charged to the budget and its
 rule checked, as an outcome table's build would check it.
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,7 +76,7 @@ from .metric import (
     weight_of,
     weighted_hamming,
 )
-from .spaces import EvaluationSpace, bit_at, is_between, to_bits
+from .spaces import MAX_TABLE_ISSUES, EvaluationSpace, bit_at, is_between, to_bits
 
 KINDS = ("partial", "full", "hamming")
 
@@ -236,26 +238,17 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
     return full
 
 
-class TypeTable(NamedTuple):
-    """Every pivot type's bad flags under one correction and one kind, and that correction.
-
-    Types are numbered as profiles of ``ProfileLattice(3, m)``, whose
-    entry j is 0 when the stage fixes issue j at 0, 1 when it copies the
-    voter's bit and 2 when it fixes it at 1: a type (F, D) of fixed-at-1
-    and copied issue masks, whose outcome at lie y is ``correct[F | (y & D)]``.
-    """
-
-    #: (2^m,) feasible indices: the correction table the flags were read on
-    correct: np.ndarray
-    #: (3^m, ceil(S / 8)) uint8: bit x of row t (little-endian) says some lie gains opinion x at
-    #: type t, so a type is bad where its row is not zero
-    bad: np.ndarray
-
-
-def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> TypeTable:
+def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
     """Per-opinion bad flags of every pivot type: can opinion x gain by some lie of this kind?
 
-    ``correct`` is the correction table (:func:`metric._correction_table`).
+    A (3^m, ceil(S / 8)) uint8 array: bit x of row t (little-endian)
+    says some lie gains opinion x at type t, so a type is bad where its
+    row is not zero.  Types are numbered as profiles of
+    ``ProfileLattice(3, m)``, whose entry j is 0 when the stage fixes
+    issue j at 0, 1 when it copies the voter's bit and 2 when it fixes
+    it at 1: a type (F, D) of fixed-at-1 and copied issue masks, whose
+    outcome at lie y is ``correct[F | (y & D)]``, where ``correct`` is
+    the correction table (:func:`metric._correction_table`).
     Opinion x gains at a type when it moves by the kind's test from its
     row[x] to some outcome the row reaches.  The test is evaluated once
     on every (truthful z, lied w, opinion x) code triple and packed into
@@ -288,7 +281,7 @@ def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str =
         for gain_word, single_word in zip(gain, single):
             flags |= gain_word[at] & np.bitwise_or.reduce(single_word[row], axis=1)[:, None] != 0
         bad[high * 3**k : (high + 1) * 3**k] = np.packbits(flags, axis=1, bitorder="little")
-    return TypeTable(correct, bad)
+    return bad
 
 
 @lru_cache(maxsize=16)
@@ -318,14 +311,14 @@ def _bit_masks(flags: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> TypeTable:
+def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> np.ndarray:
     """Read-only :func:`_bad_types` of every pivot type under the correction with these weights
     and tie ranking (None: no tie order), and the kind's test under the same weights, cached
     like that correction table."""
-    # the correction table comes first: past 20 issues it refuses, before type numbers could overflow
-    table = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
-    table.bad.flags.writeable = False
-    return table
+    # the correction table comes first: past MAX_TABLE_ISSUES it refuses, before type numbers could overflow
+    bad = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
+    bad.flags.writeable = False
+    return bad
 
 
 def _walks_types(rule: Rule) -> bool:
@@ -344,17 +337,25 @@ def _pivot_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lat
     lie y is ``correct[F | (y & D)]``.  The types met are filed in the
     walk's memo (``engine.type_memo``), or read off the cached type table
     once the walk would cost more (see the module docstring).  The rule's space and stage
-    arity are checked first, as an outcome table's build checks them.
+    arity are checked first, even before a full hunt's certificate, as an outcome table's
+    build checks them.
     """
     check_bound(space, rule)
     rule.stage._check_shape(space.m, lattice.n)
     S, m, n = space.size, space.m, lattice.n
-    feasible = np.array(space.feasible, dtype=np.uint64)
-    # the type table's cost in probes walked (see the module docstring); it is not read past 20
-    # issues, nor when it weighs the hamming test unlike the hunt
+    # the type table's cost in probes walked (see the module docstring); it is not read past
+    # MAX_TABLE_ISSUES, nor when it weighs the hamming test unlike the hunt
     line = math.inf
-    if m <= 20 and (kind != "hamming" or weights == (rule.weights or uniform_weights(m))):
+    if m <= MAX_TABLE_ISSUES and (kind != "hamming" or weights == (rule.weights or uniform_weights(m))):
         line = 3**m * S * -(-S // 64) - 5000
+    key = (space, rule.weights, None if rule.tie is None else rule.tie.ranking)
+    probes = len(lattice.voters) * S
+    if kind == "full":
+        # Theorem 4.2's certificate: read before the walk is set up once the lattice's probes reach
+        # the line, and then from the first block on; below the line, never
+        line = 0 if lattice.size * probes >= line else math.inf
+        if not line and not _type_table(*key, kind).any():
+            return
     outcomes = rule.indexer()
     file = engine.type_memo(S, hit)
     truth = engine.truth_bits(rule.stage.tables, n).ravel()
@@ -362,6 +363,7 @@ def _pivot_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lat
     votes = engine.issue_bits(space.feasible, m)
     weight, offsets = 1 << np.arange(n - 1, -1, -1), (np.arange(m) << n)[:, None]
     own = np.array([1 << (n - 1 - i) for i in lattice.voters])
+    feasible = np.array(space.feasible, dtype=np.uint64)
     # type numbers run up to 3^m - 1; past int64, numpy sums Python ints instead
     place = np.array([3 ** (m - 1 - j) for j in range(m)], dtype=np.int64 if 3**m <= 2**63 else object)
     bit = np.array([1 << (m - 1 - j) for j in range(m)], dtype=np.uint64)
@@ -369,12 +371,12 @@ def _pivot_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lat
     for start in range(0, lattice.size, step):
         # engine.blocks' blocks, each unranked only once the table has not ended the hunt
         stop = min(start + step, lattice.size)
-        if (lattice.size if kind == "full" else 2 * stop) * len(lattice.voters) * S >= line:
-            table = _type_table(space, rule.weights, None if rule.tie is None else rule.tie.ranking, kind)
-            if not table.bad.any():
+        if 2 * stop * probes >= line:
+            bad = _type_table(*key, kind)
+            if not bad.any():
                 return
-            outcomes, line, file = table.correct.__getitem__, math.inf, None
-            flags = np.unpackbits(table.bad, axis=1, count=S, bitorder="little").view(bool)
+            outcomes, line, file = _correction_table(*key).__getitem__, math.inf, None
+            flags = np.unpackbits(bad, axis=1, count=S, bitorder="little").view(bool)
         rows = lattice.rows(start, stop)
         columns = votes[:, rows] @ weight + offsets
         types = np.stack([place @ (truth[columns & ~voter] + truth[columns | voter]) for voter in own], axis=1)

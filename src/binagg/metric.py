@@ -17,7 +17,7 @@ the first nearest feasible evaluation of each of an array of points, in
 tie order.  Cached, :func:`_feasible_distances` holds every distance
 between feasible evaluations and :func:`_correction_table` the
 correction of every hypercube point, the one table that ``nn(...)``
-rules, sweeps, stage screens and both halves of the lemma harvest read.
+rules, sweeps, type tables and both halves of the lemma harvest read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .engine import _unsigned, block_size, exact_array, masks_array
-from .spaces import EvaluationSpace, to_bits
+from .spaces import MAX_TABLE_ISSUES, EvaluationSpace, to_bits
 
 
 def validate_weights(weights: Sequence[int], m: int) -> tuple[int, ...]:
@@ -179,11 +179,11 @@ def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] 
     nearest feasible evaluation in the order of this tie ranking (None: ascending).
 
     Keyed on the ranking, not the TieOrder: callers rebuild equal orders
-    for every stage.  Sweeps, their one-stage screens, ``nn(...)`` rules
+    for every stage.  Sweeps, type tables, ``nn(...)`` rules
     and the lemma harvest all read this one cache.
     """
-    if space.m > 20:
-        raise ValueError("correction table is practical for m <= 20 only")
+    if space.m > MAX_TABLE_ISSUES:
+        raise ValueError(f"correction table is practical for m <= {MAX_TABLE_ISSUES} only")
     table = _first_nearest(space, np.arange(1 << space.m), weights, ranking)
     table.flags.writeable = False
     return table

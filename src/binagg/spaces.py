@@ -25,6 +25,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_ISSUES = 64
+#: most issues whose 2^m hypercube points are listed: infeasible points, the correction table and the type table
+MAX_TABLE_ISSUES = 20
 #: most members ``preference_space`` (strict orders) and ``choose_space`` (committees) enumerate: 8!
 MAX_ORDERS = math.factorial(8)
 
@@ -148,8 +150,8 @@ class EvaluationSpace:
             raise ValueError(f"not feasible: {to_bits(mask, self.m)}") from None
 
     def infeasible(self) -> tuple[int, ...]:
-        if self.m > 20:
-            raise ValueError(f"{self.m} issues have 2^{self.m} masks; infeasible points are listed up to 20 issues")
+        if self.m > MAX_TABLE_ISSUES:
+            raise ValueError(f"{self.m} issues have 2^{self.m} masks; infeasible points are listed up to {MAX_TABLE_ISSUES} issues")
         return tuple(x for x in range(1 << self.m) if x not in self._members)
 
     def mipes(self) -> tuple[PartialEvaluation, ...]:

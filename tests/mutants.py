@@ -40,6 +40,9 @@ KEYED_ONCE = "tests/test_engine.py::test_scan_tests_each_distinct_context_row_on
 PIVOT_ONCE = "tests/test_engine.py::test_pivot_walk_flags_each_type_it_meets_once"
 GATE = "tests/test_manipulation.py::test_full_hunts_of_corrected_stages_match_the_oracle"
 EVERY_KIND = "tests/test_manipulation.py::test_hunts_of_corrected_stages_of_every_kind_match_the_oracle"
+CERTIFIED_RAISES = "tests/test_manipulation.py::test_certified_full_hunt_raises_what_the_scan_raises"
+CERTIFICATE_BAD = "tests/test_fastsweep.py::test_corrected_stage_screen_hunts_the_stage_when_a_type_is_bad"
+CERTIFICATE_REJECTS = "tests/test_fastsweep.py::test_corrected_stage_screen_rejects_what_find_witness_rejects"
 UNRANK = "tests/test_engine.py::test_multiset_rows_unrank_deep_in_a_large_lattice"
 RANKS = "tests/test_engine.py::test_multiset_tables_rank_past_uint8"
 KERNEL = "tests/test_metric.py::test_kernel_and_corrections_match_the_oracle"
@@ -77,9 +80,32 @@ MUTANTS = (
     Mutant(
         "the type table's flags unpacked big-endian",
         "src/binagg/manipulation.py",
-        'np.unpackbits(table.bad, axis=1, count=S, bitorder="little")',
-        'np.unpackbits(table.bad, axis=1, count=S, bitorder="big")',
+        'np.unpackbits(bad, axis=1, count=S, bitorder="little")',
+        'np.unpackbits(bad, axis=1, count=S, bitorder="big")',
         (HIT_BLOCKS, EVERY_KIND),
+    ),
+    Mutant(
+        "the full certificate answers FREE despite a bad type",
+        "src/binagg/manipulation.py",
+        "if not line and not _type_table(*key, kind).any():",
+        "if not line:",
+        (CERTIFICATE_BAD,),
+    ),
+    Mutant(
+        "a full hunt below the line reads the type table mid-walk",
+        "src/binagg/manipulation.py",
+        "line = 0 if lattice.size * probes >= line else math.inf",
+        "line = 0 if lattice.size * probes >= line else line",
+        (GATE,),
+    ),
+    Mutant(
+        "the full certificate read before the rule is checked",
+        "src/binagg/manipulation.py",
+        "    check_bound(space, rule)\n",
+        '    if kind == "full" and not _type_table(space, rule.weights, None, kind).any():\n'
+        "        return\n"
+        "    check_bound(space, rule)\n",
+        (CERTIFICATE_REJECTS, CERTIFIED_RAISES),
     ),
     Mutant(
         "the context memo rebuilt per block",
@@ -171,13 +197,6 @@ MUTANTS = (
         "return CheckResult(label, False, prefix + _witness_line(w))",
         "return CheckResult(label, True, prefix + _witness_line(w))",
         (PROP41_FAILS, CLAIM58_FAILS, VERIFY_EXITS),
-    ),
-    Mutant(
-        "thm4.2 hunts configurations its screen passed",
-        "src/binagg/suites.py",
-        "if not corrected_stage_free(space, stage, 3, wv, tie)",
-        "if True or not corrected_stage_free(space, stage, 3, wv, tie)",
-        (THM42_FAILS,),
     ),
     Mutant(
         "an expected witness passes when missing",

@@ -39,6 +39,7 @@ from binagg.fixtures import (
     plurality_scenarios,
     welfare_separation_case,
 )
+from binagg.manipulation import find_witness
 from binagg.metric import TieOrder, check_h2, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space, choose_space, from_bits, interval, to_bits
 from oracle import iter_profiles
@@ -270,6 +271,22 @@ def test_partition_block_validation(pref3):
     rule = Partition(pref3, [{1, 2}, {3}])
     with pytest.raises(ValueError):
         rule((0b110,))
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    (
+        (lambda space: Dictator(space, 4), "profile has 3 voters, dictator is voter 4"),
+        (lambda space: Partition(space, [{1, 2}, {3}]), "rule partitions issues over 2 voters, profile has 3"),
+    ),
+    ids=("dictator", "partition"),
+)
+def test_rules_refuse_a_voter_count_they_cannot_read(pref3, make, error):
+    # one check per rule, reached by hunts through the voters it reads and by structural checks through its evaluator
+    with pytest.raises(ValueError, match=error):
+        find_witness(pref3, make(pref3), 3, "partial")
+    with pytest.raises(ValueError, match=error):
+        check_structural(pref3, make(pref3), 3, "iia")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from binagg.fastsweep import (
     _first_positions,
     _least_stage,
     all_stage_products_hamming_free,
-    corrected_stage_free,
-    stage_product_count,
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
 from binagg.manipulation import KINDS, _bad_types, _type_table, classify_deviation, find_witness
@@ -75,8 +73,9 @@ def test_sweep_witness_reads_the_sweeps_correction_table():
         "binagg.aggregators._first_nearest", side_effect=AssertionError("corrected point by point")
     ):
         found = all_stage_products_hamming_free(space, 3, (1, 2, 3, 1, 2, 3), tie)
+    # the sweep's type table and the hunt's switch to that table each read the one cached correction
     info = _correction_table.cache_info()
-    assert found is not None and swept.call_count == 1 and info.misses == 1
+    assert found is not None and swept.call_count == 2 and info.misses == 1
     # the hunt walks the rows of the sweep's own type table, built on that one correction
     types = _type_table.cache_info()
     assert types.misses == 1 and types.hits >= 1
@@ -177,7 +176,7 @@ def stage_cases(draw):
 def test_stage_is_free_exactly_when_it_shows_no_bad_pivot_type(case):
     """The type lemma the sweep rests on."""
     space, stage, weights, tie = case
-    bad = _bad_types(space, weights, _correction(space, weights, tie)).bad.any(axis=1)
+    bad = _bad_types(space, weights, _correction(space, weights, tie)).any(axis=1)
     shown = [_type_number(t) for t in oracle.pivot_types(space, stage)]
     assert (_hunt(space, stage, weights, tie) is None) == (not bad[shown].any())
 
@@ -217,7 +216,7 @@ def test_sweep_takes_spaces_past_64_evaluations(members, first):
     # the hit is find_witness's, and a seeded sample of the stages before it is free
     _assert_agrees_with_find_witness(space, 1, None, None, found, 0)
     tabs = monotone_tables(1)
-    for sid in random.Random(65).sample(range(first or stage_product_count(space, 1)), 40):
+    for sid in random.Random(65).sample(range(first or len(monotone_tables(1)) ** space.m), 40):
         assert _hunt(space, IiaStage(1, _stage(tabs, sid, space.m))) is None
 
 
@@ -249,7 +248,7 @@ def sweep_cases(draw):
     m = draw(st.integers(1, 4))
     space = EvaluationSpace(m, draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1)))
     S = space.size
-    fitting = [n for n in (1, 2, 3) if stage_product_count(space, n) * S**n * n * S <= MAX_SWEEP_PROBES]
+    fitting = [n for n in (1, 2, 3) if len(monotone_tables(n)) ** space.m * S**n * n * S <= MAX_SWEEP_PROBES]
     n = draw(st.sampled_from(fitting))
     weight = st.integers(1, 4) | st.integers(2**31, 2**40)
     weights = draw(st.none() | st.tuples(*[weight] * m))
@@ -291,7 +290,7 @@ def test_batch_sweep_finds_first_manipulable_stage():
     assert ref is not None
     assert _witness_probe(space, ref) == probe
     # and agrees that a seeded sample of earlier stages is free
-    assert stage_product_count(space, 3) == 160_000
+    assert len(monotone_tables(3)) ** space.m == 160_000
     tabs = monotone_tables(3)
     rng = random.Random(5)
     for sid_earlier in rng.sample(range(8000), 12):
@@ -320,7 +319,7 @@ def test_stage_iteration_order_is_lexicographic():
 
 
 # ---------------------------------------------------------------------------
-# one stage under many corrections
+# the full hunt's type-table certificate: one stage under many corrections
 
 
 def _ignores(table, n, voter):
@@ -354,11 +353,11 @@ def screen_cases(draw):
 
 
 def _flag_every_type(space):
-    """Patch the type tables to flag every type bad for every opinion, so the screen takes its
-    ``find_witness`` path and that hunt tests the lies of every (profile, voter) it walks."""
+    """Patch the type tables to flag every type bad for every opinion, so a full hunt that reads one
+    walks its stage and tests the lies of every (profile, voter) it walks."""
 
     def flagged(*key):
-        return _type_table(*key)._replace(bad=np.full((3**space.m, -(-space.size // 8)), 255, dtype=np.uint8))
+        return np.full_like(_type_table(*key), 255)
 
     return mock.patch("binagg.manipulation._type_table", side_effect=flagged)
 
@@ -369,28 +368,22 @@ def test_corrected_stage_screen_matches_oracle(case, block_elements):
     space, stage, weights, tie = case
     rule = NearestNeighborRule(space, stage, weights, tie)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
-        free = next(oracle.iter_witnesses(space, rule, stage.n, "full", weights), None) is None
-        assert corrected_stage_free(space, stage, stage.n, weights, tie) == free
-        # the path a bad type would take
+        first = next(oracle.iter_witnesses(space, rule, stage.n, "full", weights), None)
+        assert find_witness(space, rule, stage.n, "full", weights) == first
+        # the walk a bad type would leave the hunt to
         with _flag_every_type(space):
-            assert corrected_stage_free(space, stage, stage.n, weights, tie) == free
+            assert find_witness(space, rule, stage.n, "full", weights) == first
 
 
 def test_corrected_stage_screen_hunts_the_stage_when_a_type_is_bad(doctrinal):
-    majority = IiaStage.majority(3, 3)
-    # no corrected monotone stage is full-manipulable, so the manipulable one negates majority
-    with mock.patch("binagg.aggregators._is_monotone_table", return_value=True):
-        negated = IiaStage(3, [~t & 0xFF for t in majority.tables])
-    tie = TieOrder.descending(doctrinal)
-    for stage, free in ((majority, True), (negated, False)):
-        rule = NearestNeighborRule(doctrinal, stage, (1, 2, 1), tie)
-        assert (next(oracle.iter_witnesses(doctrinal, rule, 3, "full"), None) is None) == free
-        # the pivot walk reads deciders that IiaStage checked monotone, so the negated stage's hunt scans
-        with _flag_every_type(doctrinal), mock.patch("binagg.fastsweep.find_witness", wraps=find_witness) as hunted, mock.patch(
-            "binagg.manipulation._walks_types", return_value=False
-        ):
-            assert corrected_stage_free(doctrinal, stage, 3, (1, 2, 1), tie) == free
-        assert hunted.call_count == 1
+    # full hunts on doctrinal pass the type table's line, so they read it before they set up a walk
+    rule = NearestNeighborRule(doctrinal, IiaStage.majority(3, 3), (1, 2, 1), TieOrder.descending(doctrinal))
+    with mock.patch.object(engine, "issue_bits", side_effect=AssertionError("walk set up")):
+        assert find_witness(doctrinal, rule, 3, "full") is None
+    # a table with a bad type certifies nothing, so the hunt walks the stage
+    with _flag_every_type(doctrinal), mock.patch.object(engine, "issue_bits", wraps=engine.issue_bits) as walked:
+        assert find_witness(doctrinal, rule, 3, "full") is None
+    assert walked.called
 
 
 def _scanned(space, rule, n, weights):
@@ -406,9 +399,7 @@ def test_corrected_stage_screen_matches_find_witness_on_the_thm42_battery():
             for tie in tie_battery(space):
                 for wv in weight_battery(space.m):
                     rule = NearestNeighborRule(space, stage, wv, tie)
-                    scanned = _scanned(space, rule, 3, wv)
-                    assert corrected_stage_free(space, stage, 3, wv, tie) == (scanned is None)
-                    assert find_witness(space, rule, 3, "full", wv) == scanned
+                    assert find_witness(space, rule, 3, "full", wv) == _scanned(space, rule, 3, wv)
 
 
 def _seeded_stages(n, m, count, seed=2012):
@@ -431,30 +422,33 @@ def test_corrected_stage_screen_matches_find_witness_for_two_to_five_voters(n):
             for tie in tie_battery(space):
                 for wv in weight_battery(space.m):
                     rule = NearestNeighborRule(space, stage, wv, tie)
-                    scanned = _scanned(space, rule, n, wv)
-                    assert corrected_stage_free(space, stage, n, wv, tie) == (scanned is None)
-                    assert find_witness(space, rule, n, "full", wv) == scanned
+                    assert find_witness(space, rule, n, "full", wv) == _scanned(space, rule, n, wv)
 
 
 def test_thm42_builds_one_type_table_per_correction_and_walks_no_stage():
     _type_table.cache_clear()
-    with mock.patch("binagg.manipulation._bad_types", wraps=_bad_types) as built, mock.patch(
-        "binagg.fastsweep.find_witness", wraps=find_witness
-    ) as hunted:
+    with mock.patch("binagg.manipulation._bad_types", wraps=_bad_types) as built, mock.patch.object(
+        engine, "issue_bits", side_effect=AssertionError("walk set up")
+    ):
         assert all(check.passed for check in suites._suite_thm42())
-    # 3 tie orders x 3 weight vectors per space, shared by its 6 stages; no type is bad
+    # 3 tie orders x 3 weight vectors per space, shared by its 6 stages; no type is bad, so no hunt walks
     spaces = [space for _, space in battery_spaces()]
+    assert built.call_count == 45
     assert Counter(call.args[0] for call in built.call_args_list) == Counter(spaces * 9)
     assert {call.args[3] for call in built.call_args_list} == {"full"}
-    assert hunted.call_count == 0
 
 
 def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
+    # the type table would answer FREE, but the hunt refuses these before it reads the table
     stage = IiaStage.majority(3, 3)
+    assert not _type_table(doctrinal, None, None, "full").any()
     with pytest.raises(ValueError, match="stage arity is 3, profile has 2 rows"):
-        corrected_stage_free(doctrinal, stage, 2)
+        find_witness(doctrinal, NearestNeighborRule(doctrinal, stage), 2, "full")
     with pytest.raises(ValueError, match="need 3 weights"):
-        corrected_stage_free(doctrinal, stage, 3, (1, 1))
+        find_witness(doctrinal, NearestNeighborRule(doctrinal, stage, (1, 1)), 3, "full")
+    other = EvaluationSpace(3, doctrinal.feasible[1:])
+    with pytest.raises(ValueError, match="bound to another space"):
+        find_witness(other, NearestNeighborRule(doctrinal, stage), 3, "full")
 
 
 def _old_bad_types(space, weights, tie):
@@ -483,8 +477,8 @@ def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
     correct = _correction(space, weights, tie)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         expected = _old_bad_types(space, weights, tie)
-        assert np.array_equal(_bad_types(space, weights, correct).bad.any(axis=1), expected)
-        assert np.array_equal(_bad_types(space, weights, correct, "hamming").bad.any(axis=1)[every], expected)
+        assert np.array_equal(_bad_types(space, weights, correct).any(axis=1), expected)
+        assert np.array_equal(_bad_types(space, weights, correct, "hamming").any(axis=1)[every], expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,7 +496,7 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         outcome = {y: oracle.nn_select(space, fixed | (y & copied), weights, tie) for y in X}
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
-    assert _bad_types(space, weights, _correction(space, weights, tie), kind).bad.any(axis=1)[types].tolist() == expected
+    assert _bad_types(space, weights, _correction(space, weights, tie), kind).any(axis=1)[types].tolist() == expected
 
 
 @st.composite
@@ -532,16 +526,16 @@ WORD64, WORD65 = (EvaluationSpace(7, random.Random(seed).sample(range(128), S)) 
 @example((WORD65, (2**63,) * 7, TieOrder.descending(WORD65)), "hamming", 1)
 @example((WORD65, (1, 2, 1, 2, 1, 2, 1), None), "full", engine.BLOCK_ELEMENTS)
 def test_bad_types_match_the_broadcast_reference(case, kind, block_elements):
-    """The gain-mask kernel keeps the correction it read and flags the (type, opinion) pairs that the
-    scan's S x S type step flags, and never runs that step."""
+    """The gain-mask kernel flags the (type, opinion) pairs that the scan's S x S type step flags,
+    and never runs that step."""
     space, weights, tie = case
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         correct = _correction(space, weights, tie)
         bad = oracle.bad_types(space, weights, correct, kind)
         with mock.patch.object(engine, "type_hits", side_effect=AssertionError("type_hits called")):
             table = _bad_types(space, weights, correct, kind)
-    flags = np.unpackbits(table.bad, axis=1, count=space.size, bitorder="little").astype(bool)
-    assert table.correct is correct and np.array_equal(flags, bad)
+    flags = np.unpackbits(table, axis=1, count=space.size, bitorder="little").astype(bool)
+    assert np.array_equal(flags, bad)
 
 
 @st.composite
@@ -575,7 +569,7 @@ def test_no_correction_has_a_bad_full_type(case):
     """Theorem 4.2: every monotone stage, corrected to its nearest neighbour, is free of full
     manipulation, whatever the space, weights, tie order and number of voters."""
     space, weights, tie = case
-    assert not _type_table(space, weights, None if tie is None else tie.ranking, "full").bad.any()
+    assert not _type_table(space, weights, None if tie is None else tie.ranking, "full").any()
 
 
 def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
@@ -586,7 +580,7 @@ def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     _correction_table.cache_clear()
     _type_table.cache_clear()
     for tie in (first, again):
-        corrected_stage_free(pref3, stage, 3, (1, 1, 1), tie)
+        find_witness(pref3, NearestNeighborRule(pref3, stage, (1, 1, 1), tie), 3, "full")
     assert _correction_table.cache_info().misses == 1
     table = _correction_table(pref3, (1, 1, 1), again.ranking)
     assert _correction_table.cache_info().misses == 1 and not table.flags.writeable

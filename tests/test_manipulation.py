@@ -285,7 +285,7 @@ def every_type_bad(space):
     tests the lies of every (profile, voter) it walks."""
 
     def flagged(*key):
-        return _type_table(*key)._replace(bad=np.full((3**space.m, -(-space.size // 8)), 255, dtype=np.uint8))
+        return np.full_like(_type_table(*key), 255)
 
     return mock.patch("binagg.manipulation._type_table", side_effect=flagged)
 

@@ -17,9 +17,11 @@ import numpy as np
 import oracle
 from binagg import engine, fixtures, suites
 from binagg.aggregators import IiaStage, NearestNeighborRule, Plurality, StructuralReport
+from binagg.cli import main
+from binagg.fastsweep import all_stage_products_hamming_free
 from binagg.manipulation import find_witness
 from binagg.metric import TieOrder
-from binagg.spaces import builtin_space, to_bits
+from binagg.spaces import EvaluationSpace, builtin_space, to_bits
 from binagg.suites import format_report, run_suite, suite_names
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
@@ -109,23 +111,17 @@ def test_thm42_hunts_the_first_flagged_configuration_alone(witnesses):
         for tie in fixtures.tie_battery(space)
         for wv in fixtures.weight_battery(space.m)
     ]
-    at, screened = 7, []
 
-    def screen(s, stage, n, wv, tie):
-        # flags configuration `at` and every later one on classifier4
-        if s is not space:
-            return True
-        screened.append(configurations.index((stage.tables, tie.name, wv)))
-        return screened[-1] < at
+    def position(s, rule, n):
+        return configurations.index((rule.stage.tables, rule.tie.name, rule.weights)) if s is space else None
 
-    hunted = mock.Mock(side_effect=witnesses)
-    lines = _failed_report("thm4.2", find_witness=hunted, corrected_stage_free=screen)
+    at = 7
+    hunts = _ForcedHunts(position, at, witnesses)
+    lines = _failed_report("thm4.2", find_witness=hunts)
     _, tie, wv = configurations[at]
     line = suites._witness_line(witnesses[0])
     assert f"  [FAIL] corrected stages on classifier4: tie={tie} weights={wv}: {line}" in lines
-    assert screened == list(range(at + 1))
-    (_, rule, _, _), _ = hunted.call_args
-    assert hunted.call_count == 1 and (rule.stage.tables, rule.tie.name, rule.weights) == configurations[at]
+    assert hunts.hunted == list(range(at + 1))
     assert lines[-1] == "result: FAIL (4/5 checks)"
 
 
@@ -164,6 +160,42 @@ def test_claim58_fails_with_the_witness(witnesses):
     assert f"  [FAIL] welfare maximizer on choose4-2 is hamming-free: {suites._witness_line(witnesses[0])}" in lines
     assert hunts.hunted == [0]
     assert lines[-1] == "result: FAIL (3/4 checks)"
+
+
+def test_claim56_fails_with_the_sweeps_first_manipulable_stage(capsys):
+    # a real sweep hit: the first manipulable stage on a four-point space, reported for one configuration
+    found = all_stage_products_hamming_free(EvaluationSpace(4, [4, 9, 12, 14]), 3)
+    space = builtin_space("pref3")
+    tie, wv = fixtures.tie_battery(space)[1], fixtures.weight_battery(space.m)[2]
+
+    def sweep(s, n, weights, t):
+        return found if (weights, t.name) == (wv, tie.name) else None
+
+    with mock.patch.object(suites, "all_stage_products_hamming_free", sweep):
+        code = main(["verify", "--suite", "claim5.6"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert f"  [FAIL] all stages, tie={tie.name}, weights={wv}: stage #8000 tables=(128, 0, 0, 0) has a witness at probe (22, 2, 0)" in lines
+    assert lines[-1] == "result: FAIL (8/9 checks)"
+
+
+@pytest.mark.parametrize(
+    "name, evidence",
+    (
+        ("lemma5.4", "interval(v,u) avoids the space: 1 violations, first at v=001000 u=001000"),
+        ("lemma5.5", "subcube types differ: 2 violations, first at v=000000 u=000000"),
+    ),
+)
+def test_lemma_checks_fail_at_the_first_pair_that_breaks_them(capsys, name, evidence):
+    # pref4's infeasible 000000 paired with itself keeps the interval empty but repeats its type;
+    # its feasible 001000 paired with itself breaks both properties
+    harvest = {"seeded harvest": ([(0b000000, 0b000000), (0b001000, 0b001000)], 2)}
+    with mock.patch.object(suites, "_lemma_harvest", return_value=harvest):
+        code = main(["verify", "--suite", name])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[1] == f"  [FAIL] seeded harvest: {evidence}"
+    assert lines[-1] == "result: FAIL (0/1 checks)"
 
 
 def test_thm31_partial_free_check_fails_with_its_witness(witnesses):
