@@ -43,7 +43,7 @@ from .engine import (
     strides,
     truth_bits,
 )
-from .metric import TieOrder, _correction_table, _feasible_distances, _first_nearest, uniform_weights, validate_weights
+from .metric import TieOrder, _correction_table, _feasible_distances, _first_nearest, validate_weights
 from .metric import nn_select  # noqa: F401  bench/spans.py wraps nn_select
 from .spaces import MAX_TABLE_ISSUES, EvaluationSpace, bit_at
 
@@ -369,13 +369,13 @@ class StageRule(Rule):
 class Plurality(Rule):
     """Most frequent row wins; ties go to the tie-order-best tied row.
 
-    Without an explicit tie order the greatest bit mask wins, which is
-    the lexicographically greatest evaluation string.
+    Without an explicit tie order (``TieOrder.descending``) the greatest
+    bit mask wins, which is the lexicographically greatest evaluation string.
     """
 
     def __init__(self, space: EvaluationSpace, tie: TieOrder | None = None):
         super().__init__(space, "plurality")
-        self.tie = tie
+        self.tie = TieOrder.descending(space) if tie is None else tie
 
     @property
     def anonymous(self) -> bool:
@@ -384,11 +384,8 @@ class Plurality(Rule):
     def block_evaluator(self, n):
         X = self.space.feasible
         S = len(X)
-        # priority among tied rows: the greater mask, or the better tie rank
-        if self.tie is None:
-            priority = np.arange(S)
-        else:
-            priority = S - 1 - np.array([self.tie.rank(x) for x in X])
+        # priority among tied rows: the better tie rank
+        priority = S - 1 - np.array([self.tie.rank(x) for x in X])
 
         def evaluate(rows):
             score = np.broadcast_to(priority, (len(rows), S)).copy()
@@ -493,8 +490,8 @@ class NearestNeighborRule(Rule):
             raise ValueError(f"stage decides {stage.m} issues, space has {space.m}")
         super().__init__(space, name or "nn(stage)")
         self.stage = stage
-        self.weights = None if weights is None else validate_weights(weights, space.m)
-        self.tie = tie
+        self.weights = validate_weights(weights, space.m)
+        self.tie = TieOrder.ascending(space) if tie is None else tie
 
     @property
     def anonymous(self) -> bool:
@@ -507,21 +504,22 @@ class NearestNeighborRule(Rule):
     def indexer(self) -> Callable[[np.ndarray], np.ndarray]:
         """Feasible indices of the corrections of an array of hypercube points, in its shape.
 
-        Once it has been handed at least 2**m points, it reads the shared
-        correction table; until then, and past 20 issues, it corrects only
-        the distinct points of each call.
+        Once it has been handed at least 2**m points, it fetches the shared
+        correction table and reads it from then on; until then, and past 20
+        issues, it corrects only the distinct points of each call.
         """
-        m = self.space.m
-        ranking = None if self.tie is None else self.tie.ranking
-        points_seen = 0
+        space, weights, ranking = self.space, self.weights, self.tie.ranking
+        table, points_seen = None, 0
 
         def indices(points):
-            nonlocal points_seen
+            nonlocal table, points_seen
             points_seen += points.size
-            if m <= MAX_TABLE_ISSUES and points_seen >= 1 << m:
-                return _correction_table(self.space, self.weights, ranking)[points]
+            if table is None and space.m <= MAX_TABLE_ISSUES and points_seen >= 1 << space.m:
+                table = _correction_table(space, weights, ranking)
+            if table is not None:
+                return table[points]
             distinct, inverse = np.unique(points, return_inverse=True)
-            return _first_nearest(self.space, distinct, self.weights, ranking)[inverse].reshape(points.shape)
+            return _first_nearest(space, distinct, weights, ranking)[inverse].reshape(points.shape)
 
         return indices
 
@@ -531,7 +529,7 @@ class NearestNeighborRule(Rule):
 
 
 class WelfareMaximizer(Rule):
-    """Feasible outcome minimizing total weighted distance to all voters."""
+    """Feasible outcome minimizing total weighted distance to all voters; ties go to the tie-order-best."""
 
     def __init__(
         self,
@@ -540,20 +538,19 @@ class WelfareMaximizer(Rule):
         tie: TieOrder | None = None,
     ):
         super().__init__(space, "swm")
-        self.weights = None if weights is None else validate_weights(weights, space.m)
-        self.tie = tie
+        self.weights = validate_weights(weights, space.m)
+        self.tie = TieOrder.ascending(space) if tie is None else tie
 
     @property
     def anonymous(self) -> bool:
         return True
 
     def block_evaluator(self, n):
-        X, m = self.space.feasible, self.space.m
+        X = self.space.feasible
         S = len(X)
-        # key (total distance, tie rank or mask) packed as total * S + rank
-        w = self.weights or uniform_weights(m)
-        dist = exact_array(_feasible_distances(self.space, w), headroom=n * S) * S
-        tie_key = np.arange(S) if self.tie is None else np.array([self.tie.rank(x) for x in X])
+        # key (total distance, tie rank) packed as total * S + rank
+        dist = exact_array(_feasible_distances(self.space, self.weights), headroom=n * S) * S
+        tie_key = np.array([self.tie.rank(x) for x in X])
 
         def evaluate(rows):
             key = tie_key + dist[rows[:, 0]]
@@ -607,13 +604,19 @@ def swm_topk(space: EvaluationSpace, rows: Sequence[int], candidate_order: Seque
     return int(_topk_block(space, np.array([rows], dtype=np.uint64), candidate_order)[0])
 
 
+def _candidate_order(m: int, candidate_order: Sequence[int] | None) -> tuple[int, ...]:
+    """The candidate order, 1-based, checked to be a permutation of 1..m; none or an empty one is the identity."""
+    order = tuple(candidate_order or range(1, m + 1))
+    if sorted(order) != list(range(1, m + 1)):
+        raise ValueError("candidate order must be a permutation of 1..m")
+    return order
+
+
 def _topk_block(space: EvaluationSpace, rows: np.ndarray, candidate_order: Sequence[int] | None = None) -> np.ndarray:
     """(B,) uint64 :func:`swm_topk` committees of a (B, n) array of evaluation masks, one profile per row."""
     k = _committee_size(space)
     m = space.m
-    order = tuple(candidate_order) if candidate_order else tuple(range(1, m + 1))
-    if sorted(order) != list(range(1, m + 1)):
-        raise ValueError("candidate order must be a permutation of 1..m")
+    order = _candidate_order(m, candidate_order)
     # approvals[b, j]: the rows of profile b approving candidate j + 1
     approvals = issue_bits(rows.ravel(), m).reshape(m, *rows.shape).sum(axis=2).T
     # later[j]: the candidates after candidate j + 1 in the order, so keys are distinct
@@ -633,9 +636,7 @@ def committee_tie_order(space: EvaluationSpace, candidate_order: Sequence[int] |
     """
     _committee_size(space)
     m = space.m
-    order = tuple(candidate_order) if candidate_order else tuple(range(1, m + 1))
-    if sorted(order) != list(range(1, m + 1)):
-        raise ValueError("candidate order must be a permutation of 1..m")
+    order = _candidate_order(m, candidate_order)
 
     def permuted(mask: int) -> int:
         out = 0

@@ -129,9 +129,9 @@ def all_stage_products_hamming_free(
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")
     S, m = space.size, space.m
-    if weights is not None:
-        weights = validate_weights(weights, m)
-    bad = manipulation._type_table(space, weights, None if tie is None else tie.ranking, "hamming").any(axis=1)
+    weights = validate_weights(weights, m)
+    tie = TieOrder.ascending(space) if tie is None else tie
+    bad = manipulation._type_table(space, weights, tie.ranking, "hamming").any(axis=1)
     if not bad.any():
         return None
     tabs = monotone_tables(n)

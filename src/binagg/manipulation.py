@@ -71,7 +71,6 @@ from .metric import (
     _correction_table,
     _distances,
     _feasible_distances,
-    uniform_weights,
     validate_weights,
     weight_of,
     weighted_hamming,
@@ -177,11 +176,11 @@ def search_size(space: EvaluationSpace, n: int) -> int:
 
 
 def _validate_kind(kind: str, weights, m: int):
+    """The hunt's weights, validated for every kind; None for the kinds that weigh nothing."""
     if kind not in KINDS:
         raise ValueError(f"unknown manipulation kind {kind!r}; pick one of {KINDS}")
-    if kind == "hamming":
-        return validate_weights(weights, m) if weights is not None else uniform_weights(m)
-    return None
+    w = validate_weights(weights, m)
+    return w if kind == "hamming" else None
 
 
 def iter_witnesses(
@@ -238,7 +237,7 @@ def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights)
     return full
 
 
-def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str = "hamming") -> np.ndarray:
+def _bad_types(space: EvaluationSpace, weights: tuple[int, ...], correct: np.ndarray, kind: str) -> np.ndarray:
     """Per-opinion bad flags of every pivot type: can opinion x gain by some lie of this kind?
 
     A (3^m, ceil(S / 8)) uint8 array: bit x of row t (little-endian)
@@ -248,7 +247,7 @@ def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str =
     issue j at 0, 1 when it copies the voter's bit and 2 when it fixes
     it at 1: a type (F, D) of fixed-at-1 and copied issue masks, whose
     outcome at lie y is ``correct[F | (y & D)]``, where ``correct`` is
-    the correction table (:func:`metric._correction_table`).
+    the correction table (:func:`metric._correction_table`) under ``weights``.
     Opinion x gains at a type when it moves by the kind's test from its
     row[x] to some outcome the row reaches.  The test is evaluated once
     on every (truthful z, lied w, opinion x) code triple and packed into
@@ -259,7 +258,7 @@ def _bad_types(space: EvaluationSpace, weights, correct: np.ndarray, kind: str =
     """
     S, m = space.size, space.m
     masks, codes = np.array(space.feasible, dtype=np.intp), np.arange(S)
-    hit = _hit_fn(space, space.feasible, kind, _validate_kind(kind, weights, m))
+    hit = _hit_fn(space, space.feasible, kind, weights)
     k, low_fixed, low_copied, single = _type_blocks(m, S, engine.block_size(S))
     # gain[j, z, x]: word j of the mask of the outcomes x gains by from z (no kind reads the lie), in
     # square tiles of (z, x), so that no kind's test recomputes its (z, w) or (w, x) terms, such as the
@@ -311,10 +310,10 @@ def _bit_masks(flags: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _type_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None, kind: str) -> np.ndarray:
-    """Read-only :func:`_bad_types` of every pivot type under the correction with these weights
-    and tie ranking (None: no tie order), and the kind's test under the same weights, cached
-    like that correction table."""
+def _type_table(space: EvaluationSpace, weights: tuple[int, ...], ranking: tuple[int, ...], kind: str) -> np.ndarray:
+    """Read-only :func:`_bad_types` of every pivot type under the correction with these validated
+    weights and tie ranking, and the kind's test under the same weights, cached like that
+    correction table."""
     # the correction table comes first: past MAX_TABLE_ISSUES it refuses, before type numbers could overflow
     bad = _bad_types(space, weights, _correction_table(space, weights, ranking), kind)
     bad.flags.writeable = False
@@ -346,9 +345,9 @@ def _pivot_types(space: EvaluationSpace, rule: NearestNeighborRule, lattice: Lat
     # the type table's cost in probes walked (see the module docstring); it is not read past
     # MAX_TABLE_ISSUES, nor when it weighs the hamming test unlike the hunt
     line = math.inf
-    if m <= MAX_TABLE_ISSUES and (kind != "hamming" or weights == (rule.weights or uniform_weights(m))):
+    if m <= MAX_TABLE_ISSUES and (kind != "hamming" or weights == rule.weights):
         line = 3**m * S * -(-S // 64) - 5000
-    key = (space, rule.weights, None if rule.tie is None else rule.tie.ranking)
+    key = (space, rule.weights, rule.tie.ranking)
     probes = len(lattice.voters) * S
     if kind == "full":
         # Theorem 4.2's certificate: read before the walk is set up once the lattice's probes reach

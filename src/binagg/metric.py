@@ -32,9 +32,9 @@ from .engine import _unsigned, block_size, exact_array, masks_array
 from .spaces import MAX_TABLE_ISSUES, EvaluationSpace, to_bits
 
 
-def validate_weights(weights: Sequence[int], m: int) -> tuple[int, ...]:
-    """Require one positive integer weight per issue."""
-    w = tuple(weights)
+def validate_weights(weights: Sequence[int] | None, m: int) -> tuple[int, ...]:
+    """Require one positive integer weight per issue; no weights are uniform weights."""
+    w = uniform_weights(m) if weights is None else tuple(weights)
     if len(w) != m:
         raise ValueError(f"need {m} weights, got {len(w)}")
     for j, wj in enumerate(w, start=1):
@@ -137,12 +137,11 @@ def _weigh(diff: np.ndarray, weights: tuple[int, ...]) -> np.ndarray:
     return sum(table[(diff >> np.array(k * CHUNK, dtype=diff.dtype)) & low] for k, table in enumerate(tables))
 
 
-def _first_nearest(space: EvaluationSpace, points: np.ndarray, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
+def _first_nearest(space: EvaluationSpace, points: np.ndarray, weights, ranking: tuple[int, ...]) -> np.ndarray:
     """Feasible index, in the narrowest unsigned dtype, of each point's first nearest feasible evaluation in
-    the order of this tie ranking (None: ascending) under the weights (None: uniform), a block at a time."""
+    the order of this tie ranking under these validated weights, a block at a time."""
     m, S = space.m, space.size
-    weights = uniform_weights(m) if weights is None else weights
-    ranked = masks_array(space.feasible if ranking is None else ranking, m)
+    ranked = masks_array(ranking, m)
     index = np.searchsorted(masks_array(space.feasible, m), ranked).astype(_unsigned(S - 1))
     nearest = np.empty(points.shape, dtype=index.dtype)
     step = block_size(S)
@@ -152,11 +151,11 @@ def _first_nearest(space: EvaluationSpace, points: np.ndarray, weights, ranking:
 
 
 def nn_select(space: EvaluationSpace, point: int, weights: Sequence[int] | None = None, tie: TieOrder | None = None):
-    """The tie-order-minimal nearest neighbor (ascending mask order by default)."""
+    """The tie-order-minimal nearest neighbor (ascending mask order and uniform weights by default)."""
     if not 0 <= point < 1 << space.m:
         raise ValueError(f"evaluation out of range for m={space.m}")
-    w = None if weights is None else validate_weights(weights, space.m)
-    nearest = _first_nearest(space, masks_array([point], space.m), w, None if tie is None else tie.ranking)
+    ranking = space.feasible if tie is None else tie.ranking
+    nearest = _first_nearest(space, masks_array([point], space.m), validate_weights(weights, space.m), ranking)
     return space.feasible[nearest[0]]
 
 
@@ -174,9 +173,9 @@ def _feasible_distances(space: EvaluationSpace, weights: tuple[int, ...]) -> np.
 
 
 @lru_cache(maxsize=16)
-def _correction_table(space: EvaluationSpace, weights, ranking: tuple[int, ...] | None) -> np.ndarray:
+def _correction_table(space: EvaluationSpace, weights: tuple[int, ...], ranking: tuple[int, ...]) -> np.ndarray:
     """Read-only :func:`_first_nearest` of every hypercube point: the feasible index of its first
-    nearest feasible evaluation in the order of this tie ranking (None: ascending).
+    nearest feasible evaluation in the order of this tie ranking under these validated weights.
 
     Keyed on the ranking, not the TieOrder: callers rebuild equal orders
     for every stage.  Sweeps, type tables, ``nn(...)`` rules
@@ -204,7 +203,7 @@ def check_h2(
     """
     outside = space.infeasible()
     X, m = space.feasible, space.m
-    dist = _distances(outside, X, uniform_weights(m) if weights is None else validate_weights(weights, m), m)
+    dist = _distances(outside, X, validate_weights(weights, m), m)
     nearest = (dist == dist.min(axis=1, keepdims=True)).tolist()
     sets = {p: frozenset(x for x, near in zip(X, row) if near) for p, row in zip(outside, nearest)}
     chosen = {}

@@ -54,6 +54,8 @@ VERIFY_EXITS = "tests/test_cli.py::test_verify_exits_3_when_a_suite_fails"
 MISSING_WITNESS = "tests/test_suites.py::test_an_expected_witness_that_is_missing_fails"
 PROPERTY_HOLDS = "tests/test_suites.py::test_thm31_names_a_structural_property_that_holds"
 ANONYMITY_FAILS = "tests/test_suites.py::test_thm43_anonymity_failure_counts_its_violations"
+DEFAULTS = "tests/test_engine.py::test_rules_built_without_weights_or_tie_take_the_documented_defaults"
+MALFORMED_WEIGHTS = "tests/test_manipulation.py::test_every_kind_refuses_malformed_weights"
 
 MUTANTS = (
     Mutant(
@@ -102,7 +104,7 @@ MUTANTS = (
         "the full certificate read before the rule is checked",
         "src/binagg/manipulation.py",
         "    check_bound(space, rule)\n",
-        '    if kind == "full" and not _type_table(space, rule.weights, None, kind).any():\n'
+        '    if kind == "full" and not _type_table(space, rule.weights, rule.tie.ranking, kind).any():\n'
         "        return\n"
         "    check_bound(space, rule)\n",
         (CERTIFICATE_REJECTS, CERTIFIED_RAISES),
@@ -166,9 +168,34 @@ MUTANTS = (
     Mutant(
         "the first nearest taken in ascending mask order, not ranking order",
         "src/binagg/metric.py",
-        "ranked = masks_array(space.feasible if ranking is None else ranking, m)",
+        "ranked = masks_array(ranking, m)",
         "ranked = masks_array(space.feasible, m)",
         (KERNEL,),
+    ),
+    Mutant(
+        "plurality defaults to ascending tie order",
+        "src/binagg/aggregators.py",
+        "self.tie = TieOrder.descending(space) if tie is None else tie",
+        "self.tie = TieOrder.ascending(space) if tie is None else tie",
+        (DEFAULTS,),
+    ),
+    Mutant(
+        "the welfare maximizer defaults to descending tie order",
+        "src/binagg/aggregators.py",
+        '        super().__init__(space, "swm")\n'
+        "        self.weights = validate_weights(weights, space.m)\n"
+        "        self.tie = TieOrder.ascending(space) if tie is None else tie\n",
+        '        super().__init__(space, "swm")\n'
+        "        self.weights = validate_weights(weights, space.m)\n"
+        "        self.tie = TieOrder.descending(space) if tie is None else tie\n",
+        (DEFAULTS,),
+    ),
+    Mutant(
+        "full and partial hunts skip weight validation",
+        "src/binagg/manipulation.py",
+        "    w = validate_weights(weights, m)\n    return w if kind == \"hamming\" else None\n",
+        "    return validate_weights(weights, m) if kind == \"hamming\" else None\n",
+        (MALFORMED_WEIGHTS,),
     ),
     Mutant(
         "the distance kernel keeps int64 past 2^63",

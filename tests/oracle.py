@@ -66,12 +66,12 @@ def outcome(rule, rows):
         return stage_output(rule.stage, rows)
     if isinstance(rule, NearestNeighborRule):
         v = stage_output(rule.stage, rows)
-        return v if v in space else _nearest(space, v, rule.weights, rule.tie)
+        return v if v in space else _nearest(space, v, rule.weights, rule.tie.ranking)
     if isinstance(rule, Plurality):
         counts = Counter(rows)
         top = max(counts.values())
         tied = [r for r, c in counts.items() if c == top]
-        return max(tied) if rule.tie is None else min(tied, key=rule.tie.rank)
+        return min(tied, key=rule.tie.rank)
     if isinstance(rule, Partition):
         # the owner's bit, unless no feasible evaluation starts with the prefix it makes
         owner = {j: v for v, block in enumerate(rule.blocks) for j in block}
@@ -83,10 +83,10 @@ def outcome(rule, rows):
             assert prefix in starts, f"both extensions infeasible at issue {j}"
         return prefix
     if isinstance(rule, WelfareMaximizer):
-        # least (total distance, tie rank or mask) over the space
+        # least (total distance, tie rank) over the space
         def key(v):
             total = sum(weighted_hamming(v, r, rule.weights, m) for r in rows)
-            return total, rule.tie.rank(v) if rule.tie else v
+            return total, rule.tie.rank(v)
 
         return min(space.feasible, key=key)
     assert isinstance(rule, TableRule), rule
@@ -130,9 +130,10 @@ def nn_select(space, point, weights=None, tie=None):
 
 
 @lru_cache(maxsize=4096)
-def _nearest(space, point, weights, tie):
-    # spaces and tie orders hash by identity
-    return nn_select(space, point, weights, tie)
+def _nearest(space, point, weights, ranking):
+    # spaces hash by identity and rankings by value, so that every rule built with one
+    # tie order shares its corrections
+    return min(nn_set(space, point, weights), key=ranking.index)
 
 
 def iter_profiles(space, n):

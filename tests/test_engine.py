@@ -29,6 +29,7 @@ from binagg.aggregators import (
 )
 from binagg import engine, manipulation
 from binagg.manipulation import KINDS, classify_deviation, find_witness, iter_witnesses
+from binagg.fixtures import battery_spaces
 from binagg.metric import TieOrder
 from binagg.spaces import EvaluationSpace, builtin_space
 
@@ -631,6 +632,23 @@ def test_feasible_rules_write_feasible_indices(block_elements):
                     # table is one block of at least 2**3 profiles, so the correction table serves it all
                     assert all(p in space for p in corrected_points(spy))
                     assert not (one_block and spy.called)
+
+
+def test_rules_built_without_weights_or_tie_take_the_documented_defaults():
+    # no tie order is descending mask order for plurality (the greatest mask wins) and ascending
+    # for the other rules, and no weights are uniform: a rule built without them gives, on every
+    # ordered profile and in every hunt, what the rule built with those explicitly gives
+    for _, space in battery_spaces():
+        uniform, stage = (1,) * space.m, IiaStage.majority(3, space.m)
+        ascending, descending = TieOrder.ascending(space), TieOrder.descending(space)
+        for default, explicit in (
+            (Plurality(space), Plurality(space, descending)),
+            (NearestNeighborRule(space, stage), NearestNeighborRule(space, stage, uniform, ascending)),
+            (WelfareMaximizer(space), WelfareMaximizer(space, uniform, ascending)),
+        ):
+            assert list(outcome_table(space, default, 3)) == oracle.outcome_list(space, explicit, 3), explicit
+            for kind in KINDS:
+                assert find_witness(space, default, 3, kind) == find_witness(space, explicit, 3, kind, uniform)
 
 
 SNAPPED_SPACES = (

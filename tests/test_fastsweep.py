@@ -20,7 +20,7 @@ from binagg.fastsweep import (
 )
 from binagg.fixtures import battery_spaces, four_candidate_tie_order, sampled_stages, tie_battery, weight_battery
 from binagg.manipulation import KINDS, _bad_types, _type_table, classify_deviation, find_witness
-from binagg.metric import TieOrder, _correction_table, weighted_hamming
+from binagg.metric import TieOrder, _correction_table, validate_weights, weighted_hamming
 from binagg.spaces import EvaluationSpace, builtin_space
 
 
@@ -34,9 +34,15 @@ def _witness_probe(space, witness):
     return pid, witness.voter - 1, space.index(witness.lie)
 
 
+def _concrete(space, weights, tie):
+    """(weights, tie ranking) as an nn rule built with these resolves them: uniform and ascending when absent."""
+    rule = NearestNeighborRule(space, IiaStage.majority(1, space.m), weights, tie)
+    return rule.weights, rule.tie.ranking
+
+
 def _correction(space, weights, tie):
     """The correction table built afresh, under whatever block size is patched in, not read from the cache."""
-    return _correction_table.__wrapped__(space, weights, None if tie is None else tie.ranking)
+    return _correction_table.__wrapped__(space, *_concrete(space, weights, tie))
 
 
 def _hunt(space, stage, weights=None, tie=None):
@@ -176,7 +182,7 @@ def stage_cases(draw):
 def test_stage_is_free_exactly_when_it_shows_no_bad_pivot_type(case):
     """The type lemma the sweep rests on."""
     space, stage, weights, tie = case
-    bad = _bad_types(space, weights, _correction(space, weights, tie)).any(axis=1)
+    bad = _bad_types(space, validate_weights(weights, space.m), _correction(space, weights, tie), "hamming").any(axis=1)
     shown = [_type_number(t) for t in oracle.pivot_types(space, stage)]
     assert (_hunt(space, stage, weights, tie) is None) == (not bad[shown].any())
 
@@ -441,7 +447,7 @@ def test_thm42_builds_one_type_table_per_correction_and_walks_no_stage():
 def test_corrected_stage_screen_rejects_what_find_witness_rejects(doctrinal):
     # the type table would answer FREE, but the hunt refuses these before it reads the table
     stage = IiaStage.majority(3, 3)
-    assert not _type_table(doctrinal, None, None, "full").any()
+    assert not _type_table(doctrinal, (1, 1, 1), doctrinal.feasible, "full").any()
     with pytest.raises(ValueError, match="stage arity is 3, profile has 2 rows"):
         find_witness(doctrinal, NearestNeighborRule(doctrinal, stage), 2, "full")
     with pytest.raises(ValueError, match="need 3 weights"):
@@ -473,12 +479,11 @@ def _old_bad_types(space, weights, tie):
 @given(stage_cases(), st.sampled_from((engine.BLOCK_ELEMENTS, 1, 97)))
 def test_bad_types_over_every_type_keep_the_hamming_flags(case, block_elements):
     space, _, weights, tie = case
-    every = np.arange(3**space.m)
     correct = _correction(space, weights, tie)
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         expected = _old_bad_types(space, weights, tie)
-        assert np.array_equal(_bad_types(space, weights, correct).any(axis=1), expected)
-        assert np.array_equal(_bad_types(space, weights, correct, "hamming").any(axis=1)[every], expected)
+        bad = _bad_types(space, validate_weights(weights, space.m), correct, "hamming")
+        assert np.array_equal(bad.any(axis=1), expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -496,7 +501,8 @@ def test_bad_types_match_classify_deviation(case, kind, data):
         outcome = {y: oracle.nn_select(space, fixed | (y & copied), weights, tie) for y in X}
         gains = (classify_deviation(x, outcome[x], outcome[y], weights, m) for x in X for y in X)
         expected.append(any(getattr(g, kind) for g in gains))
-    assert _bad_types(space, weights, _correction(space, weights, tie), kind).any(axis=1)[types].tolist() == expected
+    bad = _bad_types(space, validate_weights(weights, m), _correction(space, weights, tie), kind)
+    assert bad.any(axis=1)[types].tolist() == expected
 
 
 @st.composite
@@ -533,7 +539,7 @@ def test_bad_types_match_the_broadcast_reference(case, kind, block_elements):
         correct = _correction(space, weights, tie)
         bad = oracle.bad_types(space, weights, correct, kind)
         with mock.patch.object(engine, "type_hits", side_effect=AssertionError("type_hits called")):
-            table = _bad_types(space, weights, correct, kind)
+            table = _bad_types(space, validate_weights(weights, space.m), correct, kind)
     flags = np.unpackbits(table, axis=1, count=space.size, bitorder="little").astype(bool)
     assert np.array_equal(flags, bad)
 
@@ -569,7 +575,7 @@ def test_no_correction_has_a_bad_full_type(case):
     """Theorem 4.2: every monotone stage, corrected to its nearest neighbour, is free of full
     manipulation, whatever the space, weights, tie order and number of voters."""
     space, weights, tie = case
-    assert not _type_table(space, weights, None if tie is None else tie.ranking, "full").any()
+    assert not _type_table(space, *_concrete(space, weights, tie), "full").any()
 
 
 def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
@@ -588,3 +594,15 @@ def test_correction_table_is_cached_by_ranking_not_by_tie_order(pref3):
     ascending = _correction_table(pref3, (1, 1, 1), TieOrder.ascending(pref3).ranking)
     assert _correction_table.cache_info().misses == 2 and not np.array_equal(ascending, table)
     assert np.array_equal(table, _correction(pref3, (1, 1, 1), first))
+
+
+def test_a_correction_is_cached_under_one_key_with_or_without_explicit_defaults(pref4):
+    # a rule built with no weights and no tie order stores the uniform weights and the ascending
+    # order, so its hunt builds the tables that one built with those explicitly reads
+    stage = IiaStage.majority(4, 6)
+    _correction_table.cache_clear()
+    _type_table.cache_clear()
+    first = find_witness(pref4, NearestNeighborRule(pref4, stage), 4, "hamming")
+    explicit = NearestNeighborRule(pref4, stage, (1,) * 6, TieOrder.ascending(pref4))
+    assert first is not None and find_witness(pref4, explicit, 4, "hamming", (1,) * 6) == first
+    assert (_correction_table.cache_info().misses, _type_table.cache_info().misses) == (1, 1)

@@ -182,6 +182,15 @@ def test_unknown_kind(pref3):
         find_witness(pref3, Plurality(pref3), 3, "sneaky")
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_refuses_malformed_weights(doctrinal, kind):
+    rule = NearestNeighborRule(doctrinal, IiaStage.majority(3, 3))
+    with pytest.raises(ValueError, match="need 3 weights, got 2"):
+        find_witness(doctrinal, rule, 3, kind, (1, 1))
+    with pytest.raises(ValueError, match="weight for issue 2 must be a positive integer"):
+        find_witness(doctrinal, Plurality(doctrinal), 3, kind, (1, 0, 1))
+
+
 def test_witness_report_contents():
     case = four_candidate_case()
     rule = NearestNeighborRule(case["space"], IiaStage.majority(3, 6), tie=four_candidate_tie_order())

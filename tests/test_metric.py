@@ -115,12 +115,12 @@ def test_kernel_and_corrections_match_the_oracle(case, block_elements):
     expected = [space.index(oracle.nn_select(space, p, weights, tie)) for p in points]
     with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
         assert _distances(points, X, w, m).tolist() == [[weighted_hamming(p, x, w) for x in X] for p in points]
-        corrections = NearestNeighborRule(space, IiaStage.majority(1, m), weights, tie).indexer()
-        assert corrections(masks_array(points, m)).tolist() == expected
+        rule = NearestNeighborRule(space, IiaStage.majority(1, m), weights, tie)
+        assert rule.indexer()(masks_array(points, m)).tolist() == expected
         assert [nn_select(space, p, weights, tie) for p in points] == [X[i] for i in expected]
     if m <= 17:
-        ranking = None if tie is None else tie.ranking
-        assert _correction_table.__wrapped__(space, weights, ranking)[points].tolist() == expected
+        # the kernels take the weights and ranking the rule resolved
+        assert _correction_table.__wrapped__(space, rule.weights, rule.tie.ranking)[points].tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 import oracle
-from binagg import engine, fixtures, suites
+from binagg import engine, fixtures, manipulation, suites
 from binagg.aggregators import IiaStage, NearestNeighborRule, Plurality, StructuralReport
 from binagg.cli import main
 from binagg.fastsweep import all_stage_products_hamming_free
 from binagg.manipulation import find_witness
-from binagg.metric import TieOrder
+from binagg.metric import TieOrder, _correction_table, _feasible_distances
 from binagg.spaces import EvaluationSpace, builtin_space, to_bits
 from binagg.suites import format_report, run_suite, suite_names
 
@@ -381,6 +381,32 @@ def test_random_harvest_matches_oracle(block_elements):
 def test_exhaustive_harvest_matches_oracle(pref4, tie):
     tie = fixtures.four_candidate_tie_order() if tie == "worked example" else TieOrder.descending(pref4)
     assert suites._exhaustive_harvest(pref4, tie) == oracle.exhaustive_harvest(pref4, tie)
+
+
+def test_type_certificate_holds_both_lemma_harvests(pref4):
+    """Every hamming hit of the harvest's 12 corrections over all 3^m pivot types (F, D), opinions x
+    and lies y gives the stage-output pair (F | (x & D), F | (y & D)).  Constant and dictator deciders
+    show every type in every context, so these pairs are exactly those of every monotone stage,
+    profile, voter and lie, for any n: both lemmas hold on all of them, and both harvests are subsets."""
+    S, m = pref4.size, pref4.m
+    fixed, copied = manipulation._pivot_masks(np.arange(3**m), m)
+    # v[t, y]: the stage output at type t when the voter reports feasible evaluation y
+    v = fixed[:, None] | (np.array(pref4.feasible) & copied[:, None])
+    opinions = np.arange(S)
+    pairs, hits = set(), 0
+    for tie in fixtures.tie_battery(pref4, extra=fixtures.four_candidate_tie_order()):
+        for wv in fixtures.weight_battery(m):
+            # far[x, p]: the distance from opinion x to the correction of point p
+            far = _feasible_distances(pref4, wv)[:, _correction_table(pref4, wv, tie.ranking)]
+            gap = far[opinions[:, None], v[:, None, :]]
+            t, x, y = np.nonzero(gap < gap[:, opinions, opinions][:, :, None])
+            hits += len(t)
+            pairs.update(zip(v[t, x].tolist(), v[t, y].tolist()))
+    assert (len(pairs), hits) == (210, 85_714)
+    assert all(suites._interval_empty(pref4, a, b) and suites._types_differ(pref4, a, b) for a, b in pairs)
+    harvested = [harvest for harvest, _ in suites._lemma_harvest().values()]
+    assert [len(harvest) for harvest in harvested] == [112, 172]
+    assert all(set(harvest) <= pairs for harvest in harvested)
 
 
 def test_lemma_harvest_leaves_numpy_random_unimported():
