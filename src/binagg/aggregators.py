@@ -40,7 +40,6 @@ from .engine import (
     issue_bits,
     masks_array,
     scan,
-    strides,
     truth_bits,
 )
 from .metric import TieOrder, _correction_table, _feasible_distances, _first_nearest, validate_weights
@@ -118,35 +117,19 @@ class IiaStage:
         if n != self.n:
             raise ValueError(f"stage arity is {self.n}, profile has {n} rows")
 
-    def _gather(self, masks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Stage outputs (uint64 masks) for (B, n) indices into the (K,) uint64 ``masks``, over issue lanes."""
-        n, mask = self.n, np.uint64((1 << self.n) - 1)
-        bit, shifts, voters, place, offsets = _lanes(self.m, n)
-        # codes[i, w, k]: voter i's lane bits of masks[k] in word w
-        codes = (((masks >> bit) & 1) << shifts).sum(axis=1) << voters
-        # lane p's truth table starts at p << n, its entries at mask bit p
-        truth = (truth_bits(self.tables[::-1] + (0,) * (len(place) - self.m), n) * place).ravel()
-
-        def evaluate(rows):
-            packed = codes[0][:, rows[:, 0]]
-            for i in range(1, n):
-                packed |= codes[i][:, rows[:, i]]
-            return truth[((packed[:, None, :] >> shifts) & mask) + offsets].sum(axis=(0, 1))
-
-        return evaluate
-
     def apply(self, rows: Sequence[int], m: int | None = None) -> int:
         """Stage output for a profile of any masks; may be infeasible.
 
         A one-row call of the gather :meth:`block_evaluator` makes, on the masks given.
         """
         self._check_shape(self.m if m is None else m, len(rows))
-        return int(self._gather(np.array(rows, dtype=np.uint64))(np.arange(self.n)[None])[0])
+        evaluate = _lane_gather(truth_bits(self.tables, self.n), self.n, np.array(rows, dtype=np.uint64))
+        return int(evaluate(np.arange(self.n)[None])[0])
 
     def block_evaluator(self, space: EvaluationSpace, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Stage outputs (uint64 masks) for (B, n) blocks of feasible row indices."""
         self._check_shape(space.m, n)
-        return self._gather(np.array(space.feasible, dtype=np.uint64))
+        return _lane_gather(truth_bits(self.tables, self.n), n, np.array(space.feasible, dtype=np.uint64))
 
     @property
     def is_anonymous(self) -> bool:
@@ -177,6 +160,26 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"stage arity must be at least 1, got {n}")
     if n > MAX_STAGE_ARITY:
         raise ValueError(f"stage arity must be at most {MAX_STAGE_ARITY} (truth tables of 2**n bits), got {n}")
+
+
+def _lane_gather(truth: np.ndarray, n: int, masks: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Outputs (uint64 masks), over issue lanes, for (B, n) indices into the (K,) uint64 ``masks``, of the
+    per-issue deciders whose truth bits are ``truth``: issue j+1 gives ``truth[j, c]`` at packed column c
+    (voter 1 most significant)."""
+    mask = np.uint64((1 << n) - 1)
+    bit, shifts, voters, place, offsets = _lanes(len(truth), n)
+    # codes[i, w, k]: voter i's lane bits of masks[k] in word w
+    codes = (((masks >> bit) & 1) << shifts).sum(axis=1) << voters
+    # lane p's truth table starts at p << n, its entries at mask bit p
+    truth = (np.pad(truth[::-1], ((0, len(place) - len(truth)), (0, 0))) * place).ravel()
+
+    def evaluate(rows):
+        packed = codes[0][:, rows[:, 0]]
+        for i in range(1, n):
+            packed |= codes[i][:, rows[:, i]]
+        return truth[((packed[:, None, :] >> shifts) & mask) + offsets].sum(axis=(0, 1))
+
+    return evaluate
 
 
 @lru_cache(maxsize=64)
@@ -771,12 +774,14 @@ def search_lattice(
 ) -> Lattice:
     """The lattice a search walks, once its probes are charged to the budget.
 
-    Without a rule that is every ordered profile.  A search for the first
-    hit of ``rule`` walks the multiset lattice when the rule is anonymous,
-    else the ordered profiles of the voters it reads (see
-    :mod:`binagg.engine`).  The search makes ``per_profile`` probes per
-    profile, and builds the lattice's table with :func:`lattice_table`,
-    unless it walks pivot types (hunts of ``nn(...)`` rules).
+    Without a rule that is every ordered profile, which :func:`outcome_table`
+    tabulates and the other structural checks walk with no table.  A
+    search for the first hit of ``rule`` (a hunt, or the monotone check)
+    walks the multiset lattice when the rule is anonymous, else the
+    ordered profiles of the voters it reads (see :mod:`binagg.engine`).
+    The search makes ``per_profile`` probes per profile, and builds the
+    lattice's table with :func:`lattice_table`, unless it walks pivot
+    types (hunts of ``nn(...)`` rules).
     """
     if n < 1:
         raise ValueError(f"a profile needs at least one voter, got n={n}")
@@ -803,9 +808,9 @@ def lattice_table(space: EvaluationSpace, rule: Rule, lattice: Lattice) -> Outco
 
     Codes are feasible indices over ``space.feasible`` for a rule whose
     outcomes are feasible, and ranks among the distinct outcomes for a
-    stage or table rule.  Every search and structural check builds its
-    one table here; :func:`outcome_table` is this table over every
-    ordered profile.
+    stage or table rule.  Each search, and the monotone check, builds its
+    one table here, and no other structural check builds one;
+    :func:`outcome_table` is this table over every ordered profile.
     """
     check_bound(space, rule)
     return build_table(space, lattice, rule.block_evaluator(lattice.n), indexed=not rule._gives_masks)
@@ -839,32 +844,32 @@ def check_structural(
     """Exhaustively decide a structural property over all profiles.
 
     Witnesses are pairs of profiles, the canonically first pair that
-    violates the property under a single left-to-right scan.  The
-    monotone check of an anonymous rule walks the multiset lattice, whose
-    first violation is the canonical first one, and so does the monotone
-    check of any other rule on the ordered profiles of the voters it
-    reads (see :mod:`binagg.engine`).  The anonymity check of a rule
-    anonymous by construction (``Rule.anonymous``) HOLDS once its budget
-    is charged, without a table.
+    violates the property under a single left-to-right scan.  Only the
+    monotone check builds an outcome table, because its probe scan reads
+    the outcomes of lied profiles.  That check walks the multiset lattice
+    for an anonymous rule, whose first violation is the canonical first
+    one, and the ordered profiles of the voters it reads for any other rule
+    (see :mod:`binagg.engine`).  The other checks walk every ordered
+    profile in blocks, read each block's outcomes from the rule's
+    evaluator, and stop in the block of their first violation.  The
+    anonymity check of a rule anonymous by construction
+    (``Rule.anonymous``) HOLDS once its budget is charged, with no walk.
     """
     if property not in _PROPERTIES:
         raise ValueError(f"unknown property {property!r}; pick one of {_PROPERTIES}")
-    per_profile = {"iia": space.m, "monotone": n * space.size, "anonymous": 1, "dictatorial": n}[property]
+    m, S, X = space.m, space.size, space.feasible
+    per_profile = {"iia": m, "monotone": n * S, "anonymous": 1, "dictatorial": n}[property]
     lattice = search_lattice(
         space, n, rule if property == "monotone" else None, per_profile, budget, f"structural check {property}"
     )
-    if property == "anonymous" and rule.anonymous:
-        # anonymous by construction: no table to walk
+    if property == "anonymous" and rule.anonymous or property == "iia" and S == 1:
+        # anonymous by construction, or one profile, its own partner on every issue: nothing to walk
         return StructuralReport(property, True)
-    table = lattice_table(space, rule, lattice)
-    m = space.m
-    X = space.feasible
-    codes = table.codes
-    xs = masks_array(X, m)
-    values = masks_array(table.values, m)
-    voter_strides = strides(space.size, n)
 
     if property == "monotone":
+        table = lattice_table(space, rule, lattice)
+        xs, values = masks_array(X, m), masks_array(table.values, m)
+
         def violated(z, w, x, y):
             # the voter flipped an issue, society flipped it too, and
             # ended opposite to where the voter went
@@ -881,29 +886,43 @@ def check_structural(
             return StructuralReport(property, False, (rows, other), issue=m - viol.bit_length() + 1)
         return StructuralReport(property, True)
 
+    check_bound(space, rule)
+    evaluate = rule.block_evaluator(n)
+    xs = masks_array(X, m)
+    # outcome masks of a block of profiles
+    outcomes = evaluate if rule._gives_masks else lambda rows: xs[evaluate(rows)]
+
     if property == "iia":
-        # the canonically first profile with a given issue-j column gives
-        # each voter the least feasible index sharing its bit on issue j;
-        # first[j, r] is that index for row r
-        bits = issue_bits(space.feasible, m)
-        first = np.where(bits == 1, bits.argmax(axis=1)[:, None], (1 - bits).argmax(axis=1)[:, None])
-        place = masks_array([1 << (m - j) for j in range(1, m + 1)], m)
-        for start, rows in blocks(lattice, n * m):
-            # partners[b, j]: id of the first profile sharing profile b's issue-j column
-            partners = (first[:, rows] @ voter_strides).T
-            moved = (values[codes[partners]] ^ values[codes[start : start + len(rows)]][:, None]) & place
+        # issue j's partner of a profile, the canonically first profile with
+        # its issue-j column, gives each voter least[j, its bit]: the least
+        # feasible index with that bit on issue j
+        bits = issue_bits(X, m)
+        least = np.stack([bits.argmin(axis=1), bits.argmax(axis=1)], axis=1)
+        # partner[j, c]: the outcome's issue-j bit at the partner of column c
+        columns = ProfileLattice(2, n)
+        partner = np.empty((m, columns.size), dtype=np.uint8)
+        shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
+        for start, cols in blocks(columns, m * (n + S + m)):
+            out = outcomes(least[np.arange(m)[:, None, None], cols].reshape(-1, n)).reshape(m, -1)
+            partner[:, start : start + len(cols)] = (out >> shifts) & 1
+        # the rule is independent exactly where it agrees with the per-issue
+        # deciders that read partner[j] off each issue-j column
+        deciders = _lane_gather(partner, n, np.array(X, dtype=np.uint64))
+        for start, rows in blocks(lattice, n + S + m):
+            moved = outcomes(rows) ^ deciders(rows)
             hits = np.flatnonzero(moved)
             if hits.size:
-                b, j = divmod(int(hits[0]), m)
-                pair = (lattice_rows(space, lattice, int(partners[b, j])), lattice_rows(space, lattice, start + b))
+                # the first issue that moved holds the highest set bit
+                b = int(hits[0])
+                j = m - int(moved[b]).bit_length()
+                pair = tuple(tuple(X[r] for r in voters.tolist()) for voters in (least[j, bits[j, rows[b]]], rows[b]))
                 return StructuralReport(property, False, pair, issue=j + 1)
         return StructuralReport(property, True)
 
     if property == "anonymous":
-        for start, rows in blocks(lattice, n):
+        for start, rows in blocks(lattice, n + S + m):
             # X is ascending, so sorting row indices sorts the rows
-            sorted_pids = np.sort(rows, axis=1) @ voter_strides
-            hits = np.flatnonzero(codes[start : start + len(rows)] != codes[sorted_pids])
+            hits = np.flatnonzero(evaluate(rows) != evaluate(np.sort(rows, axis=1)))
             if hits.size:
                 rows = lattice_rows(space, lattice, start + int(hits[0]))
                 return StructuralReport(property, False, (rows, tuple(sorted(rows))))
@@ -911,8 +930,8 @@ def check_structural(
 
     # dictatorial: first_break[i] is the first profile whose outcome differs from voter i's row
     first_break = [-1] * n
-    for start, rows in blocks(lattice, n):
-        overruled = xs[rows] != values[codes[start : start + len(rows)]][:, None]
+    for start, rows in blocks(lattice, n + S + m):
+        overruled = xs[rows] != outcomes(rows)[:, None]
         for i in np.flatnonzero(overruled.any(axis=0)).tolist():
             if first_break[i] < 0:
                 first_break[i] = start + int(overruled[:, i].argmax())

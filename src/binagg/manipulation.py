@@ -13,12 +13,11 @@ profiles lexicographic by rows, voters ascending, lies in ascending
 mask order - through the one chunked walk of :mod:`binagg.engine`
 (``engine.scan``), so the first witness found is a deterministic
 function of the inputs, independent of how the walk is chunked.
-Witnesses are built one at a time from the walk's block arrays of hits,
-so :func:`find_witness` stops within the block that holds the first
-hit.  :func:`find_witness` walks an anonymous rule on the multiset
-lattice, and any other rule on the ordered profiles of the voters it
-reads, whose first hits are that same first witness;
-:func:`iter_witnesses` always walks every ordered profile.
+:func:`find_witness`, the one hunt, builds its witness from the first
+hit of the walk's block arrays, so it stops within the block that holds
+that hit.  It walks an anonymous rule on the multiset lattice, and any
+other rule on the ordered profiles of the voters it reads, whose first
+hits are that same first witness.
 
 The walk reads its types from one of two sources.  A monotone stage
 corrected to its nearest feasible neighbour (``NearestNeighborRule``)
@@ -51,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,36 +180,6 @@ def _validate_kind(kind: str, weights, m: int):
         raise ValueError(f"unknown manipulation kind {kind!r}; pick one of {KINDS}")
     w = validate_weights(weights, m)
     return w if kind == "hamming" else None
-
-
-def iter_witnesses(
-    space: EvaluationSpace,
-    rule: Rule,
-    n: int,
-    kind: str,
-    weights: Sequence[int] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[ManipulationWitness]:
-    """Every witness of the given kind, in canonical scan order."""
-    return _witnesses(space, rule, n, kind, weights, budget, first_only=False)
-
-
-def _witnesses(space, rule, n, kind, weights, budget, first_only: bool) -> Iterator[ManipulationWitness]:
-    w = _validate_kind(kind, weights, space.m)
-    lattice = search_lattice(space, n, rule if first_only else None, n * space.size, budget, "manipulation search")
-    if _walks_types(rule):
-        values = space.feasible
-        hit = _hit_fn(space, values, kind, w)
-        typed = _pivot_types(space, rule, lattice, kind, w, hit)
-    else:
-        table = lattice_table(space, rule, lattice)
-        values = table.values
-        hit = _hit_fn(space, values, kind, w)
-        typed = engine.context_types(lattice, table, hit)
-    for block in scan(lattice, typed, hit):
-        for pid, i, yi, z, lied in zip(*(a.tolist() for a in block)):
-            rows = lattice_rows(space, lattice, pid)
-            yield ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], values[z], values[lied], kind, w)
 
 
 def _hit_fn(space: EvaluationSpace, outcomes: Sequence[int], kind: str, weights) -> HitFn:
@@ -416,7 +385,17 @@ def find_witness(
     multiset lattice; any other rule on the ordered profiles of the
     voters it reads (``Rule.influential``).
     """
-    return next(_witnesses(space, rule, n, kind, weights, budget, first_only=True), None)
+    w = _validate_kind(kind, weights, space.m)
+    lattice = search_lattice(space, n, rule, n * space.size, budget, "manipulation search")
+    table = None if _walks_types(rule) else lattice_table(space, rule, lattice)
+    values = space.feasible if table is None else table.values
+    hit = _hit_fn(space, values, kind, w)
+    typed = _pivot_types(space, rule, lattice, kind, w, hit) if table is None else engine.context_types(lattice, table, hit)
+    for block in scan(lattice, typed, hit):
+        for pid, i, yi, z, lied in zip(*(a.tolist() for a in block)):
+            rows = lattice_rows(space, lattice, pid)
+            return ManipulationWitness(space.m, rows, i + 1, space.feasible[yi], values[z], values[lied], kind, w)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mutation check of the probe walk, the distance kernel and the suites' verdicts: each listed mutant must make its tests fail.
+"""Mutation check of the probe walk, the distance kernel, the structural checks and the suites' verdicts: each listed mutant must make its tests fail.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -56,6 +56,9 @@ PROPERTY_HOLDS = "tests/test_suites.py::test_thm31_names_a_structural_property_t
 ANONYMITY_FAILS = "tests/test_suites.py::test_thm43_anonymity_failure_counts_its_violations"
 DEFAULTS = "tests/test_engine.py::test_rules_built_without_weights_or_tie_take_the_documented_defaults"
 MALFORMED_WEIGHTS = "tests/test_manipulation.py::test_every_kind_refuses_malformed_weights"
+IIA = "tests/test_aggregators.py::test_structural_iia"
+ANONYMOUS = "tests/test_aggregators.py::test_structural_anonymous"
+DICTATORIAL = "tests/test_aggregators.py::test_structural_dictatorial"
 
 MUTANTS = (
     Mutant(
@@ -196,6 +199,27 @@ MUTANTS = (
         "    w = validate_weights(weights, m)\n    return w if kind == \"hamming\" else None\n",
         "    return validate_weights(weights, m) if kind == \"hamming\" else None\n",
         (MALFORMED_WEIGHTS,),
+    ),
+    Mutant(
+        "iia reads the partner with the opposite bit",
+        "src/binagg/aggregators.py",
+        "np.stack([bits.argmin(axis=1), bits.argmax(axis=1)], axis=1)",
+        "np.stack([bits.argmax(axis=1), bits.argmin(axis=1)], axis=1)",
+        (IIA,),
+    ),
+    Mutant(
+        "anonymity compares a block with itself",
+        "src/binagg/aggregators.py",
+        "evaluate(rows) != evaluate(np.sort(rows, axis=1))",
+        "evaluate(rows) != evaluate(rows)",
+        (ANONYMOUS,),
+    ),
+    Mutant(
+        "dictatorship compares against the wrong voter's row",
+        "src/binagg/aggregators.py",
+        "overruled = xs[rows] != outcomes(rows)[:, None]",
+        "overruled = xs[np.roll(rows, 1, axis=1)] != outcomes(rows)[:, None]",
+        (DICTATORIAL,),
     ),
     Mutant(
         "the distance kernel keeps int64 past 2^63",

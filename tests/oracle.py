@@ -389,15 +389,15 @@ def first_manipulable_stage(space, n, weights=None, tie=None):
 def exhaustive_harvest(space, tie):
     """The exhaustive lemma harvest's (sorted pairs, hits), witness by witness.
 
-    The witnesses are the library's enumeration of every hamming witness
-    of the three-voter majority corrected under uniform weights and
-    ``tie``; each pair is the per-profile stage output at the witness's
-    profile and at its lied profile.
+    The witnesses are every hamming witness of the three-voter majority
+    corrected under uniform weights and ``tie``, by :func:`iter_witnesses`;
+    each pair is the per-profile stage output at the witness's profile and
+    at its lied profile.
     """
     stage = IiaStage.majority(3, space.m)
     rule = NearestNeighborRule(space, stage, uniform_weights(space.m), tie)
     pairs, hits = set(), 0
-    for w in manipulation.iter_witnesses(space, rule, 3, "hamming"):
+    for w in iter_witnesses(space, rule, 3, "hamming"):
         lied = w.profile[: w.voter - 1] + (w.lie,) + w.profile[w.voter :]
         pairs.add((stage_output(stage, w.profile), stage_output(stage, lied)))
         hits += 1

@@ -613,6 +613,9 @@ def test_structural_iia(pref3):
     assert col_a == col_b
     plu = Plurality(pref3)
     assert (plu(a) >> (3 - j)) & 1 != (plu(b) >> (3 - j)) & 1
+    # one profile of forty voters, its own partner on every issue: no 2^40 partners are evaluated
+    point = EvaluationSpace(3, [5])
+    assert check_structural(point, Plurality(point), 40, "iia").holds
 
 
 def test_structural_witness_deterministic(pref3):
@@ -644,6 +647,45 @@ def test_structural_dictatorial(pref3):
     assert report.holds
     assert "voter 2" in report.detail
     assert not check_structural(pref3, Plurality(pref3), 3, "dictatorial").holds
+
+
+def test_only_the_monotone_check_builds_an_outcome_table(pref3):
+    rules = (
+        Plurality(pref3),
+        Dictator(pref3, 2),
+        StageRule(pref3, IiaStage.majority(3, 3)),
+        TableRule(pref3, lambda rows: max(rows), "max"),
+        TableRule(pref3, lambda rows: rows[0] | rows[2], "or"),
+    )
+    with mock.patch.object(aggregators, "build_table", side_effect=AssertionError("table built")):
+        for rule in rules:
+            for property in ("iia", "anonymous", "dictatorial"):
+                assert check_structural(pref3, rule, 3, property) == oracle.check_structural(pref3, rule, 3, property)
+        with pytest.raises(AssertionError, match="table built"):
+            check_structural(pref3, Plurality(pref3), 3, "monotone")
+
+
+def test_failing_checks_stop_in_the_block_of_their_first_violation(pref4):
+    # 24^5 profiles: iia evaluates its 6 * 2^5 partners in one block and fails in the walk's first
+    # block, and every voter is first overruled by profile 601
+    rule = Plurality(pref4)
+    evaluator = rule.block_evaluator
+    blocks = []
+
+    def counted(n):
+        evaluate = evaluator(n)
+
+        def wrapped(rows):
+            blocks.append(len(rows))
+            return evaluate(rows)
+
+        return wrapped
+
+    for property in ("iia", "dictatorial"):
+        blocks.clear()
+        with mock.patch.object(rule, "block_evaluator", counted):
+            assert not check_structural(pref4, rule, 5, property).holds
+        assert 1 <= len(blocks) <= 2, property
 
 
 def test_structural_unknown_property(pref3):

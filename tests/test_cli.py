@@ -134,14 +134,23 @@ def test_hunt_budget_exceeded(capsys):
 
 
 def test_out_of_memory_is_one_error_line(capsys):
-    # a budget past what memory holds: numpy refuses engine.build_table's codes array at once
+    # a budget past what memory holds: numpy refuses engine.build_table's codes array at once, in the
+    # monotone check, the one check that builds an outcome table
     refused = MemoryError("Unable to allocate 2.40 TiB for an array with shape (2641807540224,) and data type uint8")
-    argv = ("check", "--space", "pref4", "-n", "9", "--aggregator", "plurality", "--property", "iia", "--budget", str(10**20))
+    argv = ("check", "--space", "pref4", "-n", "9", "--aggregator", "plurality", "--property", "monotone", "--budget", str(10**20))
     with mock.patch.object(aggregators, "build_table", side_effect=refused):
         assert run(capsys, *argv) == (1, "", f"error: {refused}\n")
     # a bare MemoryError carries no message of its own
     with mock.patch.object(aggregators, "build_table", side_effect=MemoryError):
         assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+
+
+def test_iia_check_past_the_outcome_table_memory_answers(capsys):
+    # 24^9 profiles, whose outcome table would not fit in memory: the check stops in the block of its
+    # first violation
+    argv = ("check", "--space", "pref4", "-n", "9", "--aggregator", "plurality", "--property", "iia", "--budget", str(10**20))
+    code, out, err = run(capsys, *argv)
+    assert (code, out.splitlines()[0], err) == (0, "property iia: FAILS", "")
 
 
 def test_hunt_budget_counts_multisets_for_anonymous_rules(capsys):

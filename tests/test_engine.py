@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from hunts import every_witness, hunt_source
 from binagg import aggregators
 from binagg.aggregators import (
     BudgetExceededError,
@@ -28,7 +29,7 @@ from binagg.aggregators import (
     outcome_table,
 )
 from binagg import engine, manipulation
-from binagg.manipulation import KINDS, classify_deviation, find_witness, iter_witnesses
+from binagg.manipulation import KINDS, classify_deviation, find_witness
 from binagg.fixtures import battery_spaces
 from binagg.metric import TieOrder
 from binagg.spaces import EvaluationSpace, builtin_space
@@ -100,7 +101,7 @@ def test_engine_matches_oracle(case, block_elements):
         assert list(outcome_table(space, rule, n)) == oracle.outcome_list(space, rule, n)
         for kind in KINDS:
             expected = list(oracle.iter_witnesses(space, rule, n, kind, weights))
-            assert list(iter_witnesses(space, rule, n, kind, weights)) == expected, kind
+            assert list(every_witness(space, rule, n, kind, weights)) == expected, kind
             assert find_witness(space, rule, n, kind, weights) == next(iter(expected), None), kind
         for property in ("iia", "monotone", "anonymous", "dictatorial"):
             assert check_structural(space, rule, n, property) == oracle.check_structural(space, rule, n, property)
@@ -489,19 +490,15 @@ def _hit_cases():
 
 
 def scan_input(rule, lattice, kind, weights):
-    """(outcome values, type source, predicate) of a scan case: an nn(...) rule's pivot types, or
-    the context rows of the rule's outcome table under a hunt's test or the monotone check's own."""
+    """(outcome values, type source, predicate) of a scan case: a hunt's (``hunts.hunt_source``), or
+    the context rows of the rule's outcome table under the monotone check's own predicate."""
     space = rule.space
-    if isinstance(rule, NearestNeighborRule):
-        hit = manipulation._hit_fn(space, space.feasible, kind, weights)
-        return space.feasible, manipulation._pivot_types(space, rule, lattice, kind, weights, hit), hit
+    if kind != "monotone":
+        return hunt_source(space, rule, lattice, kind, weights)
     table = aggregators.lattice_table(space, rule, lattice)
-    if kind == "monotone":
-        with mock.patch.object(aggregators, "scan", wraps=engine.scan) as scanned:
-            check_structural(space, rule, lattice.n, "monotone")
-        hit = scanned.call_args.args[2]
-    else:
-        hit = manipulation._hit_fn(space, table.values, kind, weights)
+    with mock.patch.object(aggregators, "scan", wraps=engine.scan) as scanned:
+        check_structural(space, rule, lattice.n, "monotone")
+    hit = scanned.call_args.args[2]
     return table.values, engine.context_types(lattice, table, hit), hit
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
+from hunts import every_witness
 from binagg import aggregators, engine
 from binagg.aggregators import (
     BudgetExceededError,
@@ -34,7 +35,6 @@ from binagg.manipulation import (
     find_witness,
     issue_partition,
     issue_relation,
-    iter_witnesses,
     relation_string,
     search_size,
 )
@@ -148,14 +148,14 @@ def test_partition_certified_full_free(all_builtin_spaces):
 def test_search_canonical_first(pref3):
     rule = Plurality(pref3)
     first = find_witness(pref3, rule, 3, "partial")
-    witnesses = iter_witnesses(pref3, rule, 3, "partial")
+    witnesses = every_witness(pref3, rule, 3, "partial")
     assert next(witnesses) == first
     again = find_witness(pref3, rule, 3, "partial")
     assert again == first
 
 
 def test_search_order_is_profile_voter_lie(pref3):
-    seen = list(iter_witnesses(pref3, Plurality(pref3), 3, "partial"))
+    seen = list(every_witness(pref3, Plurality(pref3), 3, "partial"))
     keys = [(w.profile, w.voter, w.lie) for w in seen]
     assert keys == sorted(keys)
 
@@ -373,7 +373,7 @@ def test_certified_full_hunt_builds_no_table(pref4):
     rule = NearestNeighborRule(pref4, IiaStage.majority(4, 6), (1, 2, 3, 1, 2, 3), four_candidate_tie_order())
     with mock.patch("binagg.manipulation.lattice_table", side_effect=AssertionError("outcome table built")):
         assert find_witness(pref4, rule, 4, "full") is None
-        assert list(iter_witnesses(pref4, rule, 4, "full")) == []
+        assert list(every_witness(pref4, rule, 4, "full")) == []
 
 
 def test_certified_full_hunt_raises_what_the_scan_raises(pref4):
@@ -436,7 +436,7 @@ def test_hunts_of_corrected_stages_of_every_kind_match_the_oracle(case, block_el
         for kind in KINDS:
             expected = list(oracle.iter_witnesses(space, rule, n, kind, weights))
             assert find_witness(space, rule, n, kind, weights) == next(iter(expected), None), kind
-            assert list(iter_witnesses(space, rule, n, kind, weights)) == expected, kind
+            assert list(every_witness(space, rule, n, kind, weights)) == expected, kind
 
 
 def test_corrected_stage_hunts_build_no_outcome_table_and_no_multiset_tables(pref4):
